@@ -382,6 +382,16 @@ class PrimitivesHomeController(Controller):
         super().__init__(node)
         self._token = 0
         self._ack_collectors: dict = {}
+        #: Request type -> home transaction, built once for :meth:`_admit`.
+        self._handlers = {
+            MessageType.READ_MISS: self._h_read_miss,
+            MessageType.READ_GLOBAL: self._h_read_global,
+            MessageType.GLOBAL_WRITE: self._h_global_write,
+            MessageType.WRITEBACK: self._h_writeback,
+            MessageType.RU_REQ: self._h_ru_req,
+            MessageType.RESET_UPDATE: self._h_reset_update,
+            MessageType.RMW_REQ: self._h_rmw,
+        }
 
     # -- dispatch ----------------------------------------------------------
     def handle(self, msg: Message) -> None:
@@ -403,15 +413,7 @@ class PrimitivesHomeController(Controller):
             entry.defer(msg)
             return
         entry.busy = True
-        handler = {
-            MessageType.READ_MISS: self._h_read_miss,
-            MessageType.READ_GLOBAL: self._h_read_global,
-            MessageType.GLOBAL_WRITE: self._h_global_write,
-            MessageType.WRITEBACK: self._h_writeback,
-            MessageType.RU_REQ: self._h_ru_req,
-            MessageType.RESET_UPDATE: self._h_reset_update,
-            MessageType.RMW_REQ: self._h_rmw,
-        }[msg.mtype]
+        handler = self._handlers[msg.mtype]
         self.sim.process(handler(msg, entry), name=f"prim-home-{msg.mtype.name}-{msg.addr}")
 
     def _done(self, entry) -> None:

@@ -335,6 +335,14 @@ class WBIHomeController(Controller):
     def __init__(self, node: "Node"):
         super().__init__(node)
         self._ack_collectors: Dict[int, SourceAckCollector] = {}
+        #: Request type -> home transaction, built once for :meth:`_admit`.
+        self._handlers = {
+            MessageType.READ_MISS: self._h_read_miss,
+            MessageType.WRITE_MISS: self._h_write_miss,
+            MessageType.UPGRADE: self._h_upgrade,
+            MessageType.WRITEBACK: self._h_writeback,
+            MessageType.RMW_REQ: self._h_rmw,
+        }
 
     # -- dispatch ----------------------------------------------------------
     def handle(self, msg: Message) -> None:
@@ -366,13 +374,7 @@ class WBIHomeController(Controller):
             entry.defer(msg)
             return
         entry.busy = True
-        handler = {
-            MessageType.READ_MISS: self._h_read_miss,
-            MessageType.WRITE_MISS: self._h_write_miss,
-            MessageType.UPGRADE: self._h_upgrade,
-            MessageType.WRITEBACK: self._h_writeback,
-            MessageType.RMW_REQ: self._h_rmw,
-        }[mt]
+        handler = self._handlers[mt]
         self.sim.process(handler(msg, entry), name=f"wbi-home-{mt.name}-{msg.addr}")
 
     def _done(self, entry) -> None:

@@ -239,6 +239,13 @@ class WUHomeController(Controller):
         self._word_ver: Dict[int, int] = {}
         #: block -> in-flight update fan-in (resilient mode only).
         self._upd_collectors: Dict[int, SourceAckCollector] = {}
+        #: Request type -> home transaction, built once for :meth:`_admit`.
+        self._handlers = {
+            MessageType.READ_MISS: self._h_read_miss,
+            MessageType.WU_WRITE: self._h_write,
+            MessageType.WU_EVICT: self._h_evict,
+            MessageType.RMW_REQ: self._h_rmw,
+        }
 
     def handle(self, msg: Message) -> None:
         if msg.mtype is MessageType.WU_UPDATE_ACK:
@@ -258,12 +265,7 @@ class WUHomeController(Controller):
             entry.defer(msg)
             return
         entry.busy = True
-        handler = {
-            MessageType.READ_MISS: self._h_read_miss,
-            MessageType.WU_WRITE: self._h_write,
-            MessageType.WU_EVICT: self._h_evict,
-            MessageType.RMW_REQ: self._h_rmw,
-        }[msg.mtype]
+        handler = self._handlers[msg.mtype]
         self.sim.process(handler(msg, entry), name=f"wu-home-{msg.mtype.name}-{msg.addr}")
 
     def _done(self, entry) -> None:

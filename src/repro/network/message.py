@@ -18,12 +18,21 @@ unit; the header costs one flit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Any, Dict
+from types import MappingProxyType
+from typing import Any, Dict, Mapping
 
-__all__ = ["MessageType", "Message", "SizeClass", "flit_size", "flit_table"]
+__all__ = [
+    "MessageType",
+    "Message",
+    "SizeClass",
+    "flit_size",
+    "flit_table",
+    "MSG_COUNTER_KEYS",
+]
 
 
 class SizeClass(Enum):
@@ -167,13 +176,24 @@ def flit_size(size_class: SizeClass, words_per_block: int) -> int:
     return 1  # CONTROL and INVALIDATION
 
 
-def flit_table(words_per_block: int) -> Dict[MessageType, int]:
-    """Precomputed ``mtype -> flits`` map for a fixed block size.
+@functools.cache
+def flit_table(words_per_block: int) -> Mapping[MessageType, int]:
+    """Read-only ``mtype -> flits`` map for a fixed block size.
 
-    Interconnects build this once so the per-message send path is a single
-    dict lookup instead of two enum property chases.
+    Built once per block size and shared by every interconnect, so the
+    per-message send path is a single lookup instead of two enum property
+    chases, and building a machine builds no table.
     """
-    return {mt: flit_size(_SIZE_CLASS[mt], words_per_block) for mt in MessageType}
+    return MappingProxyType(
+        {mt: flit_size(_SIZE_CLASS[mt], words_per_block) for mt in MessageType}
+    )
+
+
+#: Read-only ``mtype -> "msg.<NAME>"`` network counter keys (an f-string
+#: per send adds up at millions of messages).
+MSG_COUNTER_KEYS: Mapping[MessageType, str] = MappingProxyType(
+    {mt: f"msg.{mt.name}" for mt in MessageType}
+)
 
 
 @dataclass(slots=True)

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..sim.core import Simulator
 from ..sim.stats import StatSet
-from .message import Message, MessageType, flit_table
+from .message import MSG_COUNTER_KEYS, Message, flit_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.plan import FaultPlan
@@ -105,11 +105,10 @@ class Interconnect(ABC):
         #: causal parent.
         self._cause: int = -1
         self.stats = StatSet()
-        # Per-message hot-path constants, resolved once: mtype -> flit count
-        # and mtype -> counter key (f-strings per send add up at millions of
-        # messages), plus the latency tally (skips a dict probe per arrival).
+        # Per-message hot-path constants: the shared read-only mtype -> flit
+        # count table, plus the latency tally (skips a dict probe per
+        # arrival).
         self._flits = flit_table(self.params.words_per_block)
-        self._msg_keys = {mt: f"msg.{mt.name}" for mt in MessageType}
         self._counters = self.stats.counters
         self._latency = self.stats.tally("latency")
 
@@ -156,7 +155,7 @@ class Interconnect(ABC):
         flits = self._flits[msg.mtype]
         counters = self._counters
         counters.add("messages")
-        counters.add(self._msg_keys[msg.mtype])
+        counters.add(MSG_COUNTER_KEYS[msg.mtype])
         counters.add("flits", flits)
         obs = self.obs
         if obs is not None:

@@ -90,12 +90,13 @@ class Node:
 
     def register(self, controller: "Controller") -> None:
         """Route the controller's message types to it."""
-        for mtype in controller.IN_TYPES:
-            if mtype in self._dispatch:
-                raise ValueError(
-                    f"message type {mtype.name} already handled on node {self.node_id}"
-                )
-            self._dispatch[mtype] = controller
+        taken = self._dispatch.keys() & controller.IN_TYPES
+        if taken:
+            mtype = min(taken, key=lambda mt: mt.name)
+            raise ValueError(
+                f"message type {mtype.name} already handled on node {self.node_id}"
+            )
+        self._dispatch.update(dict.fromkeys(controller.IN_TYPES, controller))
 
     def deliver(self, msg: Message) -> None:
         """Network delivery callback."""

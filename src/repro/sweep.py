@@ -11,9 +11,9 @@ runs such bags:
   sub-seeds from a base seed without correlation), never on worker
   scheduling; and
 * **incrementally** — results are cached on disk keyed by a digest of the
-  point function, its parameters, and a cache-format version, so re-running
-  a campaign after editing one workload only recomputes the points whose
-  inputs changed.
+  point function, its parameters, and a digest of the simulator's source
+  (:func:`code_digest`), so a result never outlives the code that produced
+  it.
 
 A point function is referenced by dotted path (``"repro.experiments:fig_point"``)
 so workers import it by name — nothing is pickled beyond strings and plain
@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 __all__ = [
-    "CACHE_VERSION",
+    "code_digest",
+    "source_digest",
     "SweepTask",
     "SweepStats",
     "task_digest",
@@ -57,10 +58,43 @@ __all__ = [
     "default_jobs",
 ]
 
-#: Bump when simulated semantics change in a way that invalidates cached
-#: results (new kernel, protocol fix, cost-model change).  Part of every
-#: task digest, so stale caches are simply never hit.
-CACHE_VERSION = "pr8.2"
+#: The package whose source defines simulated semantics.  Every module in
+#: it is hashed: a module that only formats or caches results costs a
+#: spurious recompute when edited, while a semantic module left out would
+#: serve stale results, so the whole package is in.
+_SOURCE_ROOT = os.path.dirname(os.path.abspath(__file__))
+
+_code_digest: Optional[str] = None
+
+
+def source_digest(root: str) -> str:
+    """sha256 over every ``.py`` file under ``root``: relative paths and
+    bytes, in sorted path order, so the digest is a pure function of the
+    tree's Python source."""
+    paths = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+        paths.extend(os.path.join(dirpath, f) for f in filenames if f.endswith(".py"))
+    h = hashlib.sha256()
+    for path in sorted(paths):
+        rel = os.path.relpath(path, root).replace(os.sep, "/")
+        with open(path, "rb") as f:
+            data = f.read()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def code_digest() -> str:
+    """Digest of the simulator's source; part of every task digest and cache
+    entry, so a result is never served to code other than its producer's.
+
+    Computed on first use, not at import, and then kept for the process.
+    """
+    global _code_digest
+    if _code_digest is None:
+        _code_digest = source_digest(_SOURCE_ROOT)
+    return _code_digest
 
 
 @dataclass(frozen=True)
@@ -118,8 +152,13 @@ def config_fingerprint(cfg: Any) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def task_digest(task: SweepTask, version: str = CACHE_VERSION) -> str:
-    """Cache key of ``task``: sha256 over (version, fn, canonical params)."""
+def task_digest(task: SweepTask, version: Optional[str] = None) -> str:
+    """Cache key of ``task``: sha256 over (version, fn, canonical params).
+
+    ``version`` defaults to :func:`code_digest`.
+    """
+    if version is None:
+        version = code_digest()
     blob = json.dumps(
         {"version": version, "fn": task.fn, "params": _canonical(task.params)},
         sort_keys=True,
@@ -176,7 +215,7 @@ def _cache_read(cache_dir: str, digest: str) -> Optional[Dict[str, Any]]:
             doc = json.load(f)
     except (OSError, ValueError):
         return None
-    if doc.get("version") != CACHE_VERSION:
+    if doc.get("version") != code_digest():
         return None
     return doc
 
@@ -185,7 +224,7 @@ def _cache_write(cache_dir: str, digest: str, task: SweepTask, result: Any) -> N
     """Atomic write (tmp + rename): concurrent jobs never see torn files."""
     os.makedirs(cache_dir, exist_ok=True)
     doc = {
-        "version": CACHE_VERSION,
+        "version": code_digest(),
         "fn": task.fn,
         "params": _canonical(task.params),
         "result": result,

@@ -3,7 +3,7 @@
 The probabilistic workload models (:mod:`.syncmodel`, :mod:`.workqueue`)
 spend most of their time in the per-task reference loop: ``grain_size``
 data references, each a couple of RNG draws, an address computation, and
-three nested generator frames (``proc.read`` -> ``_timed`` -> controller).
+nested generator frames (``proc.read`` -> controller).
 For the homogeneous rounds none of that per-reference Python work depends
 on simulation state — the reference *kinds* and *addresses* are a pure
 function of the RNG draws — so it can be lifted out of simulated time:
@@ -17,7 +17,7 @@ function of the RNG draws — so it can be lifted out of simulated time:
    result (:func:`build_queue_task_plan`).
 2. **Execute**: :func:`execute_plan` replays the plan through the node's
    data controller in one lean loop — direct controller calls instead of
-   the three-frame processor wrappers, with the reference counters and the
+   the processor wrappers, with the reference counters and the
    ``data_cycles`` bucket accumulated locally and added once per round.
 
 Equivalence contract: a plan-driven round consumes the same RNG draws in
@@ -276,7 +276,7 @@ def build_queue_task_plan(
     shared branch consumes three draws, the private branch three different
     ones), so batching the draws would change every subsequent value.  The
     builder therefore replays the scalar draw sequence exactly and only
-    compiles the result, trading the three-frame generator nest per
+    compiles the result, trading the processor's generator nest per
     reference for :func:`execute_plan`'s single lean loop.
     """
     p = params

@@ -124,10 +124,9 @@ class KVService(_OpenLoopService):
 
     def serve_batch(self, proc: "Processor", rng, keys: np.ndarray, clients: np.ndarray):
         take = min(int(keys.size), self.ops_cap)
-        draws = rng.random(take)
-        for j in range(take):
-            key = int(keys[j])
-            if draws[j] < self.read_ratio:
+        draws = rng.random(take).tolist()
+        for key, draw in zip(keys[:take].tolist(), draws):
+            if draw < self.read_ratio:
                 yield from proc.shared_read(self._key_addr(key))
             elif self.locked_writes:
                 yield from self._locked_write(proc, key, proc.node_id)
@@ -150,8 +149,7 @@ class QueueService(_OpenLoopService):
     def serve_batch(self, proc: "Processor", rng, keys: np.ndarray, clients: np.ndarray):
         take = min(int(keys.size), self.ops_cap)
         held = None
-        for j in range(take):
-            key = int(keys[j])
+        for key in keys[:take].tolist():
             shard = key % self.n_shards
             if held is not None and held is not self.locks[shard]:
                 yield from proc.release(held)
@@ -178,8 +176,7 @@ class SessionService(_OpenLoopService):
 
     def serve_batch(self, proc: "Processor", rng, keys: np.ndarray, clients: np.ndarray):
         take = min(int(clients.size), self.ops_cap)
-        for j in range(take):
-            client = int(clients[j])
+        for client in clients[:take].tolist():
             yield from proc.shared_read(self._key_addr(client))
             if self.locked_writes:
                 yield from self._locked_write(proc, client, proc.node_id)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import IO, List, Optional
 
@@ -102,28 +103,38 @@ class TrafficWorkload:
     def _server(self, proc, rows: np.ndarray):
         p = self.params
         m = self.machine
+        sim = m.sim
         issue = self.schedule.issue_t[rows]
         keys = self.schedule.key[rows]
         clients = self.schedule.client[rows]
         rng = m.rng.node_stream(proc.node_id, "traffic")
         hist = m.latency_hist()
-        i, n = 0, int(rows.size)
+        serve_batch = self.service.serve_batch
+        batch_cap = p.batch_cap
+        # The schedule stays one numpy array per column; a memoryview reads
+        # single issue times as Python floats, so the per-batch backlog
+        # search and idle check make no numpy scalars and no Python object
+        # per request is built up front (that would cost peak RSS).
+        issue_at = memoryview(issue)
+        i, n = 0, len(issue_at)
         while i < n:
             # Idle until the next unserved request has been issued.  The
             # float re-check absorbs rounding in now + (issue - now).
-            while m.sim.now < issue[i]:
-                yield from proc.compute(float(issue[i]) - m.sim.now)
-            t0 = m.sim.now
-            backlog = int(np.searchsorted(issue, m.sim.now, side="right")) - i
+            while sim.now < issue_at[i]:
+                yield from proc.compute(issue_at[i] - sim.now)
+            t0 = sim.now
+            # Every served request was issued by an earlier batch start, so
+            # searching [i, n) finds the same place as the whole array.
+            backlog = bisect_right(issue_at, t0, i) - i
             hist.note_backlog(backlog)
-            take = min(backlog, p.batch_cap)
-            if take == p.batch_cap:
+            take = min(backlog, batch_cap)
+            if take == batch_cap:
                 hist.note_saturated()
             j = i + take
-            yield from self.service.serve_batch(proc, rng, keys[i:j], clients[i:j])
+            yield from serve_batch(proc, rng, keys[i:j], clients[i:j])
             if p.service_cycles * take > 0:
                 yield from proc.compute(p.service_cycles * take)
-            m.record_latencies(m.sim.now - issue[i:j])
+            m.record_latencies(sim.now - issue[i:j])
             if m.obs is not None:
                 m.obs.span(
                     f"serve:{self.service.kind}",

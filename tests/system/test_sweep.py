@@ -8,18 +8,21 @@ contract without simulating anything expensive.
 
 import json
 import os
+import shutil
 import textwrap
 
 import pytest
 
+import repro.sweep as sweep
 from repro.sweep import (
-    CACHE_VERSION,
     SweepStats,
     SweepTask,
+    code_digest,
     config_fingerprint,
     default_jobs,
     derive_seed,
     run_sweep,
+    source_digest,
     task_digest,
 )
 from repro.system.config import MachineConfig
@@ -38,7 +41,24 @@ def test_task_digest_distinguishes_fn_params_and_version():
     base = SweepTask("m:f", {"x": 1})
     assert task_digest(base) != task_digest(SweepTask("m:g", {"x": 1}))
     assert task_digest(base) != task_digest(SweepTask("m:f", {"x": 2}))
-    assert task_digest(base) != task_digest(base, version=CACHE_VERSION + "x")
+    assert task_digest(base) == task_digest(base, version=code_digest())
+    assert task_digest(base) != task_digest(base, version=code_digest() + "x")
+
+
+def test_code_digest_tracks_every_source_byte(tmp_path):
+    """The cache key covers the simulator's source: a copy of the package
+    digests equal, and flipping one byte of one module changes it."""
+    pkg = tmp_path / "repro"
+    shutil.copytree(
+        os.path.dirname(sweep.__file__), pkg, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    assert source_digest(str(pkg)) == code_digest()
+    proc = pkg / "node" / "processor.py"
+    src = proc.read_bytes()
+    proc.write_bytes(src.replace(b"data_cycles", b"data_cycleS", 1))
+    assert source_digest(str(pkg)) != code_digest()
+    proc.write_bytes(src)
+    assert source_digest(str(pkg)) == code_digest()
 
 
 def test_task_digest_normalizes_tuples_to_lists():
@@ -151,6 +171,24 @@ def test_stale_cache_version_is_ignored(probe_module, tmp_path):
     run_sweep([task], jobs=1, cache_dir=str(cache), stats=stats)
     assert stats.hits == 0 and stats.computed == 1
     assert _calls(log) == ["v", "v"]
+
+
+def test_entry_from_other_code_is_never_read(probe_module, tmp_path, monkeypatch):
+    """An entry written under another source digest stays on disk but is
+    never served: a code change recomputes every point."""
+    log = probe_module
+    cache = tmp_path / "cache"
+    task = SweepTask("sweep_probe:point", {"tag": "old", "log": str(log)})
+    monkeypatch.setattr(sweep, "_code_digest", "0" * 64)  # the code before an edit
+    run_sweep([task], jobs=1, cache_dir=str(cache))
+    (old_entry,) = os.listdir(cache)
+    assert json.loads((cache / old_entry).read_text())["version"] == "0" * 64
+    monkeypatch.setattr(sweep, "_code_digest", None)  # the code now
+    stats = SweepStats()
+    run_sweep([task], jobs=1, cache_dir=str(cache), stats=stats)
+    assert stats.hits == 0 and stats.computed == 1
+    assert _calls(log) == ["old", "old"]
+    assert old_entry in os.listdir(cache) and len(os.listdir(cache)) == 2
 
 
 def test_corrupt_cache_file_is_a_miss(probe_module, tmp_path):

@@ -15,7 +15,7 @@ import pytest
 
 from repro.workloads.policy import POLICY_FACTORIES
 from repro.workloads.service import SERVICE_FACTORIES, make_service
-from repro.workloads.traffic import traffic_point
+from repro.workloads.traffic import main, traffic_point
 
 #: Small but non-trivial: a few hundred requests over 4 nodes.
 POINT = dict(rate=0.4, horizon=1_200.0, n_clients=50_000, n_keys=64, n_nodes=4, seed=9)
@@ -51,6 +51,31 @@ def test_traffic_point_matches_heap_kernel():
     )
     heap = json.loads(out.stdout)
     assert heap == json.loads(json.dumps(fast))
+
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+with open(os.path.join(HERE, "traffic_golden_points.json")) as _f:
+    GOLDEN = json.load(_f)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_traffic_point_matches_golden(name):
+    """Full ``traffic_point`` output pinned to a recorded run.
+
+    Repeat- and kernel-identity would both pass a drift that every run
+    shares; these pins catch it.  Covered: kv at read ratios 0.9 and 0.1 on
+    primitives+cbl and wbi+tts, a saturated ``batch_cap=8`` point, and the
+    queue service on writeupdate+ts.
+    """
+    point = GOLDEN[name]
+    assert traffic_point(**point["params"]) == point["result"]
+
+
+def test_quick_rate_sweep_matches_golden(capsys):
+    """The CLI's quick sweep, byte for byte (CI diffs the same file)."""
+    assert main(["--rate-sweep", "--quick", "--seed", "1"]) == 0
+    with open(os.path.join(HERE, "traffic_rate_sweep_quick_seed1.md")) as f:
+        assert capsys.readouterr().out == f.read()
 
 
 def test_overdriven_point_saturates_and_backlogs():
