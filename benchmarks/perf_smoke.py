@@ -35,7 +35,7 @@ The PR9 section is a per-layer microbenchmark suite writing
 ``BENCH_PR9.json``:
 
 * **kernel drain** — events/sec draining a prefilled same-instant burst
-  over deep ballast, per calendar discipline.  This isolates the batched
+  over deep ballast, heap vs. fast discipline.  This isolates the batched
   dispatch loop (what PR9 optimized) from event *creation* (a workload-
   side cost both disciplines share); gate: batched/heap >= 3x.
 * **vectorized rounds** — references/sec compiling sync-model task plans,
@@ -317,8 +317,8 @@ def run_pr8(out_path: str) -> dict:
 # --------------------------------------------------------------- PR9 section
 
 
-def kernel_drain_bench(calendar: str, n_events: int = 100_000, ballast: int = 8192) -> dict:
-    """Drain-loop events/sec for one calendar discipline.
+def kernel_drain_bench(fast: bool, n_events: int = 100_000, ballast: int = 8192) -> dict:
+    """Drain-loop events/sec for one calendar discipline (``fast`` or heap).
 
     The calendar is prefilled with ``n_events`` same-instant zero-delay
     timeouts over ``ballast`` far-future guards, then ``run(until=0)`` is
@@ -330,7 +330,7 @@ def kernel_drain_bench(calendar: str, n_events: int = 100_000, ballast: int = 81
 
     best = None
     for _ in range(REPEATS):
-        sim = Simulator(calendar=calendar)
+        sim = Simulator(fast_path=fast)
         for i in range(ballast):
             sim.timeout(10**9 + i)
         for _ in range(n_events):
@@ -342,7 +342,7 @@ def kernel_drain_bench(calendar: str, n_events: int = 100_000, ballast: int = 81
         if best is None or wall < best:
             best = wall
     return {
-        "calendar": calendar,
+        "fast": fast,
         "events": n_events,
         "ballast": ballast,
         "wall_seconds": best,
@@ -441,7 +441,7 @@ def report_quick_bench() -> dict:
 
 def run_pr9(out_path: str) -> dict:
     """Measure the PR9 per-layer set and write ``BENCH_PR9.json``."""
-    drain = {c: kernel_drain_bench(c) for c in ("heap", "fast", "slotted")}
+    drain = {"heap": kernel_drain_bench(False), "fast": kernel_drain_bench(True)}
     batched_speedup = (
         drain["fast"]["events_per_sec"] / drain["heap"]["events_per_sec"]
         if drain["heap"]["events_per_sec"] > 0 else 0.0
@@ -464,8 +464,7 @@ def run_pr9(out_path: str) -> dict:
     with open(out_path, "w") as fh:
         json.dump(doc, fh, indent=2)
     print(
-        f"kernel drain: fast {drain['fast']['events_per_sec']:,.0f} ev/s, "
-        f"slotted {drain['slotted']['events_per_sec']:,.0f} ev/s, heap "
+        f"kernel drain: fast {drain['fast']['events_per_sec']:,.0f} ev/s, heap "
         f"{drain['heap']['events_per_sec']:,.0f} ev/s -> batched "
         f"{batched_speedup:.2f}x (floor {KERNEL_BATCHED_SPEEDUP_FLOOR}x)"
     )

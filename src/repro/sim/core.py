@@ -10,27 +10,26 @@ events (:class:`AllOf` / :class:`AnyOf`).  Queueing abstractions live in
 
 Scheduling disciplines
 ----------------------
-Three cycle-identical calendars are maintained (see DESIGN.md §7):
+Two cycle-identical calendars are maintained (see DESIGN.md §7):
 
 * **fast** (the default) — positive-delay events go on the binary heap;
   zero-delay events (same-instant sequencing, the bulk of a cycle-level
-  run) go on a plain FIFO lane that bypasses the heap.  The run loop
-  merges the two by global ``(time, _seq)`` order and drains each
-  instant in a batched inner loop, so the processing order is
+  run) go on a plain FIFO lane that bypasses the heap.  The unbounded
+  run loop merges the two by global ``(time, _seq)`` order and drains
+  each instant in a batched inner loop, so the processing order is
   *identical* to an all-heap calendar.
-* **slotted** — the positive-delay side is a calendar queue
-  (:class:`_SlottedCalendar`): fixed-width time buckets with an overflow
-  heap for far-future entries, auto-resized from the observed
-  inter-event gap.  The zero-delay lane and merged pop rule are shared
-  with **fast**.
 * **heap** — every event goes through the heap and the run loop is the
   seed kernel's ``peek()``/``step()`` iteration.  This is the referee
   the differential suite (``tests/sim/test_kernel_equivalence.py``) and
   the perf gate compare against.
 
-Select per instance with ``Simulator(calendar="slotted")`` (or the
-legacy ``fast_path=False`` boolean for heap vs. fast) or globally with
-``REPRO_KERNEL=heap|fast|slotted`` in the environment.
+Bounded runs (``run(max_events=...)``) take the referee loop on both
+disciplines; ``peek()``/``step()`` already apply the merged lane/heap
+pop rule, so a fast-discipline bounded run stops on the same event.
+
+Select per instance with ``Simulator(fast_path=False)`` for the referee,
+or globally with ``REPRO_KERNEL=heap`` in the environment (any other
+value, or none, selects **fast**).
 
 Example
 -------
@@ -49,7 +48,6 @@ from __future__ import annotations
 
 import heapq
 import os
-from bisect import insort
 from collections import deque
 from typing import Any, Callable, Deque, Generator, Iterable, Optional, Tuple
 
@@ -62,30 +60,18 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "SimulationError",
-    "FAST_PATH_DEFAULT",
-    "CALENDARS",
 ]
 
-#: The recognized calendar disciplines (see module docstring).
-CALENDARS = ("heap", "fast", "slotted")
 
-
-def _env_calendar() -> str:
+def _env_fast_path() -> bool:
     """The discipline selected by ``REPRO_KERNEL`` right now.
 
     Read at :class:`Simulator` construction (not import), so sweep workers
     and subprocesses pick up the environment they were launched with.
-    Unrecognized values fall back to ``fast``, preserving the historical
-    "anything but heap is fast" behavior.
+    Only ``heap`` selects the referee; every other value selects fast.
     """
-    name = os.environ.get("REPRO_KERNEL", "fast")
-    return name if name in CALENDARS else "fast"
+    return os.environ.get("REPRO_KERNEL") != "heap"
 
-
-#: Legacy boolean view of the default discipline (``True`` = not heap).
-#: Kept for callers of the PR4-era API; new code should pass
-#: ``Simulator(calendar=...)``.
-FAST_PATH_DEFAULT = _env_calendar() != "heap"
 
 #: Lazily-canceled calendar entries tolerated before :meth:`Simulator.run`
 #: compacts the calendar (only once they also outnumber live entries).
@@ -473,196 +459,6 @@ class AnyOf(_Condition):
         self._detach()
 
 
-class _SlottedCalendar:
-    """A calendar queue for the positive-delay side of the calendar.
-
-    Entries are the same ``(time, seq, event)`` tuples the binary heap
-    carries, kept in fixed-width time buckets: bucket ``vb = time //
-    width`` (a *virtual* bucket number, mapped onto the physical array
-    modulo ``nbuckets``).  The window ``[cur_vb, cur_vb + nbuckets)``
-    slides forward as buckets drain; entries due past the window's
-    ``horizon`` spill onto an overflow heap and migrate into buckets as
-    the window reaches them.  Each bucket is kept sorted (``insort``), so
-    the head of the current bucket is the global ``(time, seq)`` minimum —
-    the structure reproduces the heap's total order *exactly*, which the
-    kernel-equivalence suite pins.
-
-    Two auto-tuning rules keep operations O(1) amortized regardless of the
-    workload's time scale:
-
-    * **resize** — when bucket occupancy exceeds ``_GROW_AT`` entries per
-      bucket, the array doubles and the width is recomputed from the
-      observed inter-event gap (an EMA over pop times), so a handful of
-      entries land per bucket whether delays are 3 cycles or 3 million.
-    * **clamp** — an entry due before the current bucket (possible when
-      the window advanced past a quiet region and a short delay lands in
-      it) is filed into the *current* bucket; every earlier bucket is
-      empty by construction, and the in-bucket sort restores its place.
-
-    All tuning decisions are pure functions of the push/pop history, so
-    the structure is deterministic: same schedule in, same order out.
-    """
-
-    __slots__ = (
-        "width",
-        "nbuckets",
-        "buckets",
-        "cur_vb",
-        "overflow",
-        "ov_vb",
-        "in_buckets",
-        "_last_time",
-        "_gap_ema",
-    )
-
-    #: Double the bucket array once it averages this many entries/bucket.
-    _GROW_AT = 8
-    #: Smoothing factor for the observed inter-pop gap EMA.
-    _GAP_ALPHA = 0.25
-    #: ``ov_vb`` sentinel when the overflow heap is empty.
-    _NO_OVERFLOW = 1 << 62
-
-    def __init__(self, width: float = 4.0, nbuckets: int = 64):
-        self.width = width
-        self.nbuckets = nbuckets
-        self.buckets: list[list] = [[] for _ in range(nbuckets)]
-        #: Virtual bucket currently being drained; buckets below are empty,
-        #: so every resident entry has ``vb`` in ``[cur_vb, cur_vb + nbuckets)``
-        #: (the single-lap invariant: physical slot == one virtual bucket).
-        self.cur_vb = 0
-        #: Far-future spill, a plain binary heap of the same entry tuples.
-        self.overflow: list = []
-        #: Virtual bucket of the overflow head (cached so the hot head()
-        #: path compares two ints instead of dividing).
-        self.ov_vb = self._NO_OVERFLOW
-        #: Entries resident in buckets (``len(self)`` adds the overflow).
-        self.in_buckets = 0
-        self._last_time = 0.0
-        self._gap_ema = width
-
-    def __len__(self) -> int:
-        return self.in_buckets + len(self.overflow)
-
-    def _vb(self, t: float) -> int:
-        return int(t // self.width)
-
-    def push(self, entry) -> None:
-        vb = int(entry[0] // self.width)
-        cur = self.cur_vb
-        if vb >= cur + self.nbuckets:
-            heapq.heappush(self.overflow, entry)
-            if vb < self.ov_vb:
-                self.ov_vb = self._vb(self.overflow[0][0])
-            return
-        if vb < cur:
-            vb = cur  # earlier buckets are empty; the in-bucket sort re-orders
-        insort(self.buckets[vb % self.nbuckets], entry)
-        self.in_buckets += 1
-        if self.in_buckets > self._GROW_AT * self.nbuckets:
-            self._resize()
-
-    def head(self):
-        """The globally smallest ``(time, seq, event)`` entry, or ``None``.
-
-        Parks ``cur_vb`` on the returned entry's bucket, so a following
-        :meth:`pop_head` is O(bucket length).
-        """
-        buckets = self.buckets
-        nb = self.nbuckets
-        if self.in_buckets == 0:
-            if not self.overflow:
-                return None
-            # Jump the window to the overflow minimum instead of scanning
-            # empty buckets across a quiet region.
-            self.cur_vb = self.ov_vb
-            self._migrate()
-        while True:
-            if self.ov_vb <= self.cur_vb:
-                # An overflow entry reached the window: merge before this
-                # bucket is read, or a later-time bucket head could win.
-                self._migrate()
-            b = buckets[self.cur_vb % nb]
-            if b:
-                return b[0]
-            self.cur_vb += 1
-
-    def pop_head(self):
-        """Pop the entry :meth:`head` just returned (call head() first)."""
-        entry = self.buckets[self.cur_vb % self.nbuckets].pop(0)
-        self.in_buckets -= 1
-        t = entry[0]
-        gap = t - self._last_time
-        if gap > 0:
-            self._gap_ema += self._GAP_ALPHA * (gap - self._gap_ema)
-        self._last_time = t
-        return entry
-
-    def _migrate(self) -> None:
-        """Move overflow entries the window now covers into buckets."""
-        ov = self.overflow
-        nb = self.nbuckets
-        cur = self.cur_vb
-        end = cur + nb
-        while ov:
-            vb = self._vb(ov[0][0])
-            if vb >= end:
-                self.ov_vb = vb
-                return
-            entry = heapq.heappop(ov)
-            if vb < cur:
-                vb = cur
-            insort(self.buckets[vb % nb], entry)
-            self.in_buckets += 1
-        self.ov_vb = self._NO_OVERFLOW
-
-    def _resize(self) -> None:
-        """Double the array and re-derive the width from observed gaps."""
-        entries = [e for b in self.buckets for e in b]
-        entries.extend(self.overflow)
-        self.overflow = []
-        self.ov_vb = self._NO_OVERFLOW
-        self.nbuckets *= 2
-        # Aim for ~2 gap-lengths per bucket: wide enough that same-burst
-        # events share a bucket, narrow enough that a bucket never holds
-        # a long stretch of the future.
-        self.width = max(self._gap_ema * 2.0, 1e-9)
-        self.buckets = [[] for _ in range(self.nbuckets)]
-        self.in_buckets = 0
-        entries.sort()
-        if entries:
-            self.cur_vb = self._vb(entries[0][0])
-        end = self.cur_vb + self.nbuckets
-        for entry in entries:
-            vb = self._vb(entry[0])
-            if vb >= end:
-                heapq.heappush(self.overflow, entry)
-            else:
-                # Ascending order: each insort is an append.
-                insort(self.buckets[vb % self.nbuckets], entry)
-                self.in_buckets += 1
-        if self.overflow:
-            self.ov_vb = self._vb(self.overflow[0][0])
-
-    def drop_canceled(self) -> int:
-        """Compact away canceled entries; returns how many were dropped."""
-        dropped = 0
-        for b in self.buckets:
-            live = [e for e in b if e[2]._state != _CANCELED]
-            if len(live) != len(b):
-                dropped += len(b) - len(live)
-                b[:] = live
-        self.in_buckets -= dropped
-        live_ov = [e for e in self.overflow if e[2]._state != _CANCELED]
-        if len(live_ov) != len(self.overflow):
-            dropped += len(self.overflow) - len(live_ov)
-            heapq.heapify(live_ov)
-            self.overflow = live_ov
-            self.ov_vb = (
-                self._vb(live_ov[0][0]) if live_ov else self._NO_OVERFLOW
-            )
-        return dropped
-
-
 class Simulator:
     """The event calendar and execution loop.
 
@@ -691,28 +487,11 @@ class Simulator:
         "events_processed",
         "canceled_pending",
         "_fast",
-        "_cal",
-        "_calendar",
         "_trace_kernel",
         "_obs",
     )
 
-    def __init__(
-        self,
-        fast_path: Optional[bool] = None,
-        calendar: Optional[str] = None,
-    ) -> None:
-        if calendar is None:
-            if fast_path is None:
-                calendar = _env_calendar()
-            else:
-                calendar = "fast" if fast_path else "heap"
-        elif fast_path is not None and fast_path != (calendar != "heap"):
-            raise ValueError(
-                f"conflicting discipline: fast_path={fast_path!r} vs calendar={calendar!r}"
-            )
-        if calendar not in CALENDARS:
-            raise ValueError(f"calendar must be one of {CALENDARS}, got {calendar!r}")
+    def __init__(self, fast_path: Optional[bool] = None) -> None:
         self._heap: list[tuple[float, int, Event]] = []
         #: Zero-delay FIFO lane; every entry is due at :attr:`now`.
         self._lane: Deque[Tuple[int, Event]] = deque()
@@ -729,15 +508,10 @@ class Simulator:
         #: scheduled events — the watchdog and ``HangDiagnosis`` use it to
         #: tell a quiet calendar from one stuffed with dead retry timers.
         self.canceled_pending: int = 0
-        self._calendar = calendar
-        self._fast: bool = calendar != "heap"
-        #: Positive-delay calendar queue (slotted discipline only).
-        self._cal: Optional[_SlottedCalendar] = (
-            _SlottedCalendar() if calendar == "slotted" else None
-        )
-        #: Cached ``obs is not None and obs.enabled_for("kernel")``: the run
-        #: loops' per-event gate.  Recomputed by :meth:`refresh_trace_flags`
-        #: (on bus install / category change) and at every ``run()`` entry.
+        self._fast: bool = _env_fast_path() if fast_path is None else bool(fast_path)
+        #: Cached ``obs is not None and obs.enabled_for("kernel")``: the fast
+        #: run loop's per-event gate.  Recomputed by :meth:`refresh_trace_flags`
+        #: (on bus install / category change) and at every fast ``run()`` entry.
         self._trace_kernel: bool = False
         #: Trace bus (:class:`repro.obs.bus.TraceBus`) or ``None``; the
         #: machine installs it via :meth:`set_obs`.  Hot paths test
@@ -748,11 +522,6 @@ class Simulator:
     def fast_path(self) -> bool:
         """True when this simulator uses the zero-delay lane discipline."""
         return self._fast
-
-    @property
-    def calendar(self) -> str:
-        """The calendar discipline name (``heap``, ``fast`` or ``slotted``)."""
-        return self._calendar
 
     # -- observability ------------------------------------------------------
     def set_obs(self, bus) -> None:
@@ -773,11 +542,8 @@ class Simulator:
         self._trace_kernel = obs is not None and obs.enabled_for("kernel")
 
     def _calendar_size(self) -> int:
-        """Total calendar entries, live or canceled, in every structure."""
-        n = len(self._heap) + len(self._lane)
-        if self._cal is not None:
-            n += len(self._cal)
-        return n
+        """Total calendar entries, live or canceled, heap and lane."""
+        return len(self._heap) + len(self._lane)
 
     def pending_live(self) -> int:
         """Number of scheduled-and-not-canceled calendar entries."""
@@ -830,10 +596,7 @@ class Simulator:
             event.sched_at = self.now
         self._seq += 1
         if delay > 0 or not self._fast:
-            if self._cal is not None:
-                self._cal.push((self.now + delay, self._seq, event))
-            else:
-                heapq.heappush(self._heap, (self.now + delay, self._seq, event))
+            heapq.heappush(self._heap, (self.now + delay, self._seq, event))
         else:
             # Zero-delay: due at the current instant, strictly after every
             # already-scheduled entry due now (larger seq) — plain FIFO.
@@ -849,8 +612,6 @@ class Simulator:
         heap = self._heap
         heap[:] = [entry for entry in heap if entry[2]._state != _CANCELED]
         heapq.heapify(heap)
-        if self._cal is not None:
-            self._cal.drop_canceled()
         lane = self._lane
         if lane:
             live = [entry for entry in lane if entry[1]._state != _CANCELED]
@@ -869,16 +630,6 @@ class Simulator:
         while lane and lane[0][1]._state == _CANCELED:
             lane.popleft()
             self.canceled_pending -= 1
-        cal = self._cal
-        if cal is not None:
-            entry = cal.head()
-            while entry is not None and entry[2]._state == _CANCELED:
-                cal.pop_head()
-                self.canceled_pending -= 1
-                entry = cal.head()
-            if lane:
-                return self.now
-            return entry[0] if entry is not None else float("inf")
         heap = self._heap
         while heap and heap[0][2]._state == _CANCELED:
             heapq.heappop(heap)
@@ -892,31 +643,17 @@ class Simulator:
         """Process exactly one event; returns False for a canceled entry
         (discarded without advancing the clock or running callbacks)."""
         lane = self._lane
-        cal = self._cal
-        if cal is not None:
-            head = cal.head()
-            if lane:
-                if head is not None and head[0] <= self.now and head[1] < lane[0][0]:
-                    t, _seq, event = cal.pop_head()
-                else:
-                    _seq, event = lane.popleft()
-                    t = self.now
-            else:
-                if head is None:
-                    raise IndexError("step from an empty calendar")
-                t, _seq, event = cal.pop_head()
-        else:
-            heap = self._heap
-            if lane:
-                # Merged pop: take the heap head only when it is due now and
-                # precedes the lane head in global sequence order.
-                if heap and heap[0][0] <= self.now and heap[0][1] < lane[0][0]:
-                    t, _seq, event = heapq.heappop(heap)
-                else:
-                    _seq, event = lane.popleft()
-                    t = self.now
-            else:
+        heap = self._heap
+        if lane:
+            # Merged pop: take the heap head only when it is due now and
+            # precedes the lane head in global sequence order.
+            if heap and heap[0][0] <= self.now and heap[0][1] < lane[0][0]:
                 t, _seq, event = heapq.heappop(heap)
+            else:
+                _seq, event = lane.popleft()
+                t = self.now
+        else:
+            t, _seq, event = heapq.heappop(heap)
         if event._state == _CANCELED:
             self.canceled_pending -= 1
             return False
@@ -942,11 +679,16 @@ class Simulator:
         The clock only advances to processed events' times — it is never
         artificially bumped to ``until`` (completion time stays meaningful).
         """
-        if not self._fast:
-            # Seed-kernel loop, verbatim: the differential referee.
+        if not self._fast or max_events is not None:
+            # Seed-kernel loop: the differential referee, and the bounded
+            # run on both disciplines (step() applies the merged lane/heap
+            # pop rule).  Only *processed* events count against the budget;
+            # canceled entries are discarded on both disciplines without
+            # touching it (pinned by ``test_max_events_accounting``).
             count = 0
             heap = self._heap
-            while heap:
+            lane = self._lane
+            while heap or lane:
                 if until is not None and self.peek() > until:
                     return
                 if self.step():
@@ -954,7 +696,7 @@ class Simulator:
                     if max_events is not None and count >= max_events:
                         return
             return
-        # Fast/slotted path: the step() body is inlined (no per-iteration
+        # Fast path: the step() body is inlined (no per-iteration
         # peek() re-scan, no method-call overhead per event).  ``heap`` and
         # ``lane`` stay valid across _compact() because it mutates both in
         # place.  The obs kernel gate is the cached _trace_kernel flag.
@@ -962,12 +704,6 @@ class Simulator:
         if until is not None and self.now > until:
             # Only reachable when a previous bounded run() stopped with
             # same-instant work still queued past ``until``.
-            return
-        if self._cal is not None:
-            self._run_slotted(until, max_events)
-            return
-        if max_events is not None:
-            self._run_fast_bounded(until, max_events)
             return
         # Unbounded fast run — the report-generating hot loop.  Two levels:
         # the inner loop drains *everything due at the current instant*
@@ -1027,107 +763,3 @@ class Simulator:
             # Advance the clock only; the instant drain pops the entry
             # (and everything else landing at ``t``) next pass.
             self.now = t
-
-    def _run_fast_bounded(self, until: Optional[float], max_events: int) -> None:
-        """``run(max_events=...)`` on the fast discipline.
-
-        Split from the unbounded loop so the hot path carries no per-event
-        counter; this bounded loop counts *processed* events exactly like
-        the heap referee counts ``step()``'s True returns — canceled
-        entries are discarded without touching the budget on both
-        disciplines (pinned by ``test_max_events_accounting``).
-        """
-        count = 0
-        heap = self._heap
-        lane = self._lane
-        heappop = heapq.heappop
-        popleft = lane.popleft
-        while lane or heap:
-            if lane:
-                if heap and heap[0][0] <= self.now and heap[0][1] < lane[0][0]:
-                    event = heappop(heap)[2]
-                else:
-                    event = popleft()[1]
-                if event._state == _CANCELED:
-                    self.canceled_pending -= 1
-                    continue
-            else:
-                head = heap[0]
-                event = head[2]
-                if event._state == _CANCELED:
-                    heappop(heap)
-                    self.canceled_pending -= 1
-                    continue
-                t = head[0]
-                if until is not None and t > until:
-                    return
-                heappop(heap)
-                self.now = t
-            event._state = _PROCESSED
-            self.events_processed += 1
-            if self._trace_kernel and event.name:
-                lat = self.now - event.sched_at if event.sched_at >= 0 else 0.0
-                self._obs.instant(event.name, "kernel", 0, args={"lat": lat})
-            callbacks, event.callbacks = event.callbacks, []
-            for cb in callbacks:
-                cb(event)
-            count += 1
-            if count >= max_events:
-                return
-
-    def _run_slotted(self, until: Optional[float], max_events: Optional[int]) -> None:
-        """The batched run loop on the slotted-calendar discipline.
-
-        Identical structure to the fast loop with the binary heap replaced
-        by :class:`_SlottedCalendar` head/pop operations; the zero-delay
-        lane and the merged ``(time, seq)`` pop rule are shared.
-        """
-        cal = self._cal
-        lane = self._lane
-        popleft = lane.popleft
-        count = 0
-        while True:
-            now = self.now
-            while True:
-                if lane:
-                    head = cal.head()
-                    if head is not None and head[0] <= now and head[1] < lane[0][0]:
-                        event = cal.pop_head()[2]
-                    else:
-                        event = popleft()[1]
-                else:
-                    head = cal.head()
-                    if head is None or head[0] > now:
-                        break
-                    event = cal.pop_head()[2]
-                if event._state == _CANCELED:
-                    self.canceled_pending -= 1
-                    continue
-                event._state = _PROCESSED
-                self.events_processed += 1
-                if self._trace_kernel and event.name:
-                    lat = now - event.sched_at if event.sched_at >= 0 else 0.0
-                    self._obs.instant(event.name, "kernel", 0, args={"lat": lat})
-                cbs = event.callbacks
-                if len(cbs) == 1:
-                    cb = cbs[0]
-                    cbs.clear()
-                    cb(event)
-                else:
-                    event.callbacks = []
-                    for cb in cbs:
-                        cb(event)
-                if max_events is not None:
-                    count += 1
-                    if count >= max_events:
-                        return
-            head = cal.head()
-            if head is None:
-                return
-            if head[2]._state == _CANCELED:
-                cal.pop_head()
-                self.canceled_pending -= 1
-                continue
-            if until is not None and head[0] > until:
-                return
-            self.now = head[0]

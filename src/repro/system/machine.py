@@ -85,7 +85,6 @@ class Machine:
         protocol: str = "wbi",
         faults: Optional[FaultSpec] = None,
         fast_path: Optional[bool] = None,
-        calendar: Optional[str] = None,
     ):
         if protocol not in self.PROTOCOLS:
             raise ValueError(f"protocol must be one of {self.PROTOCOLS}, got {protocol!r}")
@@ -101,10 +100,10 @@ class Machine:
         self.fault_plan: Optional[FaultPlan] = (
             FaultPlan(faults) if faults is not None and not faults.is_null else None
         )
-        # ``fast_path``/``calendar`` select the kernel scheduling discipline
-        # (see sim/core.py); all disciplines are cycle-identical, so this
-        # only matters for the differential suite and perf measurements.
-        self.sim = Simulator(fast_path=fast_path, calendar=calendar)
+        # ``fast_path`` selects the kernel scheduling discipline (see
+        # sim/core.py); both are cycle-identical, so this only matters for
+        # the differential suite and perf measurements.
+        self.sim = Simulator(fast_path=fast_path)
         #: Trace bus, or ``None`` when ``cfg.obs`` is unset (the default):
         #: every instrumented component caches this reference, and the
         #: disabled machine pays one ``is not None`` branch per site.

@@ -261,7 +261,6 @@ def run_program(
     on_hang: Optional[Callable[[HangDiagnosis], None]] = None,
     trace_path: Optional[str] = None,
     fast_path: Optional[bool] = None,
-    calendar: Optional[str] = None,
     on_machine: Optional[Callable[["Machine"], None]] = None,
     oracle: str = "drf",
 ) -> Optional[str]:
@@ -275,11 +274,10 @@ def run_program(
     there, whatever the outcome — tracing does not perturb simulated time,
     so a failure reproduces identically with it on.
 
-    ``fast_path``/``calendar`` pin the kernel scheduling discipline
-    (``None`` = the process default) and ``on_machine`` receives the
-    finished machine — together they let the kernel-equivalence suite
-    replay one program under every discipline and compare metrics/traces
-    bit-for-bit.
+    ``fast_path`` pins the kernel scheduling discipline (``None`` = the
+    process default) and ``on_machine`` receives the finished machine —
+    together they let the kernel-equivalence suite replay one program
+    under both disciplines and compare metrics/traces bit-for-bit.
 
     ``oracle`` selects the consume-allowed oracle: ``"drf"`` (default) is
     the DRF analyzer's derived partition, ``"axiom"`` recomputes the same
@@ -303,9 +301,7 @@ def run_program(
         n_nodes=n_nodes, cache_blocks=64, cache_assoc=2, seed=seed,
         obs=ObsParams() if trace_path is not None else None,
     )
-    machine = Machine(
-        cfg, protocol=protocol, faults=faults, fast_path=fast_path, calendar=calendar
-    )
+    machine = Machine(cfg, protocol=protocol, faults=faults, fast_path=fast_path)
     if jitter > 0:
         machine.sim.set_jitter(
             make_jitter(machine.rng.stream("fuzz.jitter"), 1.0 + jitter, prob=jitter_prob)

@@ -1,5 +1,6 @@
 """Unit tests for the kernel fast path: the zero-delay lane, lazy
-cancellation + compaction, ``pending_live``, and the O(1) condition fixes.
+cancellation + compaction, ``pending_live``, the O(1) condition fixes,
+bounded-run accounting and the ``REPRO_KERNEL`` selector.
 
 The differential suite (``test_kernel_equivalence.py``) pins whole-machine
 equivalence; these tests pin each mechanism in isolation so a regression
@@ -295,6 +296,49 @@ def test_all_of_large_fanin_completes(fast):
 def test_fast_path_property_and_default():
     assert Simulator(fast_path=True).fast_path is True
     assert Simulator(fast_path=False).fast_path is False
+
+
+# ----------------------------------------------------- bounded-run accounting
+
+
+def _cancel_heavy(sim):
+    """25 live timeouts at 0.5, 1.0, ..., 12.5 interleaved with 25 canceled
+    ones (plus a canceled same-instant entry), the regime where bounded-run
+    accounting diverged: a loop that counts *popped* entries instead of
+    *processed* events stops early on this calendar."""
+    victims = [sim.timeout(0)]
+    for i in range(25):
+        sim.timeout(0.5 * i + 0.5)
+        victims.append(sim.timeout(0.5 * i + 0.7))
+    for v in victims:
+        v.cancel()
+
+
+@both_disciplines
+@pytest.mark.parametrize("max_events", [1, 7, 25, 100])
+def test_max_events_accounting(max_events, fast):
+    """Both disciplines stop after the *same* processed event: canceled
+    entries never consume budget, so the stop is fixed by the live
+    schedule alone."""
+    sim = Simulator(fast_path=fast)
+    _cancel_heavy(sim)
+    sim.run(max_events=max_events)
+    done = min(max_events, 25)
+    assert sim.events_processed == done
+    assert sim.now == 0.5 * done
+    assert sim.pending_live() == 25 - done
+
+
+@both_disciplines
+def test_max_events_resume_continues_identically(fast):
+    """A bounded run followed by a drain ends in the same state as one
+    unbounded run."""
+    sim = Simulator(fast_path=fast)
+    _cancel_heavy(sim)
+    sim.run(max_events=10)
+    sim.run()
+    assert (sim.events_processed, sim.now) == (25, 12.5)
+    assert sim.pending_live() == 0
 
 
 @both_disciplines

@@ -1,238 +1,30 @@
-"""Slotted-calendar discipline: structure unit tests and kernel pins.
+"""``REPRO_KERNEL`` calendar selection, including a retired calendar name.
 
-The :class:`repro.sim.core._SlottedCalendar` must reproduce the binary
-heap's ``(time, seq)`` total order exactly — the machine-level pin is
-``test_kernel_equivalence.py``; these tests exercise the structure
-directly (overflow spill, window clamp, auto-resize, cancellation sweep)
-against a ``heapq`` oracle, plus the kernel-facing behaviors: the
-``REPRO_KERNEL`` environment selector and the ``max_events`` accounting
-parity across all three disciplines on a cancel-heavy calendar.
+The kernel keeps two cycle-identical calendar disciplines: the fast path
+(default) and the all-heap referee. ``REPRO_KERNEL`` is read at
+:class:`Simulator` construction; only ``heap`` selects the referee, and
+every other value — unset, unknown, or the name of the removed calendar
+queue — selects the fast path, so old sweep scripts that still export it
+keep running. An explicit ``fast_path=`` argument always beats the
+environment.
 """
 
-import heapq
-
-import numpy as np
-import pytest
-
-from repro.sim.core import CALENDARS, Simulator, _env_calendar, _SlottedCalendar
-
-
-class _Ev:
-    """Entry payload stub: the calendar only ever reads ``_state``."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self):
-        self._state = 0  # _PENDING
-
-
-def _entries(rng, n, scale):
-    return [(float(rng.random() * scale), i, _Ev()) for i in range(n)]
-
-
-def _drain(cal):
-    out = []
-    while True:
-        head = cal.head()
-        if head is None:
-            break
-        out.append(cal.pop_head())
-    return out
-
-
-# -- structure vs. heapq oracle ---------------------------------------------
-@pytest.mark.parametrize("width,nbuckets", [(4.0, 64), (0.01, 4), (1000.0, 8)])
-@pytest.mark.parametrize("scale", [1.0, 100.0, 1e6])
-def test_fill_then_drain_matches_heap(width, nbuckets, scale):
-    """Bulk fill, bulk drain: the pop sequence is the sorted order, for any
-    (width, bucket-count, time-scale) combination — including widths that
-    force every entry through the overflow heap and widths that pile the
-    whole schedule into one bucket."""
-    rng = np.random.default_rng(42)
-    entries = _entries(rng, 500, scale)
-    cal = _SlottedCalendar(width=width, nbuckets=nbuckets)
-    for e in entries:
-        cal.push(e)
-    assert len(cal) == len(entries)
-    got = _drain(cal)
-    assert got == sorted(entries, key=lambda e: e[:2])
-    assert len(cal) == 0
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_interleaved_push_pop_matches_heap(seed):
-    """Random interleaving of pushes and pops, with pushed times anchored at
-    the last popped time (as the kernel guarantees): every pop agrees with
-    a shadow heapq."""
-    rng = np.random.default_rng(seed)
-    cal = _SlottedCalendar(width=float(rng.random() * 10 + 0.1), nbuckets=8)
-    shadow = []
-    now, seq = 0.0, 0
-    for _ in range(2000):
-        if shadow and rng.random() < 0.45:
-            got = cal.pop_head() if cal.head() is not None else None
-            want = heapq.heappop(shadow)
-            assert got == want
-            now = want[0]
-        else:
-            seq += 1
-            entry = (now + float(rng.random() * 50), seq, _Ev())
-            cal.push(entry)
-            heapq.heappush(shadow, entry)
-        assert len(cal) == len(shadow)
-    while shadow:
-        assert cal.head() is not None
-        assert cal.pop_head() == heapq.heappop(shadow)
-    assert cal.head() is None
-
-
-def test_overflow_spill_and_migration():
-    """Entries past the bucket window spill to overflow and still pop in
-    global order once the window reaches them."""
-    cal = _SlottedCalendar(width=1.0, nbuckets=4)
-    near = [(float(t), i, _Ev()) for i, t in enumerate([0.5, 1.5, 2.5, 3.5])]
-    far = [(float(t), 100 + i, _Ev()) for i, t in enumerate([50.0, 99.0, 1e6])]
-    for e in far + near:
-        cal.push(e)
-    assert len(cal.overflow) == len(far)
-    got = _drain(cal)
-    assert got == sorted(near + far, key=lambda e: e[:2])
-
-
-def test_auto_resize_grows_buckets():
-    """Pushing past _GROW_AT entries/bucket doubles the array without
-    disturbing the order."""
-    cal = _SlottedCalendar(width=1000.0, nbuckets=4)
-    rng = np.random.default_rng(0)
-    entries = _entries(rng, 4 * cal._GROW_AT + 8, 10.0)
-    for e in entries:
-        cal.push(e)
-    assert cal.nbuckets > 4
-    assert _drain(cal) == sorted(entries, key=lambda e: e[:2])
-
-
-def test_drop_canceled_sweeps_buckets_and_overflow():
-    cal = _SlottedCalendar(width=1.0, nbuckets=4)
-    entries = [(float(i) * 0.6, i, _Ev()) for i in range(20)]
-    entries += [(1000.0 + i, 100 + i, _Ev()) for i in range(6)]  # overflow
-    for e in entries:
-        cal.push(e)
-    victims = [e for e in entries if e[1] % 2 == 0]
-    for e in victims:
-        e[2]._state = 3  # _CANCELED
-    dropped = cal.drop_canceled()
-    assert dropped == len(victims)
-    live = [e for e in entries if e[1] % 2 == 1]
-    assert len(cal) == len(live)
-    assert _drain(cal) == sorted(live, key=lambda e: e[:2])
-
-
-# -- kernel integration ------------------------------------------------------
-def test_slotted_simulator_peek_step_pending():
-    sim = Simulator(calendar="slotted")
-    assert sim.calendar == "slotted"
-    assert sim.fast_path
-    order = []
-    t1 = sim.timeout(5.0)
-    t1.callbacks.append(lambda ev: order.append("t5"))
-    t2 = sim.timeout(2.0)
-    t2.callbacks.append(lambda ev: order.append("t2"))
-    victim = sim.timeout(1.0)
-    victim.cancel()
-    assert sim.pending_live() == 2
-    assert sim.peek() == 2.0  # canceled head discarded
-    assert sim.step()
-    assert sim.now == 2.0 and order == ["t2"]
-    assert sim.peek() == 5.0
-    sim.run()
-    assert order == ["t2", "t5"] and sim.now == 5.0
-    assert sim.peek() == float("inf")
-
-
-def test_slotted_runs_processes_with_zero_delay_lane():
-    """Zero-delay events ride the FIFO lane under the slotted discipline
-    too; same-instant sequencing must match the scheduling order."""
-    sim = Simulator(calendar="slotted")
-    log = []
-
-    def child(tag):
-        yield sim.timeout(0)
-        log.append(tag)
-
-    def root():
-        sim.process(child("a"))
-        sim.process(child("b"))
-        yield sim.timeout(3.0)
-        log.append("later")
-
-    sim.process(root())
-    sim.run()
-    assert log == ["a", "b", "later"]
+from repro.sim.core import Simulator, _env_fast_path
 
 
 def test_env_selects_calendar(monkeypatch):
-    for name in CALENDARS:
+    for name, fast in (("heap", False), ("fast", True), ("slotted", True),
+                       ("warp-drive", True)):
         monkeypatch.setenv("REPRO_KERNEL", name)
-        assert _env_calendar() == name
-        assert Simulator().calendar == name
-    monkeypatch.setenv("REPRO_KERNEL", "warp-drive")
-    assert _env_calendar() == "fast"  # unknown values fall back
+        assert _env_fast_path() is fast, name
+        assert Simulator().fast_path is fast, name
     monkeypatch.delenv("REPRO_KERNEL")
-    assert _env_calendar() == "fast"
+    assert _env_fast_path() is True
+    assert Simulator().fast_path is True
 
 
 def test_explicit_calendar_beats_env(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL", "heap")
-    assert Simulator(calendar="slotted").calendar == "slotted"
-
-
-def test_conflicting_discipline_rejected():
-    with pytest.raises(ValueError):
-        Simulator(fast_path=True, calendar="heap")
-    with pytest.raises(ValueError):
-        Simulator(calendar="wheel-of-time")
-
-
-# -- max_events accounting pin (satellite: bounded-run asymmetry fix) --------
-def _cancel_heavy(sim):
-    """25 live timeouts interleaved with 25 canceled ones (plus a canceled
-    same-instant pair), the regime where bounded-run accounting diverged:
-    a discipline that counts *popped* entries instead of *processed* events
-    stops early on this calendar."""
-    victims = [sim.timeout(0)]
-    for i in range(25):
-        sim.timeout(0.5 * i + 0.5)
-        victims.append(sim.timeout(0.5 * i + 0.7))
-    for v in victims:
-        v.cancel()
-
-
-@pytest.mark.parametrize("max_events", [1, 7, 25, 100])
-def test_max_events_accounting(max_events):
-    """All three disciplines stop after the *same* processed event: equal
-    processed counts, equal clock, equal live-pending — canceled entries
-    never consume budget anywhere."""
-    stops = []
-    for calendar in CALENDARS:
-        sim = Simulator(calendar=calendar)
-        _cancel_heavy(sim)
-        sim.run(max_events=max_events)
-        stops.append((calendar, sim.events_processed, sim.now, sim.pending_live()))
-    ref = stops[0][1:]
-    assert ref[0] == min(max_events, 25)
-    for calendar, *got in stops[1:]:
-        assert tuple(got) == ref, f"{calendar} diverged from heap: {got} != {ref}"
-
-
-def test_max_events_resume_continues_identically():
-    """A bounded run followed by a drain ends in the same state as one
-    unbounded run, per discipline and across disciplines."""
-    finals = []
-    for calendar in CALENDARS:
-        sim = Simulator(calendar=calendar)
-        _cancel_heavy(sim)
-        sim.run(max_events=10)
-        sim.run()
-        finals.append((sim.events_processed, sim.now))
-    assert finals.count(finals[0]) == len(finals)
-    assert finals[0] == (25, 12.5)
+    assert Simulator(fast_path=True).fast_path is True
+    monkeypatch.setenv("REPRO_KERNEL", "fast")
+    assert Simulator(fast_path=False).fast_path is False

@@ -2,17 +2,17 @@
 
 The acceptance property here is *bit-identity*: a traffic point is a pure
 function of its arguments, across repeats and across simulator kernels
-(the heap kernel check runs the same point in a subprocess with
-``REPRO_KERNEL=heap``, since the kernel choice is bound at import time).
+(``REPRO_KERNEL`` is read when each machine's simulator is constructed, so
+the heap kernel check only has to set it around the call).
 """
 
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
+import repro.workloads.traffic as traffic_mod
+from repro.system.machine import Machine
 from repro.workloads.policy import POLICY_FACTORIES
 from repro.workloads.service import SERVICE_FACTORIES, make_service
 from repro.workloads.traffic import main, traffic_point
@@ -37,20 +37,23 @@ def test_traffic_point_histogram_is_populated():
     assert r["completion_time"] > 0 and r["messages"] > 0
 
 
-def test_traffic_point_matches_heap_kernel():
+def test_traffic_point_matches_heap_kernel(monkeypatch):
+    built = []
+
+    class RecordingMachine(Machine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(traffic_mod, "Machine", RecordingMachine)
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
     fast = traffic_point(**POINT)
-    code = (
-        "import json\n"
-        "from repro.workloads.traffic import traffic_point\n"
-        f"print(json.dumps(traffic_point(**{POINT!r}), sort_keys=True))\n"
-    )
-    env = dict(os.environ, REPRO_KERNEL="heap", PYTHONPATH="src")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, cwd=os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
-        capture_output=True, text=True, check=True,
-    )
-    heap = json.loads(out.stdout)
-    assert heap == json.loads(json.dumps(fast))
+    monkeypatch.setenv("REPRO_KERNEL", "heap")
+    heap = traffic_point(**POINT)
+    # Each run really used the kernel it names, so the pin cannot
+    # silently compare a discipline with itself.
+    assert [m.sim.fast_path for m in built] == [True, False]
+    assert heap == fast
 
 
 HERE = os.path.dirname(os.path.abspath(__file__))
