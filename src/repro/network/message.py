@@ -45,7 +45,16 @@ class SizeClass(Enum):
 
 
 class MessageType(Enum):
-    """All message kinds used by the coherence, memory, and sync protocols."""
+    """All message kinds used by the coherence, memory, and sync protocols.
+
+    Members are singletons compared by identity, so they hash by identity
+    too: ``object.__hash__`` runs in C, where ``Enum.__hash__`` is a Python
+    call on every dispatch lookup.  Node dispatch only looks types up and
+    ``_SIZE_CLASS`` is an insertion-ordered dict, so no set order reaches
+    simulated state.
+    """
+
+    __hash__ = object.__hash__
 
     # -- plain cache coherence (WBI baseline) -----------------------------
     READ_MISS = auto()  # cache -> home: need block (shared)

@@ -46,10 +46,20 @@ class RngStreams:
         """
         gen = self._cache.get(name)
         if gen is None:
-            label = zlib.crc32(name.encode("utf-8"))
-            seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(label,))
-            gen = self._cache[name] = np.random.default_rng(seq)
+            gen = self._cache[name] = self.derive(name)
         return gen
+
+    def derive(self, name: str) -> np.random.Generator:
+        """A fresh, *uncached* generator for ``name``.
+
+        Draws exactly what a first :meth:`stream` call for ``name`` would,
+        but the factory keeps no reference: a caller that derives one
+        short-lived generator per name (one per fuzz iteration, say)
+        holds memory for the live ones only.
+        """
+        label = zlib.crc32(name.encode("utf-8"))
+        seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(label,))
+        return np.random.default_rng(seq)
 
     def node_stream(self, node_id: int, purpose: str = "refs") -> np.random.Generator:
         """Convenience: the stream for one node's ``purpose``."""

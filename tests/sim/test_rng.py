@@ -33,6 +33,14 @@ def test_stream_cached_not_restarted():
     assert not np.array_equal(first, second)
 
 
+def test_derive_draws_like_a_first_stream_call_but_is_not_cached():
+    s = RngStreams(7)
+    assert np.array_equal(s.derive("iter3").random(5), RngStreams(7).stream("iter3").random(5))
+    # Each derive restarts the stream and the factory keeps nothing.
+    assert np.array_equal(s.derive("iter3").random(5), s.derive("iter3").random(5))
+    assert s._cache == {}
+
+
 def test_node_stream_helper():
     s = RngStreams(3)
     assert np.array_equal(

@@ -55,6 +55,42 @@ def test_smoke_program_passes_everywhere(protocol, model):
     assert run_program(SMOKE, protocol, model, seed=5, jitter=2.0) is None
 
 
+@pytest.mark.parametrize(
+    "oracle, module, name",
+    [
+        ("drf", "repro.verify.fuzz", "consume_allowed"),
+        ("axiom", "repro.axiom", "axiom_consume_allowed"),
+        ("axiom-scale", "repro.axiom", "fuzz_consume_allowed"),
+    ],
+)
+def test_consume_oracle_derived_once_per_site(monkeypatch, oracle, module, name):
+    """Five consumes over three (round, target) sites: three derivations."""
+    import importlib
+
+    mod = importlib.import_module(module)
+    real = getattr(mod, name)
+    sites = []
+
+    def counting(program, round_idx, target):
+        sites.append((round_idx, target))
+        return real(program, round_idx, target)
+
+    monkeypatch.setattr(mod, name, counting)
+    program = Program(
+        n_threads=3,
+        rounds=(
+            (
+                (Atom("publish", 1),),
+                (Atom("consume", 0), Atom("consume", 0)),
+                (Atom("consume", 0),),
+            ),
+            ((Atom("consume", 1),), (Atom("publish", 3),), (Atom("consume", 0),)),
+        ),
+    )
+    assert run_program(program, "primitives", "bc", seed=4, jitter=2.0, oracle=oracle) is None
+    assert sorted(sites) == [(0, 0), (1, 0), (1, 1)]
+
+
 def test_run_program_is_deterministic():
     p = gen_program(np.random.default_rng(3))
     a = run_program(p, "primitives", "bc", seed=9, jitter=4.0)
@@ -69,6 +105,24 @@ def test_green_fuzz_run():
     assert rep.iterations == 36
     assert sum(rep.runs_by_combo.values()) == 36
     assert len(rep.runs_by_combo) == 12  # 3 protocols x 4 models
+
+
+def test_campaign_retains_no_per_iteration_generator(monkeypatch):
+    """Each iteration's generator is derived, not cached in the campaign's
+    stream factory, so memory does not grow with ``iters``."""
+    import repro.verify.fuzz as fuzz_mod
+
+    factories = []
+
+    class Recording(fuzz_mod.RngStreams):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            factories.append(self)
+
+    monkeypatch.setattr(fuzz_mod, "RngStreams", Recording)
+    assert fuzz(master_seed=0, iters=5, do_shrink=False).ok
+    assert len(factories) == 1
+    assert factories[0]._cache == {}
 
 
 def test_injected_bug_is_caught_and_shrunk():
