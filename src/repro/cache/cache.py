@@ -10,6 +10,8 @@ from .states import LineState
 
 __all__ = ["SetAssocCache", "CacheGeometryError"]
 
+_INVALID = LineState.INVALID
+
 
 class CacheGeometryError(ValueError):
     """Raised for invalid cache shape parameters."""
@@ -59,14 +61,16 @@ class SetAssocCache:
     def lookup(self, block: int, touch: bool = True, now: float = 0.0) -> Optional[CacheLine]:
         """The valid line holding ``block``, or None; updates LRU on hit."""
         s = self._sets[block & (self.n_sets - 1)]
+        counts = self.stats.counters.counts
         if s is not None:
             for line in s:
-                if line.valid and line.block == block:
+                # ``line.valid`` without the property frame (here and below).
+                if line.state is not _INVALID and line.block == block:
                     if touch:
                         line.last_used = now
-                    self.stats.counters.add("hits")
+                    counts["hits"] = counts.get("hits", 0) + 1
                     return line
-        self.stats.counters.add("misses")
+        counts["misses"] = counts.get("misses", 0) + 1
         return None
 
     def peek(self, block: int) -> Optional[CacheLine]:
@@ -74,7 +78,7 @@ class SetAssocCache:
         s = self._sets[block & (self.n_sets - 1)]
         if s is not None:
             for line in s:
-                if line.valid and line.block == block:
+                if line.state is not _INVALID and line.block == block:
                     return line
         return None
 
@@ -85,7 +89,7 @@ class SetAssocCache:
         candidates = self._set(self.set_index(block))
         best: Optional[CacheLine] = None
         for line in candidates:
-            if not line.valid:
+            if line.state is _INVALID:
                 return line
             if line.is_queue_member():
                 continue

@@ -108,7 +108,8 @@ class WriteBuffer:
         entry_id = self._next_id
         self._next_id += 1
         self._pending[entry_id] = (word_addr, value)
-        self.stats.counters.add("writes")
+        counts = self.stats.counters.counts
+        counts["writes"] = counts.get("writes", 0) + 1
         self.occupancy.set(self.sim.now, self.pending_count)
         if self.obs is not None:
             # The write's *issue* point in its thread: paired with the
@@ -126,7 +127,8 @@ class WriteBuffer:
         if len(chain) == 1:
             self._issue_tracked(entry_id)
         else:
-            self.stats.counters.add("same_addr_deferred")
+            counts = self.stats.counters.counts
+            counts["same_addr_deferred"] = counts.get("same_addr_deferred", 0) + 1
 
     def _issue_tracked(self, entry_id: int) -> None:
         """Issue the write; with resilience, arm the reissue timer."""
@@ -175,7 +177,8 @@ class WriteBuffer:
             self._issue_tracked(chain[0])
         else:
             del self._addr_chains[word_addr]
-        self.stats.counters.add("retired")
+        counts = self.stats.counters.counts
+        counts["retired"] = counts.get("retired", 0) + 1
         self.occupancy.set(self.sim.now, self.pending_count)
         if self.obs is not None:
             self.obs.counter(
@@ -195,7 +198,8 @@ class WriteBuffer:
     def flush(self) -> Event:
         """FLUSH-BUFFER: fires when every buffered write has been acked."""
         ev = Event(self.sim, name="wb.flush")
-        self.stats.counters.add("flushes")
+        counts = self.stats.counters.counts
+        counts["flushes"] = counts.get("flushes", 0) + 1
         if not self._pending and not self._space_waiters:
             ev.succeed()
         else:

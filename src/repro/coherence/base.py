@@ -37,7 +37,7 @@ survive a lossy fabric:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Tuple
+from typing import TYPE_CHECKING, Any, Iterable, Tuple
 
 from ..network.message import Message, MessageType
 from ..sim.core import AnyOf, Event
@@ -67,33 +67,31 @@ class Controller:
     # -- messaging ----------------------------------------------------------
     def send(self, dst: int, mtype: MessageType, addr: int = -1, **info: Any) -> None:
         """Send one message from this node."""
-        self.node.net.send(Message(src=self.node.node_id, dst=dst, mtype=mtype, addr=addr, info=info))
+        node = self.node
+        node.net.send(Message(node.node_id, dst, mtype, addr, info))
 
     # -- pending replies ------------------------------------------------------
-    @property
-    def _pending(self) -> Dict[Tuple, Event]:
-        return self.node._pending_replies
-
     def expect(self, key: Tuple) -> Event:
         """Register interest in a future reply identified by ``key``."""
-        if key in self._pending:
+        pending = self.node._pending_replies
+        if key in pending:
             raise RuntimeError(f"duplicate pending reply key {key} at node {self.node.node_id}")
         # Event names only ever surface through the trace bus and reprs, so
         # skip the per-miss f-string on untraced runs (the common case).
         ev = Event(self.sim, name=f"expect{key}" if self.obs is not None else "")
-        self._pending[key] = ev
+        pending[key] = ev
         return ev
 
     def resolve(self, key: Tuple, value: Any = None) -> bool:
         """Fire the pending event for ``key``; returns False if nobody waits."""
-        ev = self._pending.pop(key, None)
+        ev = self.node._pending_replies.pop(key, None)
         if ev is None:
             return False
         ev.succeed(value)
         return True
 
     def has_pending(self, key: Tuple) -> bool:
-        return key in self._pending
+        return key in self.node._pending_replies
 
     # -- resilience: requester side -----------------------------------------
     def request(self, key: Tuple, send_req):
@@ -245,7 +243,8 @@ class Controller:
         """Send a terminal reply for ``req`` and record it for dedup replay."""
         dst = req.src if dst is None else dst
         self.send(dst, mtype, addr=addr, **info)
-        self.record_reply(req, dst, mtype, addr, info)
+        if self.node.resilience is not None:
+            self.record_reply(req, dst, mtype, addr, info)
 
     def record_reply(self, req: Message, dst: int, mtype: MessageType, addr: int, info: dict) -> None:
         """Record a reply against ``req``'s dedup key without sending it."""

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List
 
 from ..cache.states import LineState
 from ..network.message import Message, MessageType
-from ..sim.core import Event
+from ..sim.core import Event, Process
 from .base import AckCollector, Controller
 from .wbi import apply_rmw
 
@@ -68,33 +68,39 @@ class PrimitivesCacheController(Controller):
     # ================= Table 1 primitives (generators) =====================
     def read(self, word_addr: int):
         """READ: retrieve data without coherence maintenance."""
-        block = self.amap.block_of(word_addr)
-        offset = self.amap.offset_of(word_addr)
+        # AddressMap.block_of / offset_of inlined (same check, one pass).
+        if word_addr < 0:
+            raise ValueError("addresses are non-negative")
+        block, offset = divmod(word_addr, self.amap.words_per_block)
         yield self.sim.timeout(self.cfg.cache_cycle)
         line = self.node.cache.lookup(block, now=self.sim.now)
+        counts = self.stats.counters.counts
         if line is not None:
-            self.stats.counters.add("prim.read_hits")
-            return line.read_word(offset)
-        self.stats.counters.add("prim.read_misses")
+            counts["prim.read_hits"] = counts.get("prim.read_hits", 0) + 1
+            return line.data[offset]
+        counts["prim.read_misses"] = counts.get("prim.read_misses", 0) + 1
         line = yield from self._fetch_block(block)
-        return line.read_word(offset)
+        return line.data[offset]
 
     def write(self, word_addr: int, value: int):
         """WRITE: write data without coherence maintenance (per-word dirty)."""
-        block = self.amap.block_of(word_addr)
-        offset = self.amap.offset_of(word_addr)
+        if word_addr < 0:
+            raise ValueError("addresses are non-negative")
+        block, offset = divmod(word_addr, self.amap.words_per_block)
         yield self.sim.timeout(self.cfg.cache_cycle)
         line = self.node.cache.lookup(block, now=self.sim.now)
+        counts = self.stats.counters.counts
         if line is None:
-            self.stats.counters.add("prim.write_misses")
+            counts["prim.write_misses"] = counts.get("prim.write_misses", 0) + 1
             line = yield from self._fetch_block(block)
         else:
-            self.stats.counters.add("prim.write_hits")
+            counts["prim.write_hits"] = counts.get("prim.write_hits", 0) + 1
         line.write_word(offset, value)
 
     def read_global(self, word_addr: int):
         """READ-GLOBAL: read main memory, bypassing the local cache."""
-        self.stats.counters.add("prim.read_globals")
+        counts = self.stats.counters.counts
+        counts["prim.read_globals"] = counts.get("prim.read_globals", 0) + 1
         block = self.amap.block_of(word_addr)
         home = self.amap.home_of(block)
         yield self.sim.timeout(self.cfg.cache_cycle)
@@ -117,7 +123,8 @@ class PrimitivesCacheController(Controller):
         If the block is cached locally, the local copy is refreshed (clean)
         so the writer's subsequent plain READs observe its own write.
         """
-        self.stats.counters.add("prim.write_globals")
+        counts = self.stats.counters.counts
+        counts["prim.write_globals"] = counts.get("prim.write_globals", 0) + 1
         block = self.amap.block_of(word_addr)
         line = self.node.cache.peek(block)
         if line is not None:
@@ -172,7 +179,8 @@ class PrimitivesCacheController(Controller):
 
     def rmw(self, word_addr: int, op: str, operand=None):
         """Atomic read-modify-write at home memory (for software sync)."""
-        self.stats.counters.add("prim.rmw")
+        counts = self.stats.counters.counts
+        counts["prim.rmw"] = counts.get("prim.rmw", 0) + 1
         block = self.amap.block_of(word_addr)
         home = self.amap.home_of(block)
         yield self.sim.timeout(self.cfg.cache_cycle)
@@ -267,7 +275,7 @@ class PrimitivesCacheController(Controller):
 
     # ================= message handlers ====================================
     def handle(self, msg: Message) -> None:
-        if not self.dedup_admit(msg):
+        if self.node.resilience is not None and not self.dedup_admit(msg):
             return
         mt = msg.mtype
         if mt is MessageType.DATA_BLOCK:
@@ -318,7 +326,8 @@ class PrimitivesCacheController(Controller):
         """An updated block propagating down the subscriber chain."""
         line = self.node.cache.peek(msg.addr)
         if line is not None and line.update:
-            self.stats.counters.add("prim.ru_updates_received")
+            counts = self.stats.counters.counts
+            counts["prim.ru_updates_received"] = counts.get("prim.ru_updates_received", 0) + 1
             # Refresh only words we have not locally dirtied.
             for i, w in enumerate(msg.info["words"]):
                 if not (line.dirty_mask & (1 << i)):
@@ -395,7 +404,7 @@ class PrimitivesHomeController(Controller):
 
     # -- dispatch ----------------------------------------------------------
     def handle(self, msg: Message) -> None:
-        if not self.dedup_admit(msg):
+        if self.node.resilience is not None and not self.dedup_admit(msg):
             return
         self._admit(msg)
 
@@ -414,7 +423,9 @@ class PrimitivesHomeController(Controller):
             return
         entry.busy = True
         handler = self._handlers[msg.mtype]
-        self.sim.process(handler(msg, entry), name=f"prim-home-{msg.mtype.name}-{msg.addr}")
+        # The name only surfaces in traces and reprs: build it only then.
+        name = f"prim-home-{msg.mtype.name}-{msg.addr}" if self.obs is not None else ""
+        Process(self.sim, handler(msg, entry), name)
 
     def _done(self, entry) -> None:
         entry.busy = False

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 from ..cache.states import LineState
 from ..network.message import Message, MessageType
-from ..sim.core import Event
+from ..sim.core import Event, Process
 from .base import Controller, SourceAckCollector
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -85,15 +85,17 @@ class WBICacheController(Controller):
     # ================= processor-side operations (generators) =============
     def read(self, word_addr: int):
         """Coherent read; returns the word value."""
-        block = self.amap.block_of(word_addr)
-        offset = self.amap.offset_of(word_addr)
-        cache = self.node.cache
+        # AddressMap.block_of / offset_of inlined (same check, one pass).
+        if word_addr < 0:
+            raise ValueError("addresses are non-negative")
+        block, offset = divmod(word_addr, self.amap.words_per_block)
         yield self.sim.timeout(self.cfg.cache_cycle)
-        line = cache.lookup(block, now=self.sim.now)
+        line = self.node.cache.lookup(block, now=self.sim.now)
+        counts = self.stats.counters.counts
         if line is not None:
-            self.stats.counters.add("wbi.read_hits")
-            return line.read_word(offset)
-        self.stats.counters.add("wbi.read_misses")
+            counts["wbi.read_hits"] = counts.get("wbi.read_hits", 0) + 1
+            return line.data[offset]
+        counts["wbi.read_misses"] = counts.get("wbi.read_misses", 0) + 1
         t0 = self.sim.now
         yield from self._evict_for(block)
         home = self.amap.home_of(block)
@@ -113,19 +115,20 @@ class WBICacheController(Controller):
 
     def write(self, word_addr: int, value: int):
         """Coherent write (needs exclusivity)."""
-        block = self.amap.block_of(word_addr)
-        offset = self.amap.offset_of(word_addr)
-        cache = self.node.cache
+        if word_addr < 0:
+            raise ValueError("addresses are non-negative")
+        block, offset = divmod(word_addr, self.amap.words_per_block)
         yield self.sim.timeout(self.cfg.cache_cycle)
-        line = cache.lookup(block, now=self.sim.now)
+        line = self.node.cache.lookup(block, now=self.sim.now)
+        counts = self.stats.counters.counts
         if line is not None and line.state is LineState.EXCLUSIVE:
-            self.stats.counters.add("wbi.write_hits")
+            counts["wbi.write_hits"] = counts.get("wbi.write_hits", 0) + 1
             line.write_word(offset, value)
             return
         home = self.amap.home_of(block)
         t0 = self.sim.now
         if line is not None and line.state is LineState.SHARED:
-            self.stats.counters.add("wbi.upgrades")
+            counts["wbi.upgrades"] = counts.get("wbi.upgrades", 0) + 1
             self._mshr[block] = (offset, value)
             yield from self.request(
                 ("c:excl", block),
@@ -136,7 +139,7 @@ class WBICacheController(Controller):
                     "miss:wbi.upgrade", "coh", self.node.node_id, t0, args={"block": block}
                 )
             return
-        self.stats.counters.add("wbi.write_misses")
+        counts["wbi.write_misses"] = counts.get("wbi.write_misses", 0) + 1
         yield from self._evict_for(block)
         self._mshr[block] = (offset, value)
         yield from self.request(
@@ -150,7 +153,8 @@ class WBICacheController(Controller):
 
     def rmw(self, word_addr: int, op: str, operand=None):
         """Atomic read-modify-write at the home memory; returns the old value."""
-        self.stats.counters.add("wbi.rmw")
+        counts = self.stats.counters.counts
+        counts["wbi.rmw"] = counts.get("wbi.rmw", 0) + 1
         block = self.amap.block_of(word_addr)
         home = self.amap.home_of(block)
         yield self.sim.timeout(self.cfg.cache_cycle)
@@ -221,7 +225,7 @@ class WBICacheController(Controller):
 
     # ================= message handlers ====================================
     def handle(self, msg: Message) -> None:
-        if not self.dedup_admit(msg):
+        if self.node.resilience is not None and not self.dedup_admit(msg):
             return
         resilient = self.node.resilience is not None
         mt = msg.mtype
@@ -275,14 +279,16 @@ class WBICacheController(Controller):
         """Send after the cache-directory check time; record for dedup replay
         (a retried probe must get the *original* answer — a re-run FETCH
         after invalidation would lose the dirty words forever)."""
-        self.record_reply(req, req.src, mtype, addr, info)
+        if self.node.resilience is not None:
+            self.record_reply(req, req.src, mtype, addr, info)
         ev = self.sim.timeout(self.cfg.dir_cycle)
         ev.callbacks.append(lambda _e: self.send(req.src, mtype, addr=addr, **info))
 
     def _on_inv(self, msg: Message) -> None:
         line = self.node.cache.peek(msg.addr)
         if line is not None:
-            self.stats.counters.add("wbi.invalidations_received")
+            counts = self.stats.counters.counts
+            counts["wbi.invalidations_received"] = counts.get("wbi.invalidations_received", 0) + 1
             line.invalidate()
             self._notify_invalidation(msg.addr)
         self._reply_later(msg, MessageType.INV_ACK, msg.addr)
@@ -352,7 +358,7 @@ class WBIHomeController(Controller):
         :meth:`_admit` directly — they already passed dedup on arrival and
         must not be mistaken for their own duplicates.
         """
-        if not self.dedup_admit(msg):
+        if self.node.resilience is not None and not self.dedup_admit(msg):
             return
         self._admit(msg)
 
@@ -375,7 +381,9 @@ class WBIHomeController(Controller):
             return
         entry.busy = True
         handler = self._handlers[mt]
-        self.sim.process(handler(msg, entry), name=f"wbi-home-{mt.name}-{msg.addr}")
+        # The name only surfaces in traces and reprs: build it only then.
+        name = f"wbi-home-{mt.name}-{msg.addr}" if self.obs is not None else ""
+        Process(self.sim, handler(msg, entry), name)
 
     def _done(self, entry) -> None:
         """Close a transaction and replay the next deferred request."""

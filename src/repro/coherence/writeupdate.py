@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Dict, List
 
 from ..cache.states import LineState
 from ..network.message import Message, MessageType
-from ..sim.core import Event
+from ..sim.core import Event, Process
 from .base import Controller, SourceAckCollector
 from .wbi import apply_rmw
 
@@ -70,14 +70,17 @@ class WUCacheController(Controller):
     # -- processor operations ------------------------------------------------
     def read(self, word_addr: int):
         """Coherent read; registers this cache for future updates."""
-        block = self.amap.block_of(word_addr)
-        offset = self.amap.offset_of(word_addr)
+        # AddressMap.block_of / offset_of inlined (same check, one pass).
+        if word_addr < 0:
+            raise ValueError("addresses are non-negative")
+        block, offset = divmod(word_addr, self.amap.words_per_block)
         yield self.sim.timeout(self.cfg.cache_cycle)
         line = self.node.cache.lookup(block, now=self.sim.now)
+        counts = self.stats.counters.counts
         if line is not None:
-            self.stats.counters.add("wu.read_hits")
-            return line.read_word(offset)
-        self.stats.counters.add("wu.read_misses")
+            counts["wu.read_hits"] = counts.get("wu.read_hits", 0) + 1
+            return line.data[offset]
+        counts["wu.read_misses"] = counts.get("wu.read_misses", 0) + 1
         t0 = self.sim.now
         yield from self._evict_for(block)
         home = self.amap.home_of(block)
@@ -99,7 +102,8 @@ class WUCacheController(Controller):
         """Write-through-update: home pushes the word to all sharers."""
         block = self.amap.block_of(word_addr)
         offset = self.amap.offset_of(word_addr)
-        self.stats.counters.add("wu.writes")
+        counts = self.stats.counters.counts
+        counts["wu.writes"] = counts.get("wu.writes", 0) + 1
         yield self.sim.timeout(self.cfg.cache_cycle)
         line = self.node.cache.peek(block)
         if line is not None:
@@ -119,7 +123,8 @@ class WUCacheController(Controller):
 
     def rmw(self, word_addr: int, op: str, operand=None):
         """Atomic at home; the new value is pushed to sharers like a write."""
-        self.stats.counters.add("wu.rmw")
+        counts = self.stats.counters.counts
+        counts["wu.rmw"] = counts.get("wu.rmw", 0) + 1
         block = self.amap.block_of(word_addr)
         home = self.amap.home_of(block)
         yield self.sim.timeout(self.cfg.cache_cycle)
@@ -172,7 +177,7 @@ class WUCacheController(Controller):
 
     # -- handlers ----------------------------------------------------------
     def handle(self, msg: Message) -> None:
-        if not self.dedup_admit(msg):
+        if self.node.resilience is not None and not self.dedup_admit(msg):
             return
         mt = msg.mtype
         resilient = self.node.resilience is not None
@@ -211,7 +216,8 @@ class WUCacheController(Controller):
         if not stale:
             line = self.node.cache.peek(msg.addr)
             if line is not None:
-                self.stats.counters.add("wu.updates_received")
+                counts = self.stats.counters.counts
+                counts["wu.updates_received"] = counts.get("wu.updates_received", 0) + 1
                 line.write_word(self.amap.offset_of(word), value, dirty=False)
             self._notify_change(msg.addr)
         if msg.info.get("ack"):
@@ -255,7 +261,7 @@ class WUHomeController(Controller):
             if coll is not None:
                 coll.ack(msg.src)
             return
-        if not self.dedup_admit(msg):
+        if self.node.resilience is not None and not self.dedup_admit(msg):
             return
         self._admit(msg)
 
@@ -266,7 +272,9 @@ class WUHomeController(Controller):
             return
         entry.busy = True
         handler = self._handlers[msg.mtype]
-        self.sim.process(handler(msg, entry), name=f"wu-home-{msg.mtype.name}-{msg.addr}")
+        # The name only surfaces in traces and reprs: build it only then.
+        name = f"wu-home-{msg.mtype.name}-{msg.addr}" if self.obs is not None else ""
+        Process(self.sim, handler(msg, entry), name)
 
     def _done(self, entry) -> None:
         entry.busy = False

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 from types import MappingProxyType
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Mapping, Optional
 
 __all__ = [
     "MessageType",
@@ -205,7 +205,7 @@ MSG_COUNTER_KEYS: Mapping[MessageType, str] = MappingProxyType(
 )
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Message:
     """One network message.
 
@@ -218,18 +218,44 @@ class Message:
     src: int
     dst: int
     mtype: MessageType
-    addr: int = -1
-    info: Dict[str, Any] = field(default_factory=dict)
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
-    send_time: float = -1.0
+    addr: int
+    info: Dict[str, Any]
+    msg_id: int
+    send_time: float
     #: Per-(src, dst) send sequence, assigned by the interconnect; delivery
     #: is FIFO per channel (see Interconnect._on_arrival).
-    chan_seq: int = -1
+    chan_seq: int
     #: Causal lineage (tracing only): the msg_id of the message whose
     #: handler sent this one, or -1.  Stamped by the interconnect while a
     #: trace bus is installed; best-effort — lineage does not survive into
     #: home-side transactions that continue in a spawned process.
-    parent_id: int = -1
+    parent_id: int
+
+    def __init__(
+        self,
+        src: int,
+        dst: int,
+        mtype: MessageType,
+        addr: int = -1,
+        info: Optional[Dict[str, Any]] = None,
+        msg_id: Optional[int] = None,
+        send_time: float = -1.0,
+        chan_seq: int = -1,
+        parent_id: int = -1,
+    ):
+        # Written out rather than generated: the generated initializer calls
+        # a default-factory frame for ``msg_id`` on every message.
+        self.src = src
+        self.dst = dst
+        self.mtype = mtype
+        self.addr = addr
+        self.info = {} if info is None else info
+        # The module-level counter is read at call time, so resetting
+        # ``_msg_ids`` between runs relabels the next run's messages.
+        self.msg_id = next(_msg_ids) if msg_id is None else msg_id
+        self.send_time = send_time
+        self.chan_seq = chan_seq
+        self.parent_id = parent_id
 
     @property
     def size_class(self) -> SizeClass:

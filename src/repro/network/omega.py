@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..sim.core import Simulator
+from ..sim.core import Simulator, Timeout
 from ..sim.resources import Store
 from .message import Message
 from .routing import num_stages, omega_route
@@ -55,8 +55,7 @@ class OmegaNetwork(Interconnect):
         if wires is None:
             wires = self._routes[key] = omega_route(msg.src, msg.dst, self.n_nodes)
         queued = 0.0
-        for stage, wire in enumerate(wires):
-            row = self._busy_until[stage]
+        for row, busy, wire in zip(self._busy_until, self._wire_busy_time, wires):
             start = row[wire]
             if start < t:
                 start = t
@@ -64,10 +63,11 @@ class OmegaNetwork(Interconnect):
                 queued += start - t
             depart = start + service
             row[wire] = depart
-            self._wire_busy_time[stage][wire] += service
+            busy[wire] += service
             t = depart
         self._queueing.observe(queued)
-        self._counters.add("stage_traversals", self.stages)
+        counts = self._counts
+        counts["stage_traversals"] = counts.get("stage_traversals", 0) + self.stages
         if self.obs is not None:
             self.obs.instant(
                 "route:omega",
@@ -76,7 +76,11 @@ class OmegaNetwork(Interconnect):
                 args={"stages": self.stages, "queued": queued, "transit": t - self.sim.now},
                 id=msg.msg_id,
             )
-        self._deliver_after(msg, t - self.sim.now)
+        if self.fault_plan is None:
+            # _deliver_after without the spike hook, one frame less.
+            Timeout(self.sim, t - self.sim.now, msg).callbacks.append(self._arrive)
+        else:
+            self._deliver_after(msg, t - self.sim.now)
 
     # -- reporting ----------------------------------------------------------
     def uncontended_latency(self, flits: int) -> int:

@@ -25,7 +25,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from ..sim.core import Simulator
+from ..sim.core import Simulator, Timeout
 from ..sim.stats import StatSet
 from .message import MSG_COUNTER_KEYS, Message, flit_table
 
@@ -89,6 +89,9 @@ class Interconnect(ABC):
         self.n_nodes = n_nodes
         self.params = params or NetworkParams()
         self._handlers: Dict[int, DeliveryHandler] = {}
+        #: node id -> the attached node's ``mtype -> controller`` table, or
+        #: ``None`` for a plain-function handler (see :meth:`attach`).
+        self._tables: Dict[int, Optional[dict]] = {}
         # Per-channel FIFO state: next sequence to assign / to deliver, and
         # early arrivals held for a straggling predecessor.
         self._chan_send_seq: Dict[tuple, int] = {}
@@ -109,8 +112,11 @@ class Interconnect(ABC):
         # count table, plus the latency tally (skips a dict probe per
         # arrival).
         self._flits = flit_table(self.params.words_per_block)
-        self._counters = self.stats.counters
+        self._counts = self.stats.counters.counts
         self._latency = self.stats.tally("latency")
+        #: ``self._on_arrival`` bound once: every in-flight message
+        #: subscribes this same object to its arrival timeout.
+        self._arrive = self._on_arrival
 
     def set_fault_plan(self, plan: Optional["FaultPlan"]) -> None:
         """Install (or clear) a fault injector on this interconnect.
@@ -132,6 +138,11 @@ class Interconnect(ABC):
         if node_id in self._handlers:
             raise ValueError(f"node {node_id} already attached")
         self._handlers[node_id] = handler
+        # A node's ``deliver`` is one lookup in its dispatch table; keep the
+        # table so the untraced, fault-free arrival path makes that lookup
+        # itself instead of going through three more frames.
+        table = getattr(getattr(handler, "__self__", None), "dispatch", None)
+        self._tables[node_id] = table if isinstance(table, dict) else None
 
     # -- sending ----------------------------------------------------------
     def send(self, msg: Message) -> None:
@@ -153,10 +164,12 @@ class Interconnect(ABC):
         msg.chan_seq = self._chan_send_seq.get(chan, 0)
         self._chan_send_seq[chan] = msg.chan_seq + 1
         flits = self._flits[msg.mtype]
-        counters = self._counters
-        counters.add("messages")
-        counters.add(MSG_COUNTER_KEYS[msg.mtype])
-        counters.add("flits", flits)
+        # Counter.add inlined: the same dict writes, in the same order.
+        counts = self._counts
+        counts["messages"] = counts.get("messages", 0) + 1
+        key = MSG_COUNTER_KEYS[msg.mtype]
+        counts[key] = counts.get(key, 0) + 1
+        counts["flits"] = counts.get("flits", 0) + flits
         obs = self.obs
         if obs is not None:
             if msg.parent_id < 0:
@@ -170,14 +183,16 @@ class Interconnect(ABC):
                 parent=msg.parent_id,
             )
         if msg.src == msg.dst:
-            counters.add("local_messages")
+            counts["local_messages"] = counts.get("local_messages", 0) + 1
             self._deliver_after(msg, self.params.local_delivery)
             return
         self._route(msg, flits)
 
     @abstractmethod
     def _route(self, msg: Message, flits: int) -> None:
-        """Topology-specific routing; must end in :meth:`_deliver_after`."""
+        """Topology-specific routing; must end in :meth:`_deliver_after`
+        (or, with no fault plan installed, in the arrival timeout that
+        :meth:`_deliver_after` would schedule)."""
 
     # -- delivery ----------------------------------------------------------
     def _deliver_after(self, msg: Message, delay: float) -> None:
@@ -186,11 +201,10 @@ class Interconnect(ABC):
             if spike:
                 self.stats.counters.add("fault.spikes")
                 delay += spike
-        ev = self.sim.timeout(delay, value=msg)
-        ev.callbacks.append(self._on_arrival)
+        Timeout(self.sim, delay, msg).callbacks.append(self._arrive)
 
     def _on_arrival(self, ev) -> None:
-        msg: Message = ev.value
+        msg: Message = ev._value
         chan = (msg.src, msg.dst)
         expected = self._chan_deliver_seq.get(chan, 0)
         if msg.chan_seq > expected:
@@ -208,7 +222,19 @@ class Interconnect(ABC):
                 )
             return
         self._chan_deliver_seq[chan] = expected + 1
-        self._dispatch(msg)
+        table = self._tables.get(msg.dst)
+        if self.fault_plan is None and self.obs is None and table is not None:
+            # Lean path: _dispatch -> _handle -> Node.deliver -> handle in
+            # one frame.  An unknown type takes the general path, which
+            # raises Node.deliver's error.
+            ctl = table.get(msg.mtype)
+            if ctl is None:
+                self._dispatch(msg)
+            else:
+                self._latency.observe(self.sim.now - msg.send_time)
+                ctl.handle(msg)
+        else:
+            self._dispatch(msg)
         held = self._chan_held.get(chan)
         if held:
             while True:

@@ -59,7 +59,9 @@ class Node:
         self._req_order: Dict[int, list] = {}
         #: Pending request/reply rendezvous shared by all controllers.
         self._pending_replies: Dict[Tuple, Event] = {}
-        self._dispatch: Dict[MessageType, "Controller"] = {}
+        #: ``mtype -> controller``; the interconnect's untraced, fault-free
+        #: arrival path looks controllers up here directly.
+        self.dispatch: Dict[MessageType, "Controller"] = {}
         #: Write buffer; its issue path is wired by the data protocol
         #: controller (primitives machine) after construction.
         self.write_buffer: WriteBuffer | None = None
@@ -90,17 +92,17 @@ class Node:
 
     def register(self, controller: "Controller") -> None:
         """Route the controller's message types to it."""
-        taken = self._dispatch.keys() & controller.IN_TYPES
+        taken = self.dispatch.keys() & controller.IN_TYPES
         if taken:
             mtype = min(taken, key=lambda mt: mt.name)
             raise ValueError(
                 f"message type {mtype.name} already handled on node {self.node_id}"
             )
-        self._dispatch.update(dict.fromkeys(controller.IN_TYPES, controller))
+        self.dispatch.update(dict.fromkeys(controller.IN_TYPES, controller))
 
     def deliver(self, msg: Message) -> None:
         """Network delivery callback."""
-        ctl = self._dispatch.get(msg.mtype)
+        ctl = self.dispatch.get(msg.mtype)
         if ctl is None:
             raise RuntimeError(
                 f"node {self.node_id} has no controller for {msg.mtype.name}"

@@ -48,7 +48,8 @@ class Processor:
     # -- local computation ----------------------------------------------------
     def compute(self, cycles: float):
         """Local work for ``cycles`` (no memory traffic)."""
-        self.stats.counters.add("compute_cycles", int(cycles))
+        counts = self.stats.counters.counts
+        counts["compute_cycles"] = counts.get("compute_cycles", 0) + int(cycles)
         yield self.sim.timeout(cycles)
 
     def time_breakdown(self) -> dict:
@@ -69,41 +70,46 @@ class Processor:
     # -- private data ----------------------------------------------------------
     # Each memory op charges its duration to ``data_cycles`` inline: a
     # shared timing wrapper would add a generator frame per op on the
-    # hottest path of every workload.
+    # hottest path of every workload.  The counters are bumped in their
+    # dict directly (Counter.add's writes, in the same order).
     def read(self, addr: int):
         """Private-data read (paper's READ / WBI coherent read)."""
-        counters = self.stats.counters
-        counters.add("reads")
-        t0 = self.sim.now
+        counts = self.stats.counters.counts
+        counts["reads"] = counts.get("reads", 0) + 1
+        sim = self.sim
+        t0 = sim.now
         value = yield from self.data.read(addr)
-        counters.add("data_cycles", int(self.sim.now - t0))
+        counts["data_cycles"] = counts.get("data_cycles", 0) + int(sim.now - t0)
         return value
 
     def write(self, addr: int, value: int):
         """Private-data write (paper's WRITE / WBI coherent write)."""
-        counters = self.stats.counters
-        counters.add("writes")
-        t0 = self.sim.now
+        counts = self.stats.counters.counts
+        counts["writes"] = counts.get("writes", 0) + 1
+        sim = self.sim
+        t0 = sim.now
         yield from self.data.write(addr, value)
-        counters.add("data_cycles", int(self.sim.now - t0))
+        counts["data_cycles"] = counts.get("data_cycles", 0) + int(sim.now - t0)
 
     # -- shared data under the consistency model -------------------------------
     def shared_read(self, addr: int):
         """Read of shared data (cached; consistency via explicit primitives)."""
-        counters = self.stats.counters
-        counters.add("shared_reads")
-        t0 = self.sim.now
+        counts = self.stats.counters.counts
+        counts["shared_reads"] = counts.get("shared_reads", 0) + 1
+        sim = self.sim
+        t0 = sim.now
         value = yield from self.data.read(addr)
-        counters.add("data_cycles", int(self.sim.now - t0))
+        counts["data_cycles"] = counts.get("data_cycles", 0) + int(sim.now - t0)
         return value
 
     def shared_write(self, addr: int, value: int):
         """Write of shared data: global write issued per the memory model."""
-        counters = self.stats.counters
-        counters.add("shared_writes")
-        t0 = self.sim.now
+        counts = self.stats.counters.counts
+        counts["shared_writes"] = counts.get("shared_writes", 0) + 1
+        sim = self.sim
+        t0 = sim.now
         yield from self.model.shared_write(self, addr, value)
-        counters.add("data_cycles", int(self.sim.now - t0))
+        counts["data_cycles"] = counts.get("data_cycles", 0) + int(sim.now - t0)
 
     # -- explicit Table 1 primitives (primitives machine only) -----------------
     def _primitive(self, name: str):
@@ -141,13 +147,14 @@ class Processor:
     # -- synchronization --------------------------------------------------------
     def acquire(self, lock, mode: str = "write"):
         """Acquire a lock under the consistency model (NP-Synch)."""
-        self.stats.counters.add("acquires")
+        counts = self.stats.counters.counts
+        counts["acquires"] = counts.get("acquires", 0) + 1
         t0 = self.sim.now
         yield from self.model.pre_acquire(self)
         yield from lock.acquire(self, mode)
         dt = self.sim.now - t0
         self.stats.observe("acquire_latency", dt)
-        self.stats.counters.add("sync_cycles", int(dt))
+        counts["sync_cycles"] = counts.get("sync_cycles", 0) + int(dt)
         if self.obs is not None:
             # Lock-queue residency: request issued -> grant received.
             # ``obj`` names the lock's block so a trace consumer (the
@@ -159,11 +166,12 @@ class Processor:
 
     def release(self, lock):
         """Release a lock under the consistency model (CP-Synch)."""
-        self.stats.counters.add("releases")
+        counts = self.stats.counters.counts
+        counts["releases"] = counts.get("releases", 0) + 1
         t0 = self.sim.now
         yield from self.model.pre_release(self)
         yield from lock.release(self, want_ack=self.model.release_wants_ack)
-        self.stats.counters.add("sync_cycles", int(self.sim.now - t0))
+        counts["sync_cycles"] = counts.get("sync_cycles", 0) + int(self.sim.now - t0)
         if self.obs is not None:
             self.obs.span(
                 f"release:{type(lock).__name__}", "sync", self.node_id, t0,
@@ -172,13 +180,14 @@ class Processor:
 
     def barrier(self, bar):
         """Barrier synchronization (CP-Synch)."""
-        self.stats.counters.add("barriers")
+        counts = self.stats.counters.counts
+        counts["barriers"] = counts.get("barriers", 0) + 1
         t0 = self.sim.now
         yield from self.model.pre_barrier(self)
         yield from bar.wait(self)
         dt = self.sim.now - t0
         self.stats.observe("barrier_latency", dt)
-        self.stats.counters.add("sync_cycles", int(dt))
+        counts["sync_cycles"] = counts.get("sync_cycles", 0) + int(dt)
         if self.obs is not None:
             self.obs.span(
                 f"barrier:{type(bar).__name__}", "sync", self.node_id, t0,

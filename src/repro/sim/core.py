@@ -49,6 +49,7 @@ from __future__ import annotations
 import heapq
 import os
 from collections import deque
+from math import inf
 from typing import Any, Callable, Deque, Generator, Iterable, Optional, Tuple
 
 __all__ = [
@@ -150,6 +151,8 @@ class Event:
         """Schedule this event to fire successfully after ``delay``."""
         if self._state != _PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
+        if not 0 <= delay < inf:
+            raise ValueError(f"invalid event delay {delay}")
         self._ok = True
         self._value = value
         self._state = _TRIGGERED
@@ -162,6 +165,8 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        if not 0 <= delay < inf:
+            raise ValueError(f"invalid event delay {delay}")
         self._ok = False
         self._value = exception
         self._state = _TRIGGERED
@@ -210,21 +215,34 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay}")
+        # One comparison rejects negative, NaN and infinite delays alike
+        # (NaN fails both bounds).
+        if not 0 <= delay < inf:
+            raise ValueError(f"invalid timeout delay {delay}")
         # Event.__init__ inlined: timeouts are the hottest allocation in the
-        # simulator (one per protocol guard and per workload wait), and the
-        # base initializer would store _ok/_value/_state only for this
-        # constructor to overwrite them.
+        # simulator (one per protocol guard, workload wait, message arrival
+        # and process boot), and the base initializer would store
+        # _ok/_value/_state only for this constructor to overwrite them.
         self.sim = sim
         self.callbacks = []
         self.name = ""
-        self.sched_at = -1.0
         self.delay = delay
         self._ok = True
         self._value = value
         self._state = _TRIGGERED
-        sim._schedule(self, delay)
+        # Simulator._schedule inlined, rule for rule: jitter on positive
+        # delays, the trace stamp, the global seq, then lane or heap.
+        # _schedule is the only other copy of this rule.
+        if delay > 0 and sim._jitter is not None:
+            delay = sim._jitter(delay)
+            if not 0 <= delay < inf:
+                raise SimulationError(f"jitter hook produced an invalid delay {delay}")
+        self.sched_at = sim.now if sim._obs is not None else -1.0
+        seq = sim._seq = sim._seq + 1
+        if delay > 0 or not sim._fast:
+            heapq.heappush(sim._heap, (sim.now + delay, seq, self))
+        else:
+            sim._lane.append((seq, self))
 
     def __repr__(self) -> str:
         return (
@@ -241,20 +259,28 @@ class Process(Event):
     with the generator's return value, so processes can wait on each other.
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator", "_waiting_on", "_wake")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
-        super().__init__(sim, name=name)
         if not hasattr(generator, "send"):
             raise TypeError(f"process() requires a generator, got {generator!r}")
+        # Event.__init__ inlined (one process is spawned per home-memory
+        # transaction).
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._state = _PENDING
+        self.name = name
+        self.sched_at = -1.0
         self._generator = generator
         self._waiting_on: Optional[Event] = None
-        # Bootstrap: resume the process at the current time.
-        boot = Event(sim)
-        boot._ok = True
-        boot._state = _TRIGGERED
-        boot.callbacks.append(self._resume)
-        sim._schedule(boot, 0)
+        #: ``self._resume`` bound once: every yield subscribes this same
+        #: object instead of allocating a fresh bound method.
+        self._wake = self._resume
+        # Bootstrap: resume the process at the current time through one
+        # pre-triggered zero-delay timeout.
+        Timeout(sim, 0).callbacks.append(self._wake)
 
     @property
     def is_alive(self) -> bool:
@@ -276,7 +302,7 @@ class Process(Event):
         if self._waiting_on is not None:
             # Detach from whatever we were waiting on.
             try:
-                self._waiting_on.callbacks.remove(self._resume)
+                self._waiting_on.callbacks.remove(self._wake)
             except ValueError:
                 pass
             self._waiting_on = None
@@ -284,7 +310,7 @@ class Process(Event):
         wake._ok = False
         wake._value = Interrupt(cause)
         wake._state = _TRIGGERED
-        wake.callbacks.append(self._resume)
+        wake.callbacks.append(self._wake)
         self.sim._schedule(wake, 0)
 
     # -- kernel internals --------------------------------------------------
@@ -294,7 +320,7 @@ class Process(Event):
             # first ran): detach from the event we were parked on, or it
             # would re-resume the finished generator when it fires later.
             try:
-                self._waiting_on.callbacks.remove(self._resume)
+                self._waiting_on.callbacks.remove(self._wake)
             except ValueError:
                 pass
         self._waiting_on = None
@@ -318,7 +344,7 @@ class Process(Event):
                     # Already fired: resume immediately with its value.
                     trigger = target
                     continue
-                target.callbacks.append(self._resume)
+                target.callbacks.append(self._wake)
                 self._waiting_on = target
                 return
         except StopIteration as stop:
@@ -588,10 +614,11 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:
+        # Timeout.__init__ carries the only other copy of this rule.
         if delay > 0 and self._jitter is not None:
             delay = self._jitter(delay)
-            if delay < 0:
-                raise SimulationError("jitter hook produced a negative delay")
+            if not 0 <= delay < inf:
+                raise SimulationError(f"jitter hook produced an invalid delay {delay}")
         if self._obs is not None:
             event.sched_at = self.now
         self._seq += 1

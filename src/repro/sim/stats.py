@@ -13,36 +13,41 @@ __all__ = ["Counter", "Tally", "TimeWeighted", "Histogram", "StatSet"]
 
 
 class Counter:
-    """A named bag of monotonically increasing integer counters."""
+    """A named bag of monotonically increasing integer counters.
 
-    __slots__ = ("_counts",)
+    ``counts`` is the underlying ``key -> count`` dict.  Hot paths bump it
+    directly (``counts[k] = counts.get(k, 0) + n``), which is exactly what
+    :meth:`add` writes, in the same key insertion order.
+    """
+
+    __slots__ = ("counts",)
 
     def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
+        self.counts: Dict[str, int] = {}
 
     def add(self, key: str, n: int = 1) -> None:
-        self._counts[key] = self._counts.get(key, 0) + n
+        self.counts[key] = self.counts.get(key, 0) + n
 
     def get(self, key: str) -> int:
-        return self._counts.get(key, 0)
+        return self.counts.get(key, 0)
 
     def total(self) -> int:
-        return sum(self._counts.values())
+        return sum(self.counts.values())
 
     def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
+        return dict(self.counts)
 
     def merge(self, other: "Counter") -> None:
         # Snapshot so merging a counter into itself doubles every key
         # instead of mutating the dict mid-iteration.
-        for k, v in list(other._counts.items()):
+        for k, v in list(other.counts.items()):
             self.add(k, v)
 
     def __getitem__(self, key: str) -> int:
         return self.get(key)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Counter({self._counts!r})"
+        return f"Counter({self.counts!r})"
 
 
 class Tally:

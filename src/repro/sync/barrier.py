@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING, Dict, Tuple
 
 from ..coherence.base import Controller
 from ..network.message import Message, MessageType
+from ..sim.core import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node.node import Node
@@ -73,7 +74,7 @@ class HardwareBarrierEngine(Controller):
 
     # -- dispatch ----------------------------------------------------------
     def handle(self, msg: Message) -> None:
-        if not self.dedup_admit(msg):
+        if self.node.resilience is not None and not self.dedup_admit(msg):
             return
         mt = msg.mtype
         if mt is MessageType.BARRIER_ARRIVE:
@@ -91,7 +92,9 @@ class HardwareBarrierEngine(Controller):
             entry.defer(msg)
             return
         entry.busy = True
-        self.sim.process(self._h_arrive(msg, entry), name=f"barrier-{msg.addr}")
+        # The name only surfaces in traces and reprs: build it only then.
+        name = f"barrier-{msg.addr}" if self.obs is not None else ""
+        Process(self.sim, self._h_arrive(msg, entry), name)
 
     # -- home side ----------------------------------------------------------
     def _h_arrive(self, msg: Message, entry):

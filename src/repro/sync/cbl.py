@@ -47,6 +47,7 @@ from ..cache.states import LockMode
 from ..coherence.base import Controller
 from ..memory.directory import Usage
 from ..network.message import Message, MessageType
+from ..sim.core import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node.node import Node
@@ -118,7 +119,8 @@ class CBLEngine(Controller):
         line = self.node.lockcache.peek(block)
         if line is None or not line.lock.is_held:
             raise RuntimeError(f"node {self.node.node_id} does not hold lock {block}")
-        self.stats.counters.add("cbl.release")
+        counts = self.stats.counters.counts
+        counts["cbl.release"] = counts.get("cbl.release", 0) + 1
         yield self.sim.timeout(self.cfg.cache_cycle)
         home = self.amap.home_of(block)
         words, mask = list(line.data), line.dirty_mask
@@ -170,7 +172,7 @@ class CBLEngine(Controller):
 
     # ================= message dispatch ====================================
     def handle(self, msg: Message) -> None:
-        if not self.dedup_admit(msg):
+        if self.node.resilience is not None and not self.dedup_admit(msg):
             return
         mt = msg.mtype
         if mt in (MessageType.LOCK_REQ_READ, MessageType.LOCK_REQ_WRITE, MessageType.LOCK_RELEASE):
@@ -193,10 +195,12 @@ class CBLEngine(Controller):
             entry.defer(msg)
             return
         entry.busy = True
+        # The names only surface in traces and reprs: build them only then.
+        traced = self.obs is not None
         if msg.mtype is MessageType.LOCK_RELEASE:
-            self.sim.process(self._h_release(msg, entry), name=f"cbl-rel-{msg.addr}")
+            Process(self.sim, self._h_release(msg, entry), f"cbl-rel-{msg.addr}" if traced else "")
         else:
-            self.sim.process(self._h_request(msg, entry), name=f"cbl-req-{msg.addr}")
+            Process(self.sim, self._h_request(msg, entry), f"cbl-req-{msg.addr}" if traced else "")
 
     def _done(self, entry) -> None:
         entry.busy = False

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Dict, Tuple
 
 from ..coherence.base import Controller
 from ..network.message import Message, MessageType
+from ..sim.core import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node.node import Node
@@ -83,7 +84,7 @@ class SemaphoreEngine(Controller):
 
     # -- dispatch ----------------------------------------------------------
     def handle(self, msg: Message) -> None:
-        if not self.dedup_admit(msg):
+        if self.node.resilience is not None and not self.dedup_admit(msg):
             return
         mt = msg.mtype
         if mt in (MessageType.SEM_P, MessageType.SEM_V):
@@ -103,7 +104,9 @@ class SemaphoreEngine(Controller):
             return
         entry.busy = True
         handler = self._h_p if msg.mtype is MessageType.SEM_P else self._h_v
-        self.sim.process(handler(msg, entry), name=f"sem-{msg.mtype.name}-{msg.addr}")
+        # The name only surfaces in traces and reprs: build it only then.
+        name = f"sem-{msg.mtype.name}-{msg.addr}" if self.obs is not None else ""
+        Process(self.sim, handler(msg, entry), name)
 
     def _done(self, entry) -> None:
         entry.busy = False

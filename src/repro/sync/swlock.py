@@ -45,7 +45,8 @@ __all__ = [
 
 def _failed_probe(proc: "Processor", lock: object, addr: int) -> None:
     """Count a failed lock probe (and trace it when the bus is on)."""
-    proc.stats.counters.add("lock.failed_probes")
+    counts = proc.stats.counters.counts
+    counts["lock.failed_probes"] = counts.get("lock.failed_probes", 0) + 1
     obs = proc.obs
     if obs is not None:
         obs.instant(

@@ -338,7 +338,7 @@ def execute_plan(proc: "Processor", plan: TaskPlan):
         else:
             yield from shared_write(proc, addr, node_id)
         data_cycles += int(sim.now - t0)
-    counters = proc.stats.counters
+    counts = proc.stats.counters.counts
     for key, n in plan.counts:
-        counters.add(key, n)
-    counters.add("data_cycles", data_cycles)
+        counts[key] = counts.get(key, 0) + n
+    counts["data_cycles"] = counts.get("data_cycles", 0) + data_cycles

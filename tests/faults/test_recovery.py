@@ -13,7 +13,8 @@ Two acceptance gates from the robustness work live here:
 
 import pytest
 
-from repro.faults.plan import FaultSpec
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.obs import ObsParams
 from repro.system.config import MachineConfig
 from repro.system.machine import Machine
 
@@ -44,10 +45,16 @@ class _Lock:
         yield from proc.node.cbl.release(self.block, want_ack=proc.model.release_wants_ack)
 
 
-def _run_golden_workload(protocol, faults=None):
-    """4 workers x 3 rounds of lock/read/write/release/rmw, then a barrier."""
-    cfg = MachineConfig(n_nodes=8, cache_blocks=64, cache_assoc=2, seed=7)
+def _run_golden_workload(protocol, faults=None, plan=None, obs=None):
+    """4 workers x 3 rounds of lock/read/write/release/rmw, then a barrier.
+
+    ``plan`` is installed straight on the interconnect (bypassing the
+    machine's resilience wiring); ``obs`` is the machine's trace policy.
+    """
+    cfg = MachineConfig(n_nodes=8, cache_blocks=64, cache_assoc=2, seed=7, obs=obs)
     machine = Machine(cfg, protocol, faults=faults)
+    if plan is not None:
+        machine.net.set_fault_plan(plan)
     lock = _Lock(machine)
     bar_block = machine.alloc_block()
     ctr = machine.alloc_word()
@@ -101,6 +108,46 @@ def test_null_fault_spec_changes_nothing(protocol):
     """An all-zero spec must not even arm the resilience layer."""
     machine, _, fingerprint = _run_golden_workload(protocol, faults=FaultSpec())
     assert machine.fault_plan is None
+    assert fingerprint == GOLDEN[protocol]
+
+
+def _count_general_deliveries(monkeypatch):
+    """Count messages handed out by the interconnect's general delivery
+    path (``_dispatch`` -> ``_handle`` -> ``Node.deliver``)."""
+    from repro.network.topology import Interconnect
+
+    seen = []
+    handle = Interconnect._handle
+
+    def counting(self, msg):
+        seen.append(msg.msg_id)
+        handle(self, msg)
+
+    monkeypatch.setattr(Interconnect, "_handle", counting)
+    return seen
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_noop_plan_on_the_network_changes_nothing(protocol, monkeypatch):
+    """A no-op plan installed on the interconnect routes fault-free traffic
+    through the general arrival path: the same run as the lean path."""
+    seen = _count_general_deliveries(monkeypatch)
+    machine, metrics, fingerprint = _run_golden_workload(
+        protocol, plan=FaultPlan(FaultSpec())
+    )
+    assert machine.net.fault_plan is not None
+    assert len(seen) == metrics.messages
+    assert fingerprint == GOLDEN[protocol]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_full_trace_bus_changes_nothing(protocol, monkeypatch):
+    """Every trace category on: deliveries take the traced path, and the
+    run is the same as an untraced one."""
+    seen = _count_general_deliveries(monkeypatch)
+    machine, metrics, fingerprint = _run_golden_workload(protocol, obs=ObsParams())
+    assert machine.obs is not None and machine.obs.enabled_for("kernel")
+    assert len(seen) == metrics.messages
     assert fingerprint == GOLDEN[protocol]
 
 

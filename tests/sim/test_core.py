@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import math
+
 import pytest
 
 from repro.sim import (
@@ -52,10 +54,67 @@ def test_timeout_zero_fires_same_time():
     assert seen == [0]
 
 
-def test_negative_timeout_rejected():
+def _at_ten(sim):
+    """Advance the clock to 10 (where a negative delay would travel back)."""
+    sim.timeout(10)
+    sim.run()
+    assert sim.now == 10
+    return sim.event()
+
+
+#: Every way to put an event on the calendar with an explicit delay.
+SCHEDULERS = {
+    "timeout": lambda sim, d: sim.timeout(d),
+    "succeed": lambda sim, d: _at_ten(sim).succeed(delay=d),
+    "fail": lambda sim, d: _at_ten(sim).fail(RuntimeError("boom"), delay=d),
+}
+
+
+@pytest.mark.parametrize("how", sorted(SCHEDULERS))
+def test_negative_timeout_rejected(how):
+    """A negative delay is refused before anything is scheduled: on the heap
+    discipline it would run an event in the past, on the fast one at now."""
     sim = Simulator()
     with pytest.raises(ValueError):
-        sim.timeout(-1)
+        SCHEDULERS[how](sim, -4)
+    assert sim.pending_live() == 0
+
+
+@pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("how", sorted(SCHEDULERS))
+def test_non_finite_delay_rejected(how, delay):
+    """NaN passes every ``delay < 0`` test (and would fire at t=0, ahead of
+    a 1-cycle timeout); inf would set the clock to inf."""
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        SCHEDULERS[how](sim, delay)
+    assert sim.pending_live() == 0
+
+
+def test_rejected_succeed_leaves_event_pending():
+    sim = Simulator()
+    ev = sim.event()
+    with pytest.raises(ValueError):
+        ev.succeed(delay=math.nan)
+    assert not ev.triggered
+    ev.succeed(delay=2)
+    sim.run()
+    assert ev.processed and sim.now == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("how", ["timeout", "succeed"])
+def test_invalid_jitter_output_rejected(how, bad):
+    """A jitter hook returning NaN would run every positive-delay event at
+    t=0; the kernel refuses its output on both scheduling paths."""
+    sim = Simulator()
+    sim.set_jitter(lambda d: bad)
+    with pytest.raises(SimulationError):
+        if how == "timeout":
+            sim.timeout(3)
+        else:
+            sim.event().succeed(delay=3)
+    assert sim.pending_live() == 0
 
 
 def test_timeout_carries_value():

@@ -14,6 +14,7 @@ order and every performance number in BENCH_PR4.json / BENCH_PR9.json is
 measuring a *different simulation*, not a faster one.
 """
 
+import hashlib
 import itertools
 import json
 
@@ -118,3 +119,23 @@ def test_trace_streams_identical_with_faults(fast, tmp_path):
                          trace_path=alt_trace)
     assert res_heap == res_alt
     assert heap_trace.read_text() == alt_trace.read_text()
+
+
+#: sha256 of the JSONL trace stream of ``_replay(11, protocol)``: send and
+#: route instants, delivery spans, ``resume:wbi-home-...`` process names
+#: and kernel instants.  Recorded before the lean event path (DESIGN.md
+#: §7.7), which changed both disciplines at once, so the heap-vs-fast
+#: diff above could not have caught a shared drift.
+TRACE_SHA256 = {
+    "wbi": "887f47f7ef07c9ddc5831d50431bce786a8cfc63fcbae3b82cdfffa46c105d59",
+    "primitives": "7fa0fe0d725e299cbd0ba76bd44af762c1b5f8acfa84eab6f385055369984793",
+    "writeupdate": "e4150618f363f4aa21611c3833a6d40f639acb720378e32a59b6cacfb8c8a2b1",
+}
+
+
+@pytest.mark.parametrize("fast", [False, True], ids=["heap", "fast"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_trace_stream_matches_golden(protocol, fast, tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    _replay(11, protocol, fast=fast, trace_path=trace)
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_SHA256[protocol]
