@@ -94,25 +94,27 @@ class Controller:
         return key in self.node._pending_replies
 
     # -- resilience: requester side -----------------------------------------
-    def request(self, key: Tuple, send_req):
-        """Generator: issue a request and wait for its reply under ``key``.
+    def request(self, key: Tuple, dst: int, mtype: MessageType, addr: int = -1, **info: Any):
+        """Generator: send a request and wait for its reply under ``key``.
 
-        ``send_req(rseq)`` must send the request message, tagging it with
-        the given sequence number (``None`` when resilience is disabled).
-        With a resilience policy, the request is reissued with the *same*
-        ``rseq`` and exponential backoff until the reply arrives; the
-        receiver's dedup makes the retries idempotent.  When the retry
-        budget is exhausted the requester parks on the reply event — from
-        then on the hang belongs to the watchdog.
+        The request goes to ``dst`` with ``info`` plus ``info["rseq"]``, its
+        sequence number (``None`` when resilience is disabled).  With a
+        resilience policy, the request is reissued with the *same* ``rseq``
+        and exponential backoff until the reply arrives; the receiver's
+        dedup makes the retries idempotent.  When the retry budget is
+        exhausted the requester parks on the reply event — from then on the
+        hang belongs to the watchdog.
         """
-        res = self.node.resilience
+        node = self.node
+        res = node.resilience
         ev = self.expect(key)
         if res is None:
-            send_req(None)
+            info["rseq"] = None
+            node.net.send(Message(node.node_id, dst, mtype, addr, info))
             val = yield ev
             return val
-        rseq = self.node.next_rseq()
-        send_req(rseq)
+        rseq = node.next_rseq()
+        self.send(dst, mtype, addr, **info, rseq=rseq)
         attempt = 0
         while True:
             timer = self.sim.timeout(res.timeout_for(attempt))
@@ -142,7 +144,7 @@ class Controller:
                     self.node.node_id,
                     args={"key": str(key), "rseq": rseq, "attempt": attempt},
                 )
-            send_req(rseq)
+            self.send(dst, mtype, addr, **info, rseq=rseq)
 
     def await_acks(self, coll: "SourceAckCollector", resend=None):
         """Generator: wait for an ack fan-in, re-probing laggards on timeout.
@@ -241,10 +243,14 @@ class Controller:
 
     def reply_to(self, req: Message, mtype: MessageType, addr: int = -1, *, dst=None, **info: Any) -> None:
         """Send a terminal reply for ``req`` and record it for dedup replay."""
+        node = self.node
         dst = req.src if dst is None else dst
+        if node.resilience is None:
+            node.net.send(Message(node.node_id, dst, mtype, addr, info))
+            return
+        # The message gets a copy of ``info``: the record keeps its own.
         self.send(dst, mtype, addr=addr, **info)
-        if self.node.resilience is not None:
-            self.record_reply(req, dst, mtype, addr, info)
+        self.record_reply(req, dst, mtype, addr, info)
 
     def record_reply(self, req: Message, dst: int, mtype: MessageType, addr: int, info: dict) -> None:
         """Record a reply against ``req``'s dedup key without sending it."""

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List
 
-from ..cache.states import LineState
+from ..cache.states import LineState, LockMode
+from ..memory.directory import Usage
 from ..network.message import Message, MessageType
 from ..sim.core import Event, Process
 from .base import AckCollector, Controller
@@ -106,10 +107,7 @@ class PrimitivesCacheController(Controller):
         yield self.sim.timeout(self.cfg.cache_cycle)
         t0 = self.sim.now
         value = yield from self.request(
-            ("c:rg", word_addr),
-            lambda rseq: self.send(
-                home, MessageType.READ_GLOBAL, addr=block, word=word_addr, rseq=rseq
-            ),
+            ("c:rg", word_addr), home, MessageType.READ_GLOBAL, addr=block, word=word_addr
         )
         if self.obs is not None:
             self.obs.span(
@@ -156,8 +154,7 @@ class PrimitivesCacheController(Controller):
         # The RU_DATA handler installs the subscription line synchronously at
         # delivery so pushed updates can never slip between reply and install.
         words, old_head = yield from self.request(
-            ("c:rudata", block),
-            lambda rseq: self.send(home, MessageType.RU_REQ, addr=block, rseq=rseq),
+            ("c:rudata", block), home, MessageType.RU_REQ, addr=block
         )
         if self.obs is not None:
             self.obs.span(
@@ -186,10 +183,8 @@ class PrimitivesCacheController(Controller):
         yield self.sim.timeout(self.cfg.cache_cycle)
         t0 = self.sim.now
         old = yield from self.request(
-            ("c:rmw", word_addr),
-            lambda rseq: self.send(
-                home, MessageType.RMW_REQ, addr=block, word=word_addr, op=op, operand=operand, rseq=rseq
-            ),
+            ("c:rmw", word_addr), home, MessageType.RMW_REQ,
+            addr=block, word=word_addr, op=op, operand=operand,
         )
         if self.obs is not None:
             self.obs.span(
@@ -211,10 +206,7 @@ class PrimitivesCacheController(Controller):
         t0 = self.sim.now
         yield from self._evict_for(block)
         home = self.amap.home_of(block)
-        words = yield from self.request(
-            ("c:data", block),
-            lambda rseq: self.send(home, MessageType.READ_MISS, addr=block, rseq=rseq),
-        )
+        words = yield from self.request(("c:data", block), home, MessageType.READ_MISS, addr=block)
         line, _ = self.node.cache.install(block, words, LineState.VALID_LOCAL, now=self.sim.now)
         if self.obs is not None:
             self.obs.span(
@@ -230,8 +222,6 @@ class PrimitivesCacheController(Controller):
             # Every unpinned way is taken by update-subscribed lines; the
             # paper resets the update bit on replacement, so pick the LRU
             # subscribed line and unsubscribe it first.
-            from ..cache.states import LockMode
-
             candidates = [
                 l
                 for l in cache._set(cache.set_index(block))
@@ -255,10 +245,8 @@ class PrimitivesCacheController(Controller):
         words = list(line.data)
         mask = line.dirty_mask
         yield from self.request(
-            ("c:wback", line.block),
-            lambda rseq: self.send(
-                home, MessageType.WRITEBACK, addr=line.block, words=words, mask=mask, rseq=rseq
-            ),
+            ("c:wback", line.block), home, MessageType.WRITEBACK,
+            addr=line.block, words=words, mask=mask,
         )
         line.dirty_mask = 0
 
@@ -266,8 +254,7 @@ class PrimitivesCacheController(Controller):
         self.stats.counters.add("prim.ru_unsubscribes")
         home = self.amap.home_of(line.block)
         yield from self.request(
-            ("c:ruack", line.block),
-            lambda rseq: self.send(home, MessageType.RESET_UPDATE, addr=line.block, rseq=rseq),
+            ("c:ruack", line.block), home, MessageType.RESET_UPDATE, addr=line.block
         )
         line.update = False
         line.prev = None
@@ -560,8 +547,6 @@ class PrimitivesHomeController(Controller):
         self._done(entry)
 
     def _h_ru_req(self, msg: Message, entry):
-        from ..memory.directory import Usage
-
         if entry.usage is Usage.LOCK:
             raise RuntimeError(
                 f"block {entry.block} is in use as a lock; READ-UPDATE and "
@@ -582,8 +567,6 @@ class PrimitivesHomeController(Controller):
         self._done(entry)
 
     def _h_reset_update(self, msg: Message, entry):
-        from ..memory.directory import Usage
-
         yield self.sim.timeout(self.cfg.dir_cycle)
         subs = entry.ru_subscribers
         if msg.src in subs:

@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from ..cache.states import LineState
+from ..memory.directory import DirState
 from ..network.message import Message, MessageType
 from ..sim.core import Event, Process
 from .base import Controller, SourceAckCollector
@@ -100,10 +101,7 @@ class WBICacheController(Controller):
         yield from self._evict_for(block)
         home = self.amap.home_of(block)
         self._mshr[block] = None
-        words = yield from self.request(
-            ("c:data", block),
-            lambda rseq: self.send(home, MessageType.READ_MISS, addr=block, rseq=rseq),
-        )
+        words = yield from self.request(("c:data", block), home, MessageType.READ_MISS, addr=block)
         if self.obs is not None:
             # Miss lifecycle: issue -> directory transaction -> fill.
             self.obs.span(
@@ -130,10 +128,7 @@ class WBICacheController(Controller):
         if line is not None and line.state is LineState.SHARED:
             counts["wbi.upgrades"] = counts.get("wbi.upgrades", 0) + 1
             self._mshr[block] = (offset, value)
-            yield from self.request(
-                ("c:excl", block),
-                lambda rseq: self.send(home, MessageType.UPGRADE, addr=block, rseq=rseq),
-            )
+            yield from self.request(("c:excl", block), home, MessageType.UPGRADE, addr=block)
             if self.obs is not None:
                 self.obs.span(
                     "miss:wbi.upgrade", "coh", self.node.node_id, t0, args={"block": block}
@@ -142,10 +137,7 @@ class WBICacheController(Controller):
         counts["wbi.write_misses"] = counts.get("wbi.write_misses", 0) + 1
         yield from self._evict_for(block)
         self._mshr[block] = (offset, value)
-        yield from self.request(
-            ("c:excl", block),
-            lambda rseq: self.send(home, MessageType.WRITE_MISS, addr=block, rseq=rseq),
-        )
+        yield from self.request(("c:excl", block), home, MessageType.WRITE_MISS, addr=block)
         if self.obs is not None:
             self.obs.span(
                 "miss:wbi.write", "coh", self.node.node_id, t0, args={"block": block}
@@ -160,10 +152,8 @@ class WBICacheController(Controller):
         yield self.sim.timeout(self.cfg.cache_cycle)
         t0 = self.sim.now
         old = yield from self.request(
-            ("c:rmw", word_addr),
-            lambda rseq: self.send(
-                home, MessageType.RMW_REQ, addr=block, word=word_addr, op=op, operand=operand, rseq=rseq
-            ),
+            ("c:rmw", word_addr), home, MessageType.RMW_REQ,
+            addr=block, word=word_addr, op=op, operand=operand,
         )
         if self.obs is not None:
             self.obs.span(
@@ -202,10 +192,8 @@ class WBICacheController(Controller):
         words = list(line.data)
         mask = line.dirty_mask
         yield from self.request(
-            ("c:wback", line.block),
-            lambda rseq: self.send(
-                home, MessageType.WRITEBACK, addr=line.block, words=words, mask=mask, rseq=rseq
-            ),
+            ("c:wback", line.block), home, MessageType.WRITEBACK,
+            addr=line.block, words=words, mask=mask,
         )
 
     def _notify_invalidation(self, block: int) -> None:
@@ -395,8 +383,6 @@ class WBIHomeController(Controller):
     # -- helpers ----------------------------------------------------------
     def _invalidate_sharers(self, entry, exclude: int):
         """Send INVs to all sharers except ``exclude``; wait for the acks."""
-        from ..memory.directory import DirState
-
         targets = [s for s in sorted(entry.sharers) if s != exclude]
         coll = SourceAckCollector(self.sim, targets)
         rseq = self.rseq_or_none() if targets else None
@@ -421,10 +407,7 @@ class WBIHomeController(Controller):
         mtype = MessageType.FETCH_INV if invalidate else MessageType.FETCH
         owner = entry.owner
         self.void_stale_grants(owner, entry.block, self.GRANT_TYPES)
-        words = yield from self.request(
-            ("h:fetch", entry.block),
-            lambda rseq: self.send(owner, mtype, addr=entry.block, rseq=rseq),
-        )
+        words = yield from self.request(("h:fetch", entry.block), owner, mtype, addr=entry.block)
         if words is None:
             # The owner had already started a writeback; it is deferred on
             # this entry and will be replayed.  Use memory's current content
@@ -463,8 +446,6 @@ class WBIHomeController(Controller):
         entry.sharers.discard(victim)
 
     def _h_read_miss(self, msg: Message, entry):
-        from ..memory.directory import DirState
-
         req = msg.src
         yield self.sim.timeout(self.cfg.dir_cycle)
         mem = self.node.memory
@@ -488,8 +469,6 @@ class WBIHomeController(Controller):
         self._done(entry)
 
     def _h_write_miss(self, msg: Message, entry):
-        from ..memory.directory import DirState
-
         req = msg.src
         yield self.sim.timeout(self.cfg.dir_cycle)
         mem = self.node.memory
@@ -507,8 +486,6 @@ class WBIHomeController(Controller):
         self._done(entry)
 
     def _h_upgrade(self, msg: Message, entry):
-        from ..memory.directory import DirState
-
         req = msg.src
         yield self.sim.timeout(self.cfg.dir_cycle)
         if entry.state is DirState.SHARED and req in entry.sharers:
@@ -534,8 +511,6 @@ class WBIHomeController(Controller):
         self._done(entry)
 
     def _h_writeback(self, msg: Message, entry):
-        from ..memory.directory import DirState
-
         req = msg.src
         yield self.sim.timeout(self.cfg.dir_cycle)
         if entry.state is DirState.EXCLUSIVE and entry.owner == req:
@@ -550,8 +525,6 @@ class WBIHomeController(Controller):
         self._done(entry)
 
     def _h_rmw(self, msg: Message, entry):
-        from ..memory.directory import DirState
-
         req = msg.src
         yield self.sim.timeout(self.cfg.dir_cycle)
         mem = self.node.memory

@@ -88,10 +88,7 @@ class WUCacheController(Controller):
         # the home registered us as a sharer before replying, so an update it
         # pushes right after must find the copy already present (the channel
         # is FIFO) or the word would be stale forever.
-        words = yield from self.request(
-            ("c:data", block),
-            lambda rseq: self.send(home, MessageType.READ_MISS, addr=block, rseq=rseq),
-        )
+        words = yield from self.request(("c:data", block), home, MessageType.READ_MISS, addr=block)
         if self.obs is not None:
             self.obs.span(
                 "miss:wu.read", "coh", self.node.node_id, t0, args={"block": block}
@@ -111,10 +108,8 @@ class WUCacheController(Controller):
         home = self.amap.home_of(block)
         t0 = self.sim.now
         yield from self.request(
-            ("c:wuack", word_addr),
-            lambda rseq: self.send(
-                home, MessageType.WU_WRITE, addr=block, word=word_addr, value=value, rseq=rseq
-            ),
+            ("c:wuack", word_addr), home, MessageType.WU_WRITE,
+            addr=block, word=word_addr, value=value,
         )
         if self.obs is not None:
             self.obs.span(
@@ -130,11 +125,8 @@ class WUCacheController(Controller):
         yield self.sim.timeout(self.cfg.cache_cycle)
         t0 = self.sim.now
         old = yield from self.request(
-            ("c:rmw", word_addr),
-            lambda rseq: self.send(
-                home, MessageType.RMW_REQ, addr=block, word=word_addr, op=op,
-                operand=operand, rseq=rseq,
-            ),
+            ("c:rmw", word_addr), home, MessageType.RMW_REQ,
+            addr=block, word=word_addr, op=op, operand=operand,
         )
         if self.obs is not None:
             self.obs.span(

@@ -185,13 +185,14 @@ def diagnose_machine(machine: "Machine", reason: str) -> HangDiagnosis:
                 d.busy_blocks[block] = nid
                 d.blame.add(f"block {block} stuck busy at home {nid}")
     net = machine.net
-    for chan, sent in net._chan_send_seq.items():
-        delivered = net._chan_deliver_seq.get(chan, 0)
-        if sent > delivered:
-            d.in_flight[chan] = sent - delivered
-    for chan, held in net._chan_held.items():
-        if held:
-            d.held[chan] = len(held)
+    channels = net._channels
+    for chan, ch in channels.items():
+        if ch.send_seq > ch.deliver_seq:
+            d.in_flight[chan] = ch.send_seq - ch.deliver_seq
+    # Holding channels in the order they last started holding.
+    holding = sorted((ch.held_since, chan) for chan, ch in channels.items() if ch.held)
+    for _, chan in holding:
+        d.held[chan] = len(channels[chan].held)
     plan = getattr(net, "fault_plan", None)
     if plan is not None:
         d.dropped = list(plan.drop_log)

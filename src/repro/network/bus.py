@@ -24,7 +24,7 @@ class BusNetwork(Interconnect):
         self._busy_until = 0.0
         self._busy_time = 0.0
 
-    def _route(self, msg: Message, flits: int) -> None:
+    def _route(self, msg: Message, flits: int, ch) -> None:
         service = self.params.switch_cycle * flits
         start = max(self.sim.now, self._busy_until)
         self.stats.observe("queueing", start - self.sim.now)

@@ -22,7 +22,7 @@ class CrossbarNetwork(Interconnect):
         super().__init__(sim, n_nodes, params)
         self._busy_until: List[float] = [0.0] * n_nodes
 
-    def _route(self, msg: Message, flits: int) -> None:
+    def _route(self, msg: Message, flits: int, ch) -> None:
         service = self.params.switch_cycle * flits
         start = max(self.sim.now, self._busy_until[msg.dst])
         self.stats.observe("queueing", start - self.sim.now)

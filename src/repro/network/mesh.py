@@ -53,7 +53,7 @@ class MeshNetwork(Interconnect):
         self.rows, self.cols = mesh_dims(n_nodes)
         self._busy_until: Dict[Tuple[int, int], float] = {}
 
-    def _route(self, msg: Message, flits: int) -> None:
+    def _route(self, msg: Message, flits: int, ch) -> None:
         service = self.params.switch_cycle * flits
         t = self.sim.now
         links = xy_route(msg.src, msg.dst, self.rows, self.cols)

@@ -24,7 +24,7 @@ from ..sim.core import Simulator, Timeout
 from ..sim.resources import Store
 from .message import Message
 from .routing import num_stages, omega_route
-from .topology import Interconnect, NetworkParams
+from .topology import Interconnect, NetworkParams, _Channel
 
 __all__ = ["OmegaNetwork", "BufferedOmegaNetwork"]
 
@@ -35,36 +35,34 @@ class OmegaNetwork(Interconnect):
     def __init__(self, sim: Simulator, n_nodes: int, params: Optional[NetworkParams] = None):
         super().__init__(sim, n_nodes, params)
         self.stages = num_stages(n_nodes)
-        # busy_until[stage][wire]: the time this output wire frees up.
-        self._busy_until: List[List[float]] = [
-            [0.0] * n_nodes for _ in range(self.stages)
-        ]
-        self._wire_busy_time: List[List[float]] = [
-            [0.0] * n_nodes for _ in range(self.stages)
-        ]
-        # Destination-tag routes are static per (src, dst); memoize them so
-        # the per-message cost is one dict hit, not a per-stage bit dance.
-        self._routes: Dict[tuple, List[int]] = {}
+        # busy_until[stage * n_nodes + wire]: the time that output wire frees up.
+        self._busy_until: List[float] = [0.0] * (self.stages * n_nodes)
+        # Sum of every wire's busy time: each message occupies one wire per
+        # stage for the same (integral) service time.
+        self._busy_total = 0
         self._queueing = self.stats.tally("queueing")
 
-    def _route(self, msg: Message, flits: int) -> None:
+    def _route(self, msg: Message, flits: int, ch: _Channel) -> None:
         service = self.params.switch_cycle * flits
-        t = self.sim.now
-        key = (msg.src, msg.dst)
-        wires = self._routes.get(key)
-        if wires is None:
-            wires = self._routes[key] = omega_route(msg.src, msg.dst, self.n_nodes)
+        now = t = self.sim.now
+        # Destination-tag routes are static per (src, dst): the channel keeps
+        # its route as flat indices into ``_busy_until``.
+        route = ch.route
+        if route is None:
+            n = self.n_nodes
+            route = ch.route = tuple(
+                stage * n + wire for stage, wire in enumerate(omega_route(msg.src, msg.dst, n))
+            )
+        busy = self._busy_until
         queued = 0.0
-        for row, busy, wire in zip(self._busy_until, self._wire_busy_time, wires):
-            start = row[wire]
+        for i in route:
+            start = busy[i]
             if start < t:
                 start = t
             else:
                 queued += start - t
-            depart = start + service
-            row[wire] = depart
-            busy[wire] += service
-            t = depart
+            t = busy[i] = start + service
+        self._busy_total += service * self.stages
         self._queueing.observe(queued)
         counts = self._counts
         counts["stage_traversals"] = counts.get("stage_traversals", 0) + self.stages
@@ -73,14 +71,14 @@ class OmegaNetwork(Interconnect):
                 "route:omega",
                 "net",
                 msg.src,
-                args={"stages": self.stages, "queued": queued, "transit": t - self.sim.now},
+                args={"stages": self.stages, "queued": queued, "transit": t - now},
                 id=msg.msg_id,
             )
         if self.fault_plan is None:
             # _deliver_after without the spike hook, one frame less.
-            Timeout(self.sim, t - self.sim.now, msg).callbacks.append(self._arrive)
+            Timeout(self.sim, t - now, msg).callbacks.append(self._arrive)
         else:
-            self._deliver_after(msg, t - self.sim.now)
+            self._deliver_after(msg, t - now)
 
     # -- reporting ----------------------------------------------------------
     def uncontended_latency(self, flits: int) -> int:
@@ -92,8 +90,7 @@ class OmegaNetwork(Interconnect):
         horizon = self.sim.now if until is None else until
         if horizon <= 0:
             return 0.0
-        total = sum(sum(row) for row in self._wire_busy_time)
-        return total / (horizon * self.stages * self.n_nodes)
+        return self._busy_total / (horizon * self.stages * self.n_nodes)
 
 
 class BufferedOmegaNetwork(Interconnect):
@@ -114,7 +111,6 @@ class BufferedOmegaNetwork(Interconnect):
         self._ports: List[Dict[int, Store]] = [dict() for _ in range(self.stages)]
         self._port_started: List[Dict[int, bool]] = [dict() for _ in range(self.stages)]
         self._cap = cap
-        self._routes: Dict[tuple, List[int]] = {}
 
     def _port(self, stage: int, wire: int) -> Store:
         store = self._ports[stage].get(wire)
@@ -124,11 +120,10 @@ class BufferedOmegaNetwork(Interconnect):
             self.sim.process(self._serve(stage, wire, store), name=f"omega-srv-{stage}-{wire}")
         return store
 
-    def _route(self, msg: Message, flits: int) -> None:
-        key = (msg.src, msg.dst)
-        wires = self._routes.get(key)
+    def _route(self, msg: Message, flits: int, ch: _Channel) -> None:
+        wires = ch.route
         if wires is None:
-            wires = self._routes[key] = omega_route(msg.src, msg.dst, self.n_nodes)
+            wires = ch.route = omega_route(msg.src, msg.dst, self.n_nodes)
         entry = self._port(0, wires[0])
         self.sim.process(self._inject(entry, msg, wires, flits))
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..sim.core import Simulator, Timeout
 from ..sim.stats import StatSet
@@ -35,6 +35,27 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["NetworkParams", "Interconnect", "DeliveryHandler"]
 
 DeliveryHandler = Callable[[Message], None]
+
+
+class _Channel:
+    """FIFO state of one ordered ``(src, dst)`` pair.
+
+    ``send_seq``/``deliver_seq`` are the next sequence number to assign and
+    to deliver; ``held`` maps the sequence numbers of early arrivals to
+    their messages.  ``held_since`` orders the channels that hold messages
+    by when they last started holding (the hang diagnosis lists them so),
+    and ``route`` is topology-private: the Omega variants keep the
+    channel's static route there.
+    """
+
+    __slots__ = ("send_seq", "deliver_seq", "held", "held_since", "route")
+
+    def __init__(self) -> None:
+        self.send_seq = 0
+        self.deliver_seq = 0
+        self.held: Dict[int, Message] = {}
+        self.held_since = 0
+        self.route = None
 
 
 @dataclass(slots=True)
@@ -91,12 +112,12 @@ class Interconnect(ABC):
         self._handlers: Dict[int, DeliveryHandler] = {}
         #: node id -> the attached node's ``mtype -> controller`` table, or
         #: ``None`` for a plain-function handler (see :meth:`attach`).
-        self._tables: Dict[int, Optional[dict]] = {}
-        # Per-channel FIFO state: next sequence to assign / to deliver, and
-        # early arrivals held for a straggling predecessor.
-        self._chan_send_seq: Dict[tuple, int] = {}
-        self._chan_deliver_seq: Dict[tuple, int] = {}
-        self._chan_held: Dict[tuple, Dict[int, Message]] = {}
+        self._tables: List[Optional[dict]] = [None] * n_nodes
+        #: ``_chans[src][dst]``: the pair's channel record, created on its
+        #: first send; ``_channels`` holds the same records in that order.
+        self._chans: List[List[Optional[_Channel]]] = [[None] * n_nodes for _ in range(n_nodes)]
+        self._channels: Dict[Tuple[int, int], _Channel] = {}
+        self._holds_started = 0
         #: Optional fault injector; ``None`` = the paper's reliable fabric.
         self.fault_plan: Optional["FaultPlan"] = None
         #: Trace bus (:class:`repro.obs.bus.TraceBus`) or ``None``; the
@@ -147,12 +168,15 @@ class Interconnect(ABC):
     # -- sending ----------------------------------------------------------
     def send(self, msg: Message) -> None:
         """Inject ``msg``; it will be delivered to the destination handler."""
-        if not 0 <= msg.dst < self.n_nodes:
-            raise ValueError(f"destination {msg.dst} out of range")
-        if not 0 <= msg.src < self.n_nodes:
-            raise ValueError(f"source {msg.src} out of range")
+        src = msg.src
+        dst = msg.dst
+        # Checked before the channel lookup: a negative index would wrap.
+        if not 0 <= dst < self.n_nodes:
+            raise ValueError(f"destination {dst} out of range")
+        if not 0 <= src < self.n_nodes:
+            raise ValueError(f"source {src} out of range")
         if self.fault_plan is not None and self.fault_plan.send_outage(
-            msg.src, msg.dst, self.sim.now
+            src, dst, self.sim.now
         ):
             # Died on a downed link/node before entering the fabric: no
             # sequence number assigned, so the FIFO resequencer never waits
@@ -160,9 +184,11 @@ class Interconnect(ABC):
             self.stats.counters.add("fault.outage_drops")
             return
         msg.send_time = self.sim.now
-        chan = (msg.src, msg.dst)
-        msg.chan_seq = self._chan_send_seq.get(chan, 0)
-        self._chan_send_seq[chan] = msg.chan_seq + 1
+        ch = self._chans[src][dst]
+        if ch is None:
+            ch = self._chans[src][dst] = self._channels[src, dst] = _Channel()
+        msg.chan_seq = seq = ch.send_seq
+        ch.send_seq = seq + 1
         flits = self._flits[msg.mtype]
         # Counter.add inlined: the same dict writes, in the same order.
         counts = self._counts
@@ -178,21 +204,21 @@ class Interconnect(ABC):
                 f"send:{msg.mtype.name}",
                 "net",
                 msg.src,
-                args={"dst": msg.dst, "flits": flits, "seq": msg.chan_seq},
+                args={"dst": dst, "flits": flits, "seq": seq},
                 id=msg.msg_id,
                 parent=msg.parent_id,
             )
-        if msg.src == msg.dst:
+        if src == dst:
             counts["local_messages"] = counts.get("local_messages", 0) + 1
             self._deliver_after(msg, self.params.local_delivery)
             return
-        self._route(msg, flits)
+        self._route(msg, flits, ch)
 
     @abstractmethod
-    def _route(self, msg: Message, flits: int) -> None:
-        """Topology-specific routing; must end in :meth:`_deliver_after`
-        (or, with no fault plan installed, in the arrival timeout that
-        :meth:`_deliver_after` would schedule)."""
+    def _route(self, msg: Message, flits: int, ch: _Channel) -> None:
+        """Topology-specific routing of ``msg`` over its channel ``ch``; must
+        end in :meth:`_deliver_after` (or, with no fault plan installed, in
+        the arrival timeout that :meth:`_deliver_after` would schedule)."""
 
     # -- delivery ----------------------------------------------------------
     def _deliver_after(self, msg: Message, delay: float) -> None:
@@ -205,12 +231,15 @@ class Interconnect(ABC):
 
     def _on_arrival(self, ev) -> None:
         msg: Message = ev._value
-        chan = (msg.src, msg.dst)
-        expected = self._chan_deliver_seq.get(chan, 0)
+        ch = self._chans[msg.src][msg.dst]
+        expected = ch.deliver_seq
         if msg.chan_seq > expected:
             # Arrived ahead of an in-flight predecessor on the same channel:
             # hold until the channel's FIFO order catches up.
-            self._chan_held.setdefault(chan, {})[msg.chan_seq] = msg
+            if not ch.held:
+                self._holds_started += 1
+                ch.held_since = self._holds_started
+            ch.held[msg.chan_seq] = msg
             self.stats.counters.add("fifo_holds")
             if self.obs is not None:
                 self.obs.instant(
@@ -221,8 +250,8 @@ class Interconnect(ABC):
                     id=msg.msg_id,
                 )
             return
-        self._chan_deliver_seq[chan] = expected + 1
-        table = self._tables.get(msg.dst)
+        ch.deliver_seq = expected + 1
+        table = self._tables[msg.dst]
         if self.fault_plan is None and self.obs is None and table is not None:
             # Lean path: _dispatch -> _handle -> Node.deliver -> handle in
             # one frame.  An unknown type takes the general path, which
@@ -235,16 +264,14 @@ class Interconnect(ABC):
                 ctl.handle(msg)
         else:
             self._dispatch(msg)
-        held = self._chan_held.get(chan)
+        held = ch.held
         if held:
             while True:
-                nxt = held.pop(self._chan_deliver_seq[chan], None)
+                nxt = held.pop(ch.deliver_seq, None)
                 if nxt is None:
                     break
-                self._chan_deliver_seq[chan] += 1
+                ch.deliver_seq += 1
                 self._dispatch(nxt)
-            if not held:
-                del self._chan_held[chan]
 
     def _dispatch(self, msg: Message) -> None:
         if self.fault_plan is not None:

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Dict, Tuple
 from ..cache.cache import SetAssocCache
 from ..cache.lockcache import LockCache
 from ..cache.writebuffer import WriteBuffer
+from ..coherence.base import _IN_FLIGHT
 from ..memory.address import AddressMap
 from ..memory.directory import Directory
 from ..memory.module import MemoryModule
@@ -81,8 +82,6 @@ class Node:
         Capacity is per source node, so one chatty peer cannot evict the
         dedup state that protects another peer's in-flight retries.
         """
-        from ..coherence.base import _IN_FLIGHT
-
         self.req_log[key] = _IN_FLIGHT
         order = self._req_order.setdefault(key[0], [])
         order.append(key)

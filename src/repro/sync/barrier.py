@@ -60,10 +60,7 @@ class HardwareBarrierEngine(Controller):
             # One poll loop keyed on the release; the intermediate ack is
             # informational (a replay may deliver it redundantly).
             yield from self.request(
-                ("c:bar_rel", block),
-                lambda rseq: self.send(
-                    home, MessageType.BARRIER_ARRIVE, addr=block, n=n, rseq=rseq
-                ),
+                ("c:bar_rel", block), home, MessageType.BARRIER_ARRIVE, addr=block, n=n
             )
             return
         ack = self.expect(("c:bar_ack", block))

@@ -102,10 +102,7 @@ class CBLEngine(Controller):
         )
         # Local spin: no network traffic while waiting (resilient mode polls
         # with backoff, recovering a grant the fabric dropped).
-        words = yield from self.request(
-            ("c:grant", block),
-            lambda rseq: self.send(home, mtype, addr=block, rseq=rseq),
-        )
+        words = yield from self.request(("c:grant", block), home, mtype, addr=block)
         line.data = list(words)
         line.dirty_mask = 0
         line.lock = _HELD[mode]
@@ -129,11 +126,8 @@ class CBLEngine(Controller):
         if self.node.resilience is not None:
             # A lost release strands the whole queue: always ack + retry.
             yield from self.request(
-                ("c:relack", block),
-                lambda rseq: self.send(
-                    home, MessageType.LOCK_RELEASE, addr=block,
-                    words=words, mask=mask, want_ack=True, rseq=rseq,
-                ),
+                ("c:relack", block), home, MessageType.LOCK_RELEASE,
+                addr=block, words=words, mask=mask, want_ack=True,
             )
             return
         ev = self.expect(("c:relack", block)) if want_ack else None

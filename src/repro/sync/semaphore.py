@@ -52,10 +52,7 @@ class SemaphoreEngine(Controller):
         home = self.amap.home_of(block)
         # Waiters spin locally: no traffic until granted (resilient mode
         # polls with backoff; queued polls are absorbed by the home's dedup).
-        yield from self.request(
-            ("c:sem_grant", block),
-            lambda rseq: self.send(home, MessageType.SEM_P, addr=block, rseq=rseq),
-        )
+        yield from self.request(("c:sem_grant", block), home, MessageType.SEM_P, addr=block)
         obs = self.obs
         if obs is not None:
             obs.span("sem.p", "sync", self.node.node_id, t0, args={"block": block})
@@ -71,10 +68,7 @@ class SemaphoreEngine(Controller):
         if self.node.resilience is not None:
             # A lost V loses a count forever: always ack + retry.
             yield from self.request(
-                ("c:sem_ack", block),
-                lambda rseq: self.send(
-                    home, MessageType.SEM_V, addr=block, want_ack=True, rseq=rseq
-                ),
+                ("c:sem_ack", block), home, MessageType.SEM_V, addr=block, want_ack=True
             )
             return
         ev = self.expect(("c:sem_ack", block)) if want_ack else None

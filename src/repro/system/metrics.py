@@ -7,6 +7,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 __all__ = ["LatencyHistogram", "RunMetrics"]
 
 
@@ -82,8 +84,6 @@ class LatencyHistogram:
         order differs from a Python loop's above 8 samples, so :attr:`sum`
         and :attr:`mean` are bit-identical to earlier histograms.
         """
-        import numpy as np
-
         arr = np.asarray(values, dtype=np.float64).ravel()
         samples = arr.tolist()
         if not samples:

@@ -6,8 +6,9 @@ Four pins:
   exhaustive enumerator on every litmus test × model × protocol row (the
   exhaustive engine is kept verbatim as the referee);
 * **scale** — a full-size fuzzer program (4 threads × 3 rounds × 3 atoms)
-  enumerates in well under the 10-second budget, on inputs whose
-  exhaustive candidate space is astronomically beyond reach;
+  enumerates in well under the 10-second budget, on inputs whose naive
+  candidate space is astronomically large, and matches the exhaustive
+  referee on a pinned full-size program;
 * **decomposition** — the round-by-round composition equals one reduced
   enumeration of the whole program graph;
 * **projection** — the scale engine's consume sets are contained in both
@@ -77,44 +78,21 @@ def test_full_size_fuzzer_programs_enumerate_within_budget():
     assert worst < 10.0
 
 
-def test_exhaustive_cannot_finish_where_reduced_does():
-    """The referee is genuinely out of its depth at full size: on the
-    pinned program (seed 4 — the naive candidate estimate overstates the
-    referee's *pruned* search, so not every full-size draw defeats it)
-    a subprocess running the exhaustive enumerator is still going when
-    killed, while the reduced engine answers the same graph well inside
-    the ten-second budget."""
-    import subprocess
-    import sys
-
+def test_reduced_matches_exhaustive_at_full_size():
+    """On a pinned full-size program (seed 4) whose naive candidate space
+    is beyond 1e13, the reduced engine answers inside its own ten-second
+    budget and returns exactly the exhaustive referee's outcome set.  (The
+    naive estimate overstates the referee's *pruned* search, so this
+    program is also within the referee's reach; which engine is faster is
+    a host-speed question the test leaves alone.)"""
     rng = np.random.default_rng(4)
     program = gen_program(rng, **FULL_SIZE)
     g = fuzz_program_event_graph(program)
     assert estimate_candidate_space(g) > 1e13
 
-    t0 = time.monotonic()
-    reduced = reduced_outcomes_for_graph(g, _FUZZ_AX)
-    assert time.monotonic() - t0 < 10.0
+    reduced = reduced_outcomes_for_graph(g, _FUZZ_AX, budget_seconds=10.0)
     assert reduced
-
-    code = (
-        "import numpy as np\n"
-        "from repro.verify.fuzz import gen_program\n"
-        "from repro.axiom import fuzz_program_event_graph, allowed_outcomes_for_graph\n"
-        "from repro.axiom.scale import _FUZZ_AX\n"
-        "p = gen_program(np.random.default_rng(4), n_threads=4, n_rounds=3,"
-        " max_atoms_per_round=3)\n"
-        "allowed_outcomes_for_graph(fuzz_program_event_graph(p), _FUZZ_AX)\n"
-        "print('finished')\n"
-    )
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=3
-        )
-        finished = "finished" in proc.stdout
-    except subprocess.TimeoutExpired:
-        finished = False
-    assert not finished, "exhaustive referee unexpectedly finished at full size"
+    assert reduced == allowed_outcomes_for_graph(g, _FUZZ_AX)
 
 
 def test_budget_exceeded_raises():

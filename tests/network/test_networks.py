@@ -154,6 +154,43 @@ def test_omega_wire_utilization_bounded():
     assert 0 < u <= 1.0
 
 
+def test_omega_wire_utilization_exact_all_pairs():
+    """56 one-flit messages cross 3 stages each (168 wire-cycles) in 12
+    cycles over 3 x 8 wires; the value was recorded when every wire kept
+    its own busy total."""
+    sim, net, inbox = make_net(OmegaNetwork, n=8)
+    for s in range(8):
+        for d in range(8):
+            if s != d:
+                net.send(Message(s, d, MessageType.READ_MISS))
+    sim.run()
+    assert sim.now == 12
+    assert net.wire_utilization() == 0.5833333333333334
+    assert net.wire_utilization(until=24) == 168 / (24 * 3 * 8)
+
+
+def test_omega_wire_utilization_exact_wbi_machine():
+    """An n=8 WBI counter run; value recorded with per-wire busy totals."""
+    from repro.system.config import MachineConfig
+    from repro.system.machine import Machine
+
+    machine = Machine(MachineConfig(n_nodes=8, cache_blocks=64, cache_assoc=2, seed=5), protocol="wbi")
+    ctr = machine.alloc_word()
+    machine.poke(ctr, 0)
+
+    def worker(proc):
+        for _ in range(5):
+            value = yield from proc.shared_read(ctr)
+            yield from proc.shared_write(ctr, value + 1)
+
+    for t in range(8):
+        machine.spawn(worker(machine.processor(t, consistency="sc")), name=f"w{t}")
+    machine.run_all()
+    assert isinstance(machine.net, OmegaNetwork)
+    assert (machine.sim.now, machine.net.message_count) == (1493, 300)
+    assert machine.net.wire_utilization() == 0.05408573342263898
+
+
 def test_omega_rejects_non_power_of_two():
     sim = Simulator()
     with pytest.raises(ValueError):
