@@ -12,12 +12,14 @@ Public surface:
   litmus test under one model × protocol;
 * :func:`run_gate` — the three-way differential (axiomatic vs the
   litmus oracle's closed form vs operationally observed outcomes);
-* :func:`axiom_consume_allowed` — the fuzzer's consume oracle derived
-  from the event graph (``--oracle axiom``);
+* :func:`axiom_consume_allowed` / :func:`fuzz_consume_allowed` — the
+  fuzzer's consume sets rederived from the event graph's closures and
+  enumerated exactly by the reduced engine: test-time referees of the
+  fuzzer's one oracle, :func:`repro.verify.fuzz.consume_allowed`;
 * :func:`reduced_outcomes_for_graph` / :func:`fuzz_allowed_outcomes` —
   the partial-order-reduced engine and its whole-program round
-  decomposition (``--oracle axiom-scale``; the exhaustive enumerator
-  stays as the differential referee);
+  decomposition (the exhaustive enumerator stays as the differential
+  referee);
 * :func:`check_trace` / :func:`conformance_report` — single-execution
   conformance: an observed TraceBus run checked against the axioms in
   polynomial time (``python -m repro.axiom --conform TRACE``);

@@ -1,4 +1,4 @@
-"""Axiomatic consume oracle for the schedule fuzzer.
+"""Axiomatic referee of the schedule fuzzer's consume oracle.
 
 The fuzzer's cross-thread value oracle asks: which values may a
 ``consume`` of thread *t*'s slot observe in round *r*?  The DRF analyzer

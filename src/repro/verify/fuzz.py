@@ -284,7 +284,6 @@ def run_program(
     trace_path: Optional[str] = None,
     fast_path: Optional[bool] = None,
     on_machine: Optional[Callable[["Machine"], None]] = None,
-    oracle: str = "drf",
 ) -> Optional[str]:
     """Execute ``program`` once and run every oracle.
 
@@ -301,23 +300,9 @@ def run_program(
     together they let the kernel-equivalence suite replay one program
     under both disciplines and compare metrics/traces bit-for-bit.
 
-    ``oracle`` selects the consume-allowed oracle: ``"drf"`` (default) is
-    the DRF analyzer's derived partition, ``"axiom"`` recomputes the same
-    sets from the axiomatic checker's event-graph closure
-    (:func:`repro.axiom.axiom_consume_allowed`) — an independent
-    derivation the agreement tests pin against each other — and
-    ``"axiom-scale"`` enumerates them exactly with the partial-order-
-    reduced engine (:func:`repro.axiom.fuzz_consume_allowed`), fast
-    enough for full-size programs.
+    Consume values are checked against :func:`consume_allowed`; its
+    axiomatic twins in :mod:`repro.axiom` are test-time referees.
     """
-    if oracle not in ("drf", "axiom", "axiom-scale"):
-        raise ValueError(f"unknown consume oracle {oracle!r}")
-    if oracle == "axiom":
-        from ..axiom import axiom_consume_allowed as _consume_allowed
-    elif oracle == "axiom-scale":
-        from ..axiom import fuzz_consume_allowed as _consume_allowed
-    else:
-        _consume_allowed = consume_allowed
     n_nodes = max(4, _next_pow2(program.n_threads + 1))
     cfg = MachineConfig(
         n_nodes=n_nodes, cache_blocks=64, cache_assoc=2, seed=seed,
@@ -428,7 +413,7 @@ def run_program(
         for ri, reader, target, value in consumes:
             allowed = allowed_at.get((ri, target))
             if allowed is None:
-                allowed = allowed_at[ri, target] = _consume_allowed(program, ri, target)
+                allowed = allowed_at[ri, target] = consume_allowed(program, ri, target)
             if value not in allowed:
                 failures.append(
                     f"stale consume: thread {reader} round {ri} read slot of "
@@ -600,7 +585,6 @@ def make_failure_oracle(
     jitter: float,
     jitter_prob: float = 0.25,
     faults: Optional[FaultSpec] = None,
-    oracle: str = "drf",
 ) -> Callable[[Program], Optional[str]]:
     """A deterministic ``fails(program)`` probing several machine seeds."""
 
@@ -614,7 +598,6 @@ def make_failure_oracle(
                 jitter=jitter,
                 jitter_prob=jitter_prob,
                 faults=faults,
-                oracle=oracle,
             )
             if failure is not None:
                 return f"seed {seed}: {failure}"
@@ -719,7 +702,6 @@ def fuzz(
     max_wall_seconds: Optional[float] = None,
     verbose: bool = False,
     log: Callable[[str], None] = lambda s: None,
-    oracle: str = "drf",
     scenario: Optional[str] = None,
 ) -> FuzzReport:
     """Run a bounded fuzz budget; stops at the first (shrunk) failure.
@@ -801,7 +783,7 @@ def fuzz(
 
         failure = run_program(
             program, protocol=protocol, model=model_used, seed=seed, jitter=jitter,
-            faults=fspec, on_hang=note_hang, oracle=oracle,
+            faults=fspec, on_hang=note_hang,
         )
         if failure is None:
             continue
@@ -833,8 +815,7 @@ def fuzz(
                 else [seed] + [seed + k + 1 for k in range(4)]
             )
             failure_oracle = make_failure_oracle(
-                protocol, model_used, oracle_seeds, jitter,
-                faults=shrunk_spec, oracle=oracle,
+                protocol, model_used, oracle_seeds, jitter, faults=shrunk_spec
             )
             log(f"shrinking from {program.size()} operation(s) ...")
             shrunk = shrink(program, failure_oracle)
@@ -906,15 +887,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="stop drawing new iterations once this much wall time is spent",
     )
     parser.add_argument(
-        "--oracle",
-        choices=("drf", "axiom", "axiom-scale"),
-        default="drf",
-        help="consume-allowed oracle: the DRF analyzer's derived partition "
-        "(drf, default), the axiomatic checker's event-graph closure "
-        "(axiom), or the partial-order-reduced exact enumeration "
-        "(axiom-scale) — independent derivations of the same sets",
-    )
-    parser.add_argument(
         "--dump-diagnosis",
         metavar="PATH",
         default=None,
@@ -965,7 +937,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         max_wall_seconds=args.max_wall_seconds,
         verbose=args.verbose,
         log=lambda s: print(s, file=sys.stderr),
-        oracle=args.oracle,
         scenario=args.scenario,
     )
     dt = time.time() - t0  # lint-ok: wall-clock (CLI progress reporting)

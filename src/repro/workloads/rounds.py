@@ -23,13 +23,11 @@ function of the RNG draws — so it can be lifted out of simulated time:
 Equivalence contract: a plan-driven round consumes the same RNG draws in
 the same order, issues the same controller operations at the same
 simulated times, and leaves every counter at the same total as the scalar
-driver it replaces.  The scalar drivers are retained verbatim as referees
-and the differential pins in ``tests/workloads/test_vectorized_rounds.py``
-hold the two paths bit-identical.
-
-The scalar plan builder :func:`build_sync_task_plan_scalar` exists for the
-referee tests and the ``perf_smoke`` microbench (vectorized-vs-scalar
-round throughput); production code always uses the numpy builder.
+per-reference driver it replaced.  That scalar driver and the scalar plan
+compiler live on as test referees (``tests/workloads/round_referees.py``):
+the differential pins in ``tests/workloads/test_vectorized_rounds.py``
+hold the two paths bit-identical, and the rounds row of the perf floors
+table (``benchmarks/perf_smoke.py``) times the compiler against them.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ __all__ = [
     "TaskPlan",
     "RoundScratch",
     "build_sync_task_plan",
-    "build_sync_task_plan_scalar",
     "build_queue_task_plan",
     "execute_plan",
 ]
@@ -90,11 +87,12 @@ class TaskPlan:
 
 
 class RoundScratch:
-    """Preallocated per-driver compilation buffers.
+    """Preallocated per-workload compilation buffers.
 
-    One instance per driving process: every round of a driver has the same
-    grain, so the comparison/cumsum/address arrays can be allocated once
-    and refilled with ``out=`` ops — at grain 200 the allocations are a
+    One instance per workload: every round has the same grain, and a
+    round compiles without yielding to the simulator (the plan copies out
+    to lists), so the comparison/cumsum/address arrays can be allocated
+    once, shared by every driver, and refilled with ``out=`` ops — at grain 200 the allocations are a
     measurable fraction of the compile cost.  Also caches the two
     loop-invariant operands: the probability-threshold row the draw matrix
     is compared against, and the shared block addresses premultiplied by
@@ -199,68 +197,6 @@ def build_sync_task_plan(
     if scratch is None:
         scratch = RoundScratch(p, shared_blocks, wpb)
     return _compile_sync_round(wpb, draws, blocks, offsets, last_private, fresh_private, scratch)
-
-
-def _compile_sync_round_scalar(
-    params: "SyncModelParams",
-    shared_blocks: np.ndarray,
-    wpb: int,
-    draws: np.ndarray,
-    blocks: np.ndarray,
-    offsets: np.ndarray,
-    last_private: int,
-    fresh_private: int,
-) -> Tuple[TaskPlan, int, int]:
-    """Scalar referee for :func:`_compile_sync_round`.
-
-    A line-for-line transcription of the original driver's per-reference
-    logic (minus the simulator).  Kept for the differential pin and the
-    vectorized-vs-scalar microbench; must never diverge from the array
-    version.
-    """
-    p = params
-    g = p.grain_size
-    kinds: List[int] = []
-    addrs: List[int] = []
-    tally = dict.fromkeys(_COUNTER_KEYS, 0)
-    for i in range(g):
-        is_shared = draws[i, 0] < p.shared_ratio
-        is_read = draws[i, 1] < p.read_ratio
-        if is_shared:
-            addr = int(shared_blocks[blocks[i]]) * wpb + int(offsets[i])
-            kinds.append(KIND_SHARED_READ if is_read else KIND_SHARED_WRITE)
-            tally["shared_reads" if is_read else "shared_writes"] += 1
-        else:
-            if draws[i, 2] < p.hit_ratio:
-                addr = last_private
-            else:
-                fresh_private += wpb
-                addr = fresh_private
-                last_private = addr
-            kinds.append(KIND_READ if is_read else KIND_WRITE)
-            tally["reads" if is_read else "writes"] += 1
-        addrs.append(addr)
-    counts = [(k, n) for k, n in tally.items() if n]
-    return TaskPlan(kinds, addrs, counts), last_private, fresh_private
-
-
-def build_sync_task_plan_scalar(
-    params: "SyncModelParams",
-    shared_blocks: np.ndarray,
-    wpb: int,
-    rng: np.random.Generator,
-    last_private: int,
-    fresh_private: int,
-) -> Tuple[TaskPlan, int, int]:
-    """Draw-then-compile wrapper over the scalar referee."""
-    p = params
-    g = p.grain_size
-    draws = rng.random((g, 3))
-    blocks = rng.integers(0, p.n_shared_blocks, size=g)
-    offsets = rng.integers(0, wpb, size=g)
-    return _compile_sync_round_scalar(
-        p, shared_blocks, wpb, draws, blocks, offsets, last_private, fresh_private
-    )
 
 
 def build_queue_task_plan(

@@ -76,11 +76,6 @@ class SyncModelWorkload(ClosedLoopService):
     i *is* node i); the service body is the Table-4 stream in
     :meth:`_driver`.  Scaffold and verified finish come from
     :class:`~repro.workloads.service.ClosedLoopService`.
-
-    ``vectorized`` selects the round implementation: the default compiles
-    each task's reference stream as array ops (:mod:`.rounds`); ``False``
-    keeps the original scalar loop, retained verbatim as the referee for
-    the differential pin.  Both are bit-identical.
     """
 
     name = "syncmodel"
@@ -92,15 +87,14 @@ class SyncModelWorkload(ClosedLoopService):
         params: Optional[SyncModelParams] = None,
         lock_scheme: str = "cbl",
         consistency: str = "sc",
-        vectorized: bool = True,
     ):
         super().__init__(machine, lock_scheme, consistency)
         self.params = params or SyncModelParams()
-        self.vectorized = vectorized
         p = self.params
         first_shared = machine.alloc_block(p.n_shared_blocks)
         self.shared_blocks = list(range(first_shared, first_shared + p.n_shared_blocks))
         self._shared_arr = np.asarray(self.shared_blocks, dtype=np.int64)
+        self._scratch = RoundScratch(p, self._shared_arr, machine.cfg.words_per_block)
         self.locks = [make_lock(machine, lock_scheme) for _ in range(p.n_locks)]
         n = machine.cfg.n_nodes
         if p.use_barriers:
@@ -125,6 +119,21 @@ class SyncModelWorkload(ClosedLoopService):
         )
 
     # -- reference stream ---------------------------------------------------
+    def _task_refs(self, proc: "Processor", rng, last_private: int, fresh_private: int):
+        """The ``grain_size`` data references of one task, compiled as array
+        ops (:mod:`.rounds`) and replayed through the data controller.
+
+        Returns the advanced ``(last_private, fresh_private)`` address
+        cursor: a private miss claims the next fresh block, a hit reuses
+        the last one.
+        """
+        plan, last_private, fresh_private = build_sync_task_plan(
+            self.params, self._shared_arr, self.machine.cfg.words_per_block,
+            rng, last_private, fresh_private, self._scratch,
+        )
+        yield from execute_plan(proc, plan)
+        return last_private, fresh_private
+
     def _driver(self, proc: "Processor"):
         p = self.params
         rng = self.machine.rng.node_stream(proc.node_id, "syncmodel")
@@ -133,39 +142,10 @@ class SyncModelWorkload(ClosedLoopService):
         private_base = amap.word_addr(self._private_base + 64 * proc.node_id, 0)
         last_private = private_base
         fresh_private = private_base
-        scratch = RoundScratch(p, self._shared_arr, wpb) if self.vectorized else None
         for task_idx in range(p.tasks_per_node):
-            # -- task execution: grain_size data references ---------------
-            if self.vectorized:
-                plan, last_private, fresh_private = build_sync_task_plan(
-                    p, self._shared_arr, wpb, rng, last_private, fresh_private, scratch
-                )
-                yield from execute_plan(proc, plan)
-            else:
-                # Scalar referee: the original round, retained verbatim.
-                draws = rng.random((p.grain_size, 3))
-                shared_blocks = rng.integers(0, p.n_shared_blocks, size=p.grain_size)
-                offsets = rng.integers(0, wpb, size=p.grain_size)
-                for i in range(p.grain_size):
-                    is_shared = draws[i, 0] < p.shared_ratio
-                    is_read = draws[i, 1] < p.read_ratio
-                    if is_shared:
-                        addr = amap.word_addr(self.shared_blocks[shared_blocks[i]], offsets[i])
-                        if is_read:
-                            yield from proc.shared_read(addr)
-                        else:
-                            yield from proc.shared_write(addr, proc.node_id)
-                    else:
-                        if draws[i, 2] < p.hit_ratio:
-                            addr = last_private  # guaranteed cached
-                        else:
-                            fresh_private += wpb  # new block: a compulsory miss
-                            addr = fresh_private
-                            last_private = addr
-                        if is_read:
-                            yield from proc.read(addr)
-                        else:
-                            yield from proc.write(addr, 1)
+            last_private, fresh_private = yield from self._task_refs(
+                proc, rng, last_private, fresh_private
+            )
             # -- synchronization episode -----------------------------------
             if self._is_barrier[task_idx]:
                 yield from proc.barrier(self.barrier)

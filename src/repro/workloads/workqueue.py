@@ -138,12 +138,6 @@ class WorkQueueWorkload(ClosedLoopService):
     takes the task); the service body is the Table-4 reference stream in
     :meth:`_task_refs`.  The run scaffold and the verified finish path
     come from :class:`~repro.workloads.service.ClosedLoopService`.
-
-    ``vectorized`` selects the task-execution implementation: the default
-    compiles each task's reference stream to a :class:`~.rounds.TaskPlan`
-    (same scalar draw order — the stream is data-dependent — but one lean
-    dispatch loop); ``False`` keeps the original generator nest, retained
-    as the referee for the differential pin.  Both are bit-identical.
     """
 
     name = "workqueue"
@@ -155,11 +149,9 @@ class WorkQueueWorkload(ClosedLoopService):
         params: Optional[WorkQueueParams] = None,
         lock_scheme: str = "cbl",
         consistency: str = "sc",
-        vectorized: bool = True,
     ):
         super().__init__(machine, lock_scheme, consistency)
         self.params = params or WorkQueueParams()
-        self.vectorized = vectorized
         p = self.params
         self.queue_lock = make_lock(machine, lock_scheme)
         # Queue bookkeeping words (head/tail/count) live on shared blocks.
@@ -197,36 +189,22 @@ class WorkQueueWorkload(ClosedLoopService):
                 yield from proc.compute(1)
 
     def _task_refs(self, proc: "Processor", tid: int, state) -> "Generator":
-        """Memory references of one task execution.
+        """Memory references of one task execution, compiled to a
+        :class:`~.rounds.TaskPlan` and replayed through the data controller.
 
         The stream is keyed by *task id*, not by node: a task costs the same
         work no matter which processor dequeues it, so completion-time
         comparisons between consistency models are not confounded by
         scheduling-induced work reassignment.
         """
-        p = self.params
-        amap = self.machine.amap
-        wpb = self.machine.cfg.words_per_block
-        rng = self.machine.rng.stream(f"task{tid}")
-        for _ in range(p.grain_size):
-            if rng.random() < p.shared_ratio_task:
-                blk = self.shared_blocks[int(rng.integers(0, p.n_shared_blocks))]
-                addr = amap.word_addr(blk, int(rng.integers(0, wpb)))
-                if rng.random() < p.read_ratio:
-                    yield from proc.shared_read(addr)
-                else:
-                    yield from proc.shared_write(addr, proc.node_id)
-            else:
-                if rng.random() < p.hit_ratio:
-                    addr = state["last"]
-                else:
-                    state["fresh"] += wpb
-                    addr = state["fresh"]
-                    state["last"] = addr
-                if rng.random() < p.read_ratio:
-                    yield from proc.read(addr)
-                else:
-                    yield from proc.write(addr, 1)
+        plan = build_queue_task_plan(
+            self.params,
+            self.shared_blocks,
+            self.machine.cfg.words_per_block,
+            self.machine.rng.stream(f"task{tid}"),
+            state,
+        )
+        yield from execute_plan(proc, plan)
 
     def _driver(self, proc: "Processor"):
         p = self.params
@@ -261,17 +239,7 @@ class WorkQueueWorkload(ClosedLoopService):
             if tid is None:
                 continue  # lost the race; back to polling
             # ---- execute the task ------------------------------------------
-            if self.vectorized:
-                plan = build_queue_task_plan(
-                    p,
-                    self.shared_blocks,
-                    self.machine.cfg.words_per_block,
-                    self.machine.rng.stream(f"task{tid}"),
-                    state,
-                )
-                yield from execute_plan(proc, plan)
-            else:
-                yield from self._task_refs(proc, tid, state)
+            yield from self._task_refs(proc, tid, state)
             # ---- possibly spawn a successor --------------------------------
             wants_spawn = rng.random() < p.spawn_prob
             # ---- mark complete (queue update under the lock) ----------------

@@ -13,7 +13,9 @@ Four pins:
   enumeration of the whole program graph;
 * **projection** — the scale engine's consume sets are contained in both
   independent oracles (DRF-derived and event-graph closure), so using it
-  as a fuzz oracle can only tighten, never miss, a true failure.
+  as a fuzz oracle can only tighten, never miss, a true failure; and a
+  fault-free campaign checked against it passes on every protocol ×
+  model pair.
 """
 
 import time
@@ -36,7 +38,7 @@ from repro.axiom import (
 )
 from repro.axiom.scale import _FUZZ_AX
 from repro.static.drf import derive_consume_allowed
-from repro.verify.fuzz import gen_program
+from repro.verify.fuzz import fuzz, gen_program
 from repro.verify.litmus import LITMUS_TESTS, MODELS
 
 FULL_SIZE = dict(n_threads=4, n_rounds=3, max_atoms_per_round=3)
@@ -153,3 +155,12 @@ def test_consume_projection_is_contained_in_both_oracles():
                     assert scale_set <= axiom_consume_allowed(program, ri, atom.arg)
                     consumes += 1
     assert consumes >= 20
+
+
+def test_fuzz_campaign_passes_under_the_scale_oracle(monkeypatch):
+    """The tighter oracle, swapped in for the fuzzer's DRF-derived one:
+    48 iterations cover all 12 protocol × model pairs four times."""
+    monkeypatch.setattr("repro.verify.fuzz.consume_allowed", fuzz_consume_allowed)
+    rep = fuzz(master_seed=0, iters=48, do_shrink=False)
+    assert set(rep.runs_by_combo.values()) == {4}
+    assert rep.ok, rep.failure

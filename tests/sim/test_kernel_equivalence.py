@@ -10,8 +10,9 @@ including runs with latency jitter and fault injection (the cancel-heavy
 regime that exercises lazy cancellation and calendar compaction).
 
 Any divergence here means the fast path broke global (time, seq) FIFO
-order and every performance number in BENCH_PR4.json / BENCH_PR9.json is
-measuring a *different simulation*, not a faster one.
+order and every kernel row of the perf floors table
+(``benchmarks/perf_smoke.py``) is measuring a *different simulation*, not a
+faster one.
 """
 
 import hashlib

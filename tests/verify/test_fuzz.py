@@ -64,18 +64,22 @@ def test_smoke_program_passes_everywhere(protocol, model):
     ],
 )
 def test_consume_oracle_derived_once_per_site(monkeypatch, oracle, module, name):
-    """Five consumes over three (round, target) sites: three derivations."""
+    """Five consumes over three (round, target) sites: three derivations.
+
+    The fuzzer's one oracle and its two axiomatic referees, each swapped
+    in for ``consume_allowed``, are asked once per site."""
     import importlib
 
-    mod = importlib.import_module(module)
-    real = getattr(mod, name)
+    import repro.verify.fuzz as fuzzmod
+
+    real = getattr(importlib.import_module(module), name)
     sites = []
 
     def counting(program, round_idx, target):
         sites.append((round_idx, target))
         return real(program, round_idx, target)
 
-    monkeypatch.setattr(mod, name, counting)
+    monkeypatch.setattr(fuzzmod, "consume_allowed", counting)
     program = Program(
         n_threads=3,
         rounds=(
@@ -87,7 +91,7 @@ def test_consume_oracle_derived_once_per_site(monkeypatch, oracle, module, name)
             ((Atom("consume", 1),), (Atom("publish", 3),), (Atom("consume", 0),)),
         ),
     )
-    assert run_program(program, "primitives", "bc", seed=4, jitter=2.0, oracle=oracle) is None
+    assert run_program(program, "primitives", "bc", seed=4, jitter=2.0) is None
     assert sorted(sites) == [(0, 0), (1, 0), (1, 1)]
 
 

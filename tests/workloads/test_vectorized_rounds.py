@@ -8,10 +8,12 @@ Three layers of evidence that the plan/execute split changes nothing:
    cases that exercise every compiler branch.
 2. **Metrics equality** — a full machine run of each probabilistic
    workload is bit-identical (``RunMetrics.to_json()`` plus the workload
-   result) between ``vectorized=True`` and ``vectorized=False``.
+   result) to the same run of its scalar referee subclass.
 3. **Trace equality** — with tracing on, the two paths emit byte-identical
    event streams: the compiled rounds issue the same controller operations
    at the same simulated times.
+
+The referees live in :mod:`tests.workloads.round_referees`.
 
 Plus the cached kernel trace gate (satellite of the same PR): changing the
 trace bus's category set mid-run must invalidate the kernel's cached
@@ -28,15 +30,16 @@ import repro.network.message as msgmod
 from repro.obs import ObsParams
 from repro.system.config import MachineConfig
 from repro.system.machine import Machine
-from repro.workloads.rounds import (
-    RoundScratch,
-    _compile_sync_round,
-    _compile_sync_round_scalar,
-    build_sync_task_plan,
-    build_sync_task_plan_scalar,
-)
+from repro.workloads.rounds import RoundScratch, _compile_sync_round, build_sync_task_plan
 from repro.workloads.syncmodel import SyncModelParams, SyncModelWorkload
 from repro.workloads.workqueue import WorkQueueWorkload
+
+from .round_referees import (
+    ScalarSyncModelWorkload,
+    ScalarWorkQueueWorkload,
+    build_sync_task_plan_scalar,
+    compile_sync_round_scalar,
+)
 
 WPB = 4
 SHARED = np.arange(100, 132, dtype=np.int64)
@@ -100,18 +103,21 @@ def test_sync_compile_split_cursor_branch():
     offsets = rng.integers(0, WPB, size=p.grain_size)
     scratch = RoundScratch(p, SHARED, WPB)
     got = _compile_sync_round(WPB, draws, blocks, offsets, 720, 800, scratch)
-    want = _compile_sync_round_scalar(p, SHARED, WPB, draws, blocks, offsets, 720, 800)
+    want = compile_sync_round_scalar(p, SHARED, WPB, draws, blocks, offsets, 720, 800)
     assert got[0] == want[0] and got[1:] == want[1:]
 
 
 # -- layers 2 and 3: full-run equality ---------------------------------------
-def _run(workload_cls, vectorized, obs=None, n_nodes=4, seed=11):
+REFEREES = {SyncModelWorkload: ScalarSyncModelWorkload, WorkQueueWorkload: ScalarWorkQueueWorkload}
+
+
+def _run(workload_cls, obs=None, n_nodes=4, seed=11):
     # Message ids come from a module-level counter; reset it so the two
     # paths label messages identically and traces can be byte-diffed.
     msgmod._msg_ids = itertools.count()
     cfg = MachineConfig(n_nodes=n_nodes, seed=seed, obs=obs)
     m = Machine(cfg, protocol="wbi")
-    w = workload_cls(m, vectorized=vectorized)
+    w = workload_cls(m)
     res = w.run()
     return m, (
         res.completion_time,
@@ -124,17 +130,17 @@ def _run(workload_cls, vectorized, obs=None, n_nodes=4, seed=11):
 
 @pytest.mark.parametrize("workload_cls", [SyncModelWorkload, WorkQueueWorkload])
 def test_metrics_bit_identical(workload_cls):
-    _, a = _run(workload_cls, vectorized=True)
-    _, b = _run(workload_cls, vectorized=False)
+    _, a = _run(workload_cls)
+    _, b = _run(REFEREES[workload_cls])
     assert a == b
 
 
 @pytest.mark.parametrize("workload_cls", [SyncModelWorkload, WorkQueueWorkload])
 def test_trace_streams_identical(workload_cls, tmp_path):
     pa, pb = tmp_path / "vec.jsonl", tmp_path / "scalar.jsonl"
-    ma, a = _run(workload_cls, vectorized=True, obs=ObsParams(), n_nodes=2)
+    ma, a = _run(workload_cls, obs=ObsParams(), n_nodes=2)
     ma.obs.dump_jsonl(str(pa))
-    mb, b = _run(workload_cls, vectorized=False, obs=ObsParams(), n_nodes=2)
+    mb, b = _run(REFEREES[workload_cls], obs=ObsParams(), n_nodes=2)
     mb.obs.dump_jsonl(str(pb))
     assert a == b
     assert pa.read_bytes() == pb.read_bytes()
