@@ -174,6 +174,46 @@ def kernel_drain(n_events: int = 100_000, ballast: int = 8192) -> Measurement:
     return _kernel_speedup(fill, until=0)
 
 
+def process_sleep(n_procs: int = 32, sleeps: int = 2000) -> Measurement:
+    """Processes sleeping one cycle at a time: ``yield sim.timeout(1)``
+    builds a Timeout per sleep, a bare ``yield 1`` puts the process itself
+    on the calendar.  Both must process the same number of events."""
+    from repro.sim.core import Simulator
+
+    def with_timeout(sim):
+        for _ in range(sleeps):
+            yield sim.timeout(1)
+
+    def bare(sim):
+        for _ in range(sleeps):
+            yield 1
+
+    events = {}
+
+    def timed(body) -> float:
+        sim = Simulator()
+        for _ in range(n_procs):
+            sim.process(body(sim))
+        t0 = time.perf_counter()
+        sim.run()
+        wall = time.perf_counter() - t0
+        events[body] = sim.events_processed
+        return wall
+
+    # Interleaved, best of three times as many runs as the other rows: the
+    # runs are short, and a noisy host otherwise lands whole bursts on
+    # one side.
+    runs = [(timed(with_timeout), timed(bare)) for _ in range(3 * REPEATS)]
+    referee, optimized = min(r for r, _ in runs), min(o for _, o in runs)
+    assert events[with_timeout] == events[bare], "sleep spellings processed different events"
+    n = events[bare]
+    return referee / optimized, {
+        "events": n,
+        "timeout_ns_per_event": referee / n * 1e9,
+        "bare_ns_per_event": optimized / n * 1e9,
+    }
+
+
 def cached_sweep() -> Measurement:
     """The full ``python -m repro.experiments`` sweep serial and cold,
     parallel and cold against a fresh cache, then re-run cached.  The gate
@@ -332,6 +372,8 @@ FLOORS: Tuple[Floor, ...] = (
           "ratio", 1.5, "x", kernel_lane),
     Floor("batched drain", "heap calendar drain", "batched drain loop",
           "ratio", 3.0, "x", kernel_drain),
+    Floor("process sleep", "32 processes, yield sim.timeout(1)", "yield 1",
+          "ratio", 1.5, "x", process_sleep),
     Floor("cached sweep", "serial cold report sweep", "cached re-run",
           "ratio", 3.0, "x", cached_sweep),
     Floor("rounds compile", "tests/workloads/round_referees.py scalar compiler",

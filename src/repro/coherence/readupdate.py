@@ -73,7 +73,7 @@ class PrimitivesCacheController(Controller):
         if word_addr < 0:
             raise ValueError("addresses are non-negative")
         block, offset = divmod(word_addr, self.amap.words_per_block)
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         line = self.node.cache.lookup(block, now=self.sim.now)
         counts = self.stats.counters.counts
         if line is not None:
@@ -88,7 +88,7 @@ class PrimitivesCacheController(Controller):
         if word_addr < 0:
             raise ValueError("addresses are non-negative")
         block, offset = divmod(word_addr, self.amap.words_per_block)
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         line = self.node.cache.lookup(block, now=self.sim.now)
         counts = self.stats.counters.counts
         if line is None:
@@ -104,7 +104,7 @@ class PrimitivesCacheController(Controller):
         counts["prim.read_globals"] = counts.get("prim.read_globals", 0) + 1
         block = self.amap.block_of(word_addr)
         home = self.amap.home_of(block)
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         t0 = self.sim.now
         value = yield from self.request(
             ("c:rg", word_addr), home, MessageType.READ_GLOBAL, addr=block, word=word_addr
@@ -127,7 +127,7 @@ class PrimitivesCacheController(Controller):
         line = self.node.cache.peek(block)
         if line is not None:
             line.write_word(self.amap.offset_of(word_addr), value, dirty=False)
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         yield self.node.write_buffer.put(word_addr, value)
 
     def flush_buffer(self):
@@ -142,7 +142,7 @@ class PrimitivesCacheController(Controller):
         """READ-UPDATE: read and subscribe to future updates of the block."""
         block = self.amap.block_of(word_addr)
         offset = self.amap.offset_of(word_addr)
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         line = self.node.cache.lookup(block, now=self.sim.now)
         if line is not None and line.update:
             self.stats.counters.add("prim.ru_hits")
@@ -169,7 +169,7 @@ class PrimitivesCacheController(Controller):
         """RESET-UPDATE: cancel the update subscription for the block."""
         block = self.amap.block_of(word_addr)
         line = self.node.cache.peek(block)
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         if line is None or not line.update:
             return
         yield from self._unsubscribe(line)
@@ -180,7 +180,7 @@ class PrimitivesCacheController(Controller):
         counts["prim.rmw"] = counts.get("prim.rmw", 0) + 1
         block = self.amap.block_of(word_addr)
         home = self.amap.home_of(block)
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         t0 = self.sim.now
         old = yield from self.request(
             ("c:rmw", word_addr), home, MessageType.RMW_REQ,
@@ -422,13 +422,13 @@ class PrimitivesHomeController(Controller):
 
     # -- handlers ----------------------------------------------------------
     def _h_read_miss(self, msg: Message, entry):
-        yield self.sim.timeout(self.cfg.dir_cycle + self.cfg.memory_cycle)
+        yield self.cfg.dir_cycle + self.cfg.memory_cycle
         words = self.node.memory.read_block(entry.block)
         self.reply_to(msg, MessageType.DATA_BLOCK, addr=entry.block, words=words)
         self._done(entry)
 
     def _h_read_global(self, msg: Message, entry):
-        yield self.sim.timeout(self.cfg.dir_cycle + self.cfg.memory_cycle)
+        yield self.cfg.dir_cycle + self.cfg.memory_cycle
         value = self.node.memory.read_word(msg.info["word"])
         if self.obs is not None:
             # The home's serialization point: this read observes the word
@@ -448,7 +448,7 @@ class PrimitivesHomeController(Controller):
         self._done(entry)
 
     def _h_global_write(self, msg: Message, entry):
-        yield self.sim.timeout(self.cfg.dir_cycle + self.cfg.memory_cycle)
+        yield self.cfg.dir_cycle + self.cfg.memory_cycle
         word = msg.info["word"]
         self.node.memory.write_word(word, msg.info["value"])
         if self.obs is not None:
@@ -525,7 +525,7 @@ class PrimitivesHomeController(Controller):
         self._done(entry)
 
     def _h_writeback(self, msg: Message, entry):
-        yield self.sim.timeout(self.cfg.dir_cycle + self.cfg.memory_cycle)
+        yield self.cfg.dir_cycle + self.cfg.memory_cycle
         self.node.memory.write_dirty_words(entry.block, msg.info["words"], msg.info["mask"])
         if self.obs is not None:
             # Plain cached writes reach memory here, outside the global-
@@ -552,7 +552,7 @@ class PrimitivesHomeController(Controller):
                 f"block {entry.block} is in use as a lock; READ-UPDATE and "
                 "locks are mutually exclusive per block (paper, Section 4.1)"
             )
-        yield self.sim.timeout(self.cfg.dir_cycle + self.cfg.memory_cycle)
+        yield self.cfg.dir_cycle + self.cfg.memory_cycle
         old_head = entry.ru_subscribers[0] if entry.ru_subscribers else None
         if msg.src in entry.ru_subscribers:
             entry.ru_subscribers.remove(msg.src)
@@ -567,7 +567,7 @@ class PrimitivesHomeController(Controller):
         self._done(entry)
 
     def _h_reset_update(self, msg: Message, entry):
-        yield self.sim.timeout(self.cfg.dir_cycle)
+        yield self.cfg.dir_cycle
         subs = entry.ru_subscribers
         if msg.src in subs:
             i = subs.index(msg.src)
@@ -586,7 +586,7 @@ class PrimitivesHomeController(Controller):
         self._done(entry)
 
     def _h_rmw(self, msg: Message, entry):
-        yield self.sim.timeout(self.cfg.dir_cycle + self.cfg.memory_cycle)
+        yield self.cfg.dir_cycle + self.cfg.memory_cycle
         word = msg.info["word"]
         mem = self.node.memory
         old = mem.read_word(word)

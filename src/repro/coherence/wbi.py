@@ -90,7 +90,7 @@ class WBICacheController(Controller):
         if word_addr < 0:
             raise ValueError("addresses are non-negative")
         block, offset = divmod(word_addr, self.amap.words_per_block)
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         line = self.node.cache.lookup(block, now=self.sim.now)
         counts = self.stats.counters.counts
         if line is not None:
@@ -116,7 +116,7 @@ class WBICacheController(Controller):
         if word_addr < 0:
             raise ValueError("addresses are non-negative")
         block, offset = divmod(word_addr, self.amap.words_per_block)
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         line = self.node.cache.lookup(block, now=self.sim.now)
         counts = self.stats.counters.counts
         if line is not None and line.state is LineState.EXCLUSIVE:
@@ -149,7 +149,7 @@ class WBICacheController(Controller):
         counts["wbi.rmw"] = counts.get("wbi.rmw", 0) + 1
         block = self.amap.block_of(word_addr)
         home = self.amap.home_of(block)
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         t0 = self.sim.now
         old = yield from self.request(
             ("c:rmw", word_addr), home, MessageType.RMW_REQ,
@@ -419,7 +419,7 @@ class WBIHomeController(Controller):
             words = mem.read_block(entry.block)
         else:
             mem.write_block(entry.block, words)
-        yield self.sim.timeout(self.cfg.memory_cycle)
+        yield self.cfg.memory_cycle
         return words
 
     # -- request handlers ----------------------------------------------------
@@ -447,7 +447,7 @@ class WBIHomeController(Controller):
 
     def _h_read_miss(self, msg: Message, entry):
         req = msg.src
-        yield self.sim.timeout(self.cfg.dir_cycle)
+        yield self.cfg.dir_cycle
         mem = self.node.memory
         if entry.state is DirState.EXCLUSIVE and entry.owner != req:
             words = yield from self._recall_from_owner(entry, invalidate=False)
@@ -458,7 +458,7 @@ class WBIHomeController(Controller):
         else:
             if entry.state is DirState.SHARED:
                 yield from self._make_room_in_directory(entry, req)
-            yield self.sim.timeout(self.cfg.memory_cycle)
+            yield self.cfg.memory_cycle
             words = mem.read_block(entry.block)
             if entry.state is DirState.UNOWNED:
                 entry.state = DirState.SHARED
@@ -470,14 +470,14 @@ class WBIHomeController(Controller):
 
     def _h_write_miss(self, msg: Message, entry):
         req = msg.src
-        yield self.sim.timeout(self.cfg.dir_cycle)
+        yield self.cfg.dir_cycle
         mem = self.node.memory
         if entry.state is DirState.EXCLUSIVE and entry.owner != req:
             words = yield from self._recall_from_owner(entry, invalidate=True)
         else:
             if entry.state is DirState.SHARED:
                 yield from self._invalidate_sharers(entry, exclude=req)
-            yield self.sim.timeout(self.cfg.memory_cycle)
+            yield self.cfg.memory_cycle
             words = mem.read_block(entry.block)
         entry.state = DirState.EXCLUSIVE
         entry.owner = req
@@ -487,7 +487,7 @@ class WBIHomeController(Controller):
 
     def _h_upgrade(self, msg: Message, entry):
         req = msg.src
-        yield self.sim.timeout(self.cfg.dir_cycle)
+        yield self.cfg.dir_cycle
         if entry.state is DirState.SHARED and req in entry.sharers:
             yield from self._invalidate_sharers(entry, exclude=req)
             entry.state = DirState.EXCLUSIVE
@@ -502,7 +502,7 @@ class WBIHomeController(Controller):
             else:
                 if entry.state is DirState.SHARED:
                     yield from self._invalidate_sharers(entry, exclude=req)
-                yield self.sim.timeout(self.cfg.memory_cycle)
+                yield self.cfg.memory_cycle
                 words = self.node.memory.read_block(entry.block)
             entry.state = DirState.EXCLUSIVE
             entry.owner = req
@@ -512,10 +512,10 @@ class WBIHomeController(Controller):
 
     def _h_writeback(self, msg: Message, entry):
         req = msg.src
-        yield self.sim.timeout(self.cfg.dir_cycle)
+        yield self.cfg.dir_cycle
         if entry.state is DirState.EXCLUSIVE and entry.owner == req:
             self.node.memory.write_dirty_words(entry.block, msg.info["words"], msg.info["mask"])
-            yield self.sim.timeout(self.cfg.memory_cycle)
+            yield self.cfg.memory_cycle
             entry.state = DirState.UNOWNED
             entry.owner = None
         else:
@@ -526,7 +526,7 @@ class WBIHomeController(Controller):
 
     def _h_rmw(self, msg: Message, entry):
         req = msg.src
-        yield self.sim.timeout(self.cfg.dir_cycle)
+        yield self.cfg.dir_cycle
         mem = self.node.memory
         if entry.state is DirState.EXCLUSIVE:
             yield from self._recall_from_owner(entry, invalidate=True)
@@ -534,7 +534,7 @@ class WBIHomeController(Controller):
         elif entry.state is DirState.SHARED:
             yield from self._invalidate_sharers(entry, exclude=-1)
         entry.state = DirState.UNOWNED
-        yield self.sim.timeout(self.cfg.memory_cycle)
+        yield self.cfg.memory_cycle
         word = msg.info["word"]
         old = mem.read_word(word)
         mem.write_word(word, apply_rmw(msg.info["op"], old, msg.info["operand"]))

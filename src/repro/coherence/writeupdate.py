@@ -74,7 +74,7 @@ class WUCacheController(Controller):
         if word_addr < 0:
             raise ValueError("addresses are non-negative")
         block, offset = divmod(word_addr, self.amap.words_per_block)
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         line = self.node.cache.lookup(block, now=self.sim.now)
         counts = self.stats.counters.counts
         if line is not None:
@@ -101,7 +101,7 @@ class WUCacheController(Controller):
         offset = self.amap.offset_of(word_addr)
         counts = self.stats.counters.counts
         counts["wu.writes"] = counts.get("wu.writes", 0) + 1
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         line = self.node.cache.peek(block)
         if line is not None:
             line.write_word(offset, value, dirty=False)  # write-through: clean
@@ -122,7 +122,7 @@ class WUCacheController(Controller):
         counts["wu.rmw"] = counts.get("wu.rmw", 0) + 1
         block = self.amap.block_of(word_addr)
         home = self.amap.home_of(block)
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         t0 = self.sim.now
         old = yield from self.request(
             ("c:rmw", word_addr), home, MessageType.RMW_REQ,
@@ -275,7 +275,7 @@ class WUHomeController(Controller):
             self._admit(nxt)
 
     def _h_read_miss(self, msg: Message, entry):
-        yield self.sim.timeout(self.cfg.dir_cycle + self.cfg.memory_cycle)
+        yield self.cfg.dir_cycle + self.cfg.memory_cycle
         entry.sharers.add(msg.src)
         words = self.node.memory.read_block(entry.block)
         extra = {}
@@ -323,7 +323,7 @@ class WUHomeController(Controller):
             self._word_ver[word] = self._word_ver.get(word, 0) + 1
 
     def _h_write(self, msg: Message, entry):
-        yield self.sim.timeout(self.cfg.dir_cycle + self.cfg.memory_cycle)
+        yield self.cfg.dir_cycle + self.cfg.memory_cycle
         word, value = msg.info["word"], msg.info["value"]
         self.node.memory.write_word(word, value)
         self._bump_ver(word)
@@ -332,12 +332,12 @@ class WUHomeController(Controller):
         self._done(entry)
 
     def _h_evict(self, msg: Message, entry):
-        yield self.sim.timeout(self.cfg.dir_cycle)
+        yield self.cfg.dir_cycle
         entry.sharers.discard(msg.src)
         self._done(entry)
 
     def _h_rmw(self, msg: Message, entry):
-        yield self.sim.timeout(self.cfg.dir_cycle + self.cfg.memory_cycle)
+        yield self.cfg.dir_cycle + self.cfg.memory_cycle
         word = msg.info["word"]
         mem = self.node.memory
         old = mem.read_word(word)

@@ -25,6 +25,8 @@ from enum import Enum, auto
 from types import MappingProxyType
 from typing import Any, Dict, Mapping, Optional
 
+from ..sim.core import _IN_FLIGHT
+
 __all__ = [
     "MessageType",
     "Message",
@@ -213,7 +215,13 @@ class Message:
     hosting that memory module).  ``addr`` is a block address for coherence
     traffic.  ``info`` carries protocol-specific fields (requester id, lock
     mode, payload words, ...).
+
+    A message in flight is its own calendar entry: the class-level
+    ``_state`` tells the run loop to hand it to the interconnect's arrival
+    hook, so an arrival builds no event.
     """
+
+    _state = _IN_FLIGHT
 
     src: int
     dst: int

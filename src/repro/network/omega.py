@@ -18,15 +18,25 @@ Two variants:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import functools
+from typing import Dict, List, Optional, Tuple
 
-from ..sim.core import Simulator, Timeout
+from ..sim.core import Simulator
 from ..sim.resources import Store
 from .message import Message
 from .routing import num_stages, omega_route
 from .topology import Interconnect, NetworkParams, _Channel
 
 __all__ = ["OmegaNetwork", "BufferedOmegaNetwork"]
+
+
+@functools.cache
+def _busy_indices(n_nodes: int, src: int, dst: int) -> Tuple[int, ...]:
+    """The route ``src -> dst`` as flat ``stage * n_nodes + wire`` indices
+    into :class:`OmegaNetwork`'s ``_busy_until``.  Routes are static, so
+    every network of one size shares these tuples (a fuzz campaign builds
+    thousands of small machines)."""
+    return tuple(stage * n_nodes + wire for stage, wire in enumerate(omega_route(src, dst, n_nodes)))
 
 
 class OmegaNetwork(Interconnect):
@@ -49,10 +59,7 @@ class OmegaNetwork(Interconnect):
         # its route as flat indices into ``_busy_until``.
         route = ch.route
         if route is None:
-            n = self.n_nodes
-            route = ch.route = tuple(
-                stage * n + wire for stage, wire in enumerate(omega_route(msg.src, msg.dst, n))
-            )
+            route = ch.route = _busy_indices(self.n_nodes, msg.src, msg.dst)
         busy = self._busy_until
         queued = 0.0
         for i in route:
@@ -76,7 +83,7 @@ class OmegaNetwork(Interconnect):
             )
         if self.fault_plan is None:
             # _deliver_after without the spike hook, one frame less.
-            Timeout(self.sim, t - now, msg).callbacks.append(self._arrive)
+            self.sim._push(msg, t - now)
         else:
             self._deliver_after(msg, t - now)
 
@@ -131,11 +138,10 @@ class BufferedOmegaNetwork(Interconnect):
         yield entry.put((msg, wires, flits))
 
     def _serve(self, stage: int, wire: int, store: Store):
-        sim = self.sim
         while True:
             msg, wires, flits = yield store.get()
             # Occupy this wire for the store-and-forward service time.
-            yield sim.timeout(self.params.switch_cycle * flits)
+            yield self.params.switch_cycle * flits
             if self.obs is not None:
                 self.obs.instant(
                     "hop:omega-buffered",

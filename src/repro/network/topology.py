@@ -25,7 +25,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from ..sim.core import Simulator, Timeout
+from ..sim.core import SimulationError, Simulator
 from ..sim.stats import StatSet
 from .message import MSG_COUNTER_KEYS, Message, flit_table
 
@@ -135,9 +135,11 @@ class Interconnect(ABC):
         self._flits = flit_table(self.params.words_per_block)
         self._counts = self.stats.counters.counts
         self._latency = self.stats.tally("latency")
-        #: ``self._on_arrival`` bound once: every in-flight message
-        #: subscribes this same object to its arrival timeout.
-        self._arrive = self._on_arrival
+        # In-flight messages are calendar payloads of their own; the run
+        # loop hands each one to this hook when it is due.
+        if sim._arrive is not None:
+            raise SimulationError("a simulator carries one interconnect")
+        sim._arrive = self._on_arrival
 
     def set_fault_plan(self, plan: Optional["FaultPlan"]) -> None:
         """Install (or clear) a fault injector on this interconnect.
@@ -218,7 +220,7 @@ class Interconnect(ABC):
     def _route(self, msg: Message, flits: int, ch: _Channel) -> None:
         """Topology-specific routing of ``msg`` over its channel ``ch``; must
         end in :meth:`_deliver_after` (or, with no fault plan installed, in
-        the arrival timeout that :meth:`_deliver_after` would schedule)."""
+        the ``sim._push(msg, delay)`` that :meth:`_deliver_after` makes)."""
 
     # -- delivery ----------------------------------------------------------
     def _deliver_after(self, msg: Message, delay: float) -> None:
@@ -227,10 +229,9 @@ class Interconnect(ABC):
             if spike:
                 self.stats.counters.add("fault.spikes")
                 delay += spike
-        Timeout(self.sim, delay, msg).callbacks.append(self._arrive)
+        self.sim._push(msg, delay)
 
-    def _on_arrival(self, ev) -> None:
-        msg: Message = ev._value
+    def _on_arrival(self, msg: Message) -> None:
         ch = self._chans[msg.src][msg.dst]
         expected = ch.deliver_seq
         if msg.chan_seq > expected:

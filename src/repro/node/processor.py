@@ -50,8 +50,7 @@ class Processor:
         """Local work for ``cycles`` (no memory traffic)."""
         counts = self.stats.counters.counts
         counts["compute_cycles"] = counts.get("compute_cycles", 0) + int(cycles)
-        yield self.sim.timeout(cycles)
-
+        yield cycles
     def time_breakdown(self) -> dict:
         """Cycles spent computing vs waiting on data vs synchronizing.
 

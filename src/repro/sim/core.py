@@ -8,6 +8,15 @@ The kernel is deliberately small: events, timeouts, processes, and condition
 events (:class:`AllOf` / :class:`AnyOf`).  Queueing abstractions live in
 :mod:`repro.sim.resources`.
 
+A process sleeps by yielding a bare non-negative delay (``yield 5``); that
+puts the process itself on the calendar, so a sleep allocates no event.
+``yield sim.timeout(5)`` waits the same way through a :class:`Timeout`
+object, for callers that need one (a timer raced in an :class:`AnyOf`, a
+callback delay).  Calendar entries carry one of three payloads, told apart
+by ``_state`` (DESIGN.md §7.9): an :class:`Event`, a :class:`Process`
+booting or sleeping, or a :class:`~repro.network.message.Message` in
+flight, which the run loop hands to the simulator's interconnect.
+
 Scheduling disciplines
 ----------------------
 Two cycle-identical calendars are maintained (see DESIGN.md §7):
@@ -36,7 +45,7 @@ Example
 >>> sim = Simulator()
 >>> log = []
 >>> def proc(sim):
-...     yield sim.timeout(5)
+...     yield 5
 ...     log.append(sim.now)
 >>> _ = sim.process(proc(sim))
 >>> sim.run()
@@ -49,7 +58,9 @@ from __future__ import annotations
 import heapq
 import os
 from collections import deque
+from heapq import heappush
 from math import inf
+from numbers import Real
 from typing import Any, Callable, Deque, Generator, Iterable, Optional, Tuple
 
 __all__ = [
@@ -96,10 +107,13 @@ class Interrupt(Exception):
 
 
 # Event states
+_SLEEPING = -1  # a live process on the calendar: booting, or slept on ``yield d``
 _PENDING = 0
 _TRIGGERED = 1  # scheduled on the calendar, not yet processed
 _PROCESSED = 2  # callbacks have run
 _CANCELED = 3  # withdrawn from the calendar; popped and discarded silently
+#: ``Message._state``: a message on the calendar is always in flight.
+_IN_FLIGHT = 4
 
 
 class Event:
@@ -142,7 +156,7 @@ class Event:
     @property
     def value(self) -> Any:
         """The event's value (valid once triggered)."""
-        if self._state == _PENDING:
+        if self._state <= _PENDING:
             raise SimulationError(f"value of {self!r} is not yet available")
         return self._value
 
@@ -196,6 +210,7 @@ class Event:
             sim._compact()
 
     _STATE_NAMES = {
+        _SLEEPING: "sleeping",
         _PENDING: "pending",
         _TRIGGERED: "triggered",
         _PROCESSED: "processed",
@@ -219,9 +234,7 @@ class Timeout(Event):
         # (NaN fails both bounds).
         if not 0 <= delay < inf:
             raise ValueError(f"invalid timeout delay {delay}")
-        # Event.__init__ inlined: timeouts are the hottest allocation in the
-        # simulator (one per protocol guard, workload wait, message arrival
-        # and process boot), and the base initializer would store
+        # Event.__init__ inlined: the base initializer would store
         # _ok/_value/_state only for this constructor to overwrite them.
         self.sim = sim
         self.callbacks = []
@@ -230,19 +243,8 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         self._state = _TRIGGERED
-        # Simulator._schedule inlined, rule for rule: jitter on positive
-        # delays, the trace stamp, the global seq, then lane or heap.
-        # _schedule is the only other copy of this rule.
-        if delay > 0 and sim._jitter is not None:
-            delay = sim._jitter(delay)
-            if not 0 <= delay < inf:
-                raise SimulationError(f"jitter hook produced an invalid delay {delay}")
         self.sched_at = sim.now if sim._obs is not None else -1.0
-        seq = sim._seq = sim._seq + 1
-        if delay > 0 or not sim._fast:
-            heapq.heappush(sim._heap, (sim.now + delay, seq, self))
-        else:
-            sim._lane.append((seq, self))
+        sim._push(self, delay)
 
     def __repr__(self) -> str:
         return (
@@ -254,9 +256,15 @@ class Timeout(Event):
 class Process(Event):
     """A generator coroutine driven by the kernel.
 
-    The generator yields :class:`Event` instances; the process resumes when
-    the yielded event fires.  The process *is itself an event* that succeeds
-    with the generator's return value, so processes can wait on each other.
+    The generator yields :class:`Event` instances, and the process resumes
+    when the yielded event fires; or it yields a bare non-negative delay
+    (``yield 5``) and sleeps that long with no event built.  The process
+    *is itself an event* that succeeds with the generator's return value,
+    so processes can wait on each other.
+
+    While it boots or sleeps the process itself is the calendar entry's
+    payload, in state ``_SLEEPING``; ``_waiting_on`` is ``None`` during the
+    boot and the process itself during a sleep.
     """
 
     __slots__ = ("_generator", "_waiting_on", "_wake")
@@ -270,7 +278,7 @@ class Process(Event):
         self.callbacks = []
         self._value = None
         self._ok = True
-        self._state = _PENDING
+        self._state = _SLEEPING
         self.name = name
         self.sched_at = -1.0
         self._generator = generator
@@ -278,20 +286,21 @@ class Process(Event):
         #: ``self._resume`` bound once: every yield subscribes this same
         #: object instead of allocating a fresh bound method.
         self._wake = self._resume
-        # Bootstrap: resume the process at the current time through one
-        # pre-triggered zero-delay timeout.
-        Timeout(sim, 0).callbacks.append(self._wake)
+        # Boot: the process goes on the calendar at the current time.
+        sim._push(self, 0)
 
     @property
     def is_alive(self) -> bool:
         """True while the underlying generator has not finished."""
-        return self._state == _PENDING
+        return self._state <= _PENDING
 
     def __repr__(self) -> str:
         status = "alive" if self.is_alive else self._STATE_NAMES[self._state]
         waiting = ""
-        if self._waiting_on is not None:
-            target = self._waiting_on
+        target = self._waiting_on
+        if target is self:
+            waiting = " sleeping"
+        elif target is not None:
             waiting = f" waiting_on={target.name or type(target).__name__}"
         return f"<Process {self.name or hex(id(self))} {status}{waiting} t={self.sim.now}>"
 
@@ -300,12 +309,7 @@ class Process(Event):
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt finished process {self!r}")
         if self._waiting_on is not None:
-            # Detach from whatever we were waiting on.
-            try:
-                self._waiting_on.callbacks.remove(self._wake)
-            except ValueError:
-                pass
-            self._waiting_on = None
+            self._stop_waiting()
         wake = Event(self.sim)
         wake._ok = False
         wake._value = Interrupt(cause)
@@ -314,38 +318,78 @@ class Process(Event):
         self.sim._schedule(wake, 0)
 
     # -- kernel internals --------------------------------------------------
-    def _resume(self, trigger: Event) -> None:
-        if self._waiting_on is not None and trigger is not self._waiting_on:
-            # Resumed out-of-band (an interrupt scheduled before the process
-            # first ran): detach from the event we were parked on, or it
-            # would re-resume the finished generator when it fires later.
+    def _stop_waiting(self) -> None:
+        """Detach from ``_waiting_on``.  A bare-delay sleep hands its
+        calendar entry to an inert event (:meth:`Simulator._orphan`), just
+        as an abandoned :class:`Timeout` stays behind; a boot keeps its
+        entry (``_waiting_on`` is ``None`` then)."""
+        target = self._waiting_on
+        if target is self:
+            self.sim._orphan(self)
+            self._state = _PENDING
+        else:
             try:
-                self._waiting_on.callbacks.remove(self._wake)
+                target.callbacks.remove(self._wake)
             except ValueError:
                 pass
         self._waiting_on = None
+
+    def _resume(self, trigger: Event) -> None:
+        """Run the generator to its next yield.  ``trigger`` is the event
+        that fired, or the process itself when its boot or sleep is due."""
+        waiting = self._waiting_on
+        if waiting is not None:
+            if trigger is not waiting:
+                # Resumed out-of-band (an interrupt scheduled before the
+                # process first ran): stop waiting on what the process
+                # parked on, or it would re-resume the generator later.
+                self._stop_waiting()
+            self._waiting_on = None
         sim = self.sim
         obs = sim._obs
         if obs is not None and self.name:
             obs.instant(f"resume:{self.name}", "kernel", 0)
         sim._active_process = self
+        generator = self._generator
+        ok = trigger._ok
+        value = trigger._value
         try:
             while True:
-                if trigger._ok:
-                    target = self._generator.send(trigger._value)
+                if ok:
+                    target = generator.send(value)
                 else:
-                    exc = trigger._value
-                    target = self._generator.throw(exc)
-                if not isinstance(target, Event):
+                    target = generator.throw(value)
+                cls = target.__class__
+                if (cls is int or cls is float) and 0 < target < inf and sim._jitter is None:
+                    # The hot sleep: Simulator._push inlined for a positive,
+                    # finite, unjittered delay (stamp the seq, push on the
+                    # heap).  Every other sleep goes through _push itself.
+                    seq = sim._seq = sim._seq + 1
+                    heappush(sim._heap, (sim.now + target, seq, self))
+                    self._state = _SLEEPING
+                    self._waiting_on = self
+                    return
+                if isinstance(target, Event):
+                    if target._state == _PROCESSED:
+                        # Already fired: resume immediately with its value.
+                        ok = target._ok
+                        value = target._value
+                        continue
+                    target.callbacks.append(self._wake)
+                    self._waiting_on = target
+                    return
+                if cls is bool or not isinstance(target, Real):
                     raise SimulationError(
                         f"process {self.name or self!r} yielded non-event {target!r}"
                     )
-                if target._state == _PROCESSED:
-                    # Already fired: resume immediately with its value.
-                    trigger = target
+                if not 0 <= target < inf:
+                    # What sim.timeout(target) would have raised, at the yield.
+                    ok = False
+                    value = ValueError(f"invalid timeout delay {target}")
                     continue
-                target.callbacks.append(self._wake)
-                self._waiting_on = target
+                sim._push(self, target)
+                self._state = _SLEEPING
+                self._waiting_on = self
                 return
         except StopIteration as stop:
             self.succeed(stop.value)
@@ -501,6 +545,11 @@ class Simulator:
     ("take the heap head only when it is due now *and* has the smaller
     seq") reproduces the exact ``(time, seq)`` total order of an all-heap
     calendar — runs are bit-identical across disciplines.
+
+    An entry's payload is an :class:`Event` (its callbacks run), a
+    :class:`Process` in state ``_SLEEPING`` (resumed directly), or a
+    message in state ``_IN_FLIGHT`` (passed to :attr:`_arrive`).  Each
+    counts once in :attr:`events_processed`.
     """
 
     __slots__ = (
@@ -515,6 +564,7 @@ class Simulator:
         "_fast",
         "_trace_kernel",
         "_obs",
+        "_arrive",
     )
 
     def __init__(self, fast_path: Optional[bool] = None) -> None:
@@ -543,6 +593,10 @@ class Simulator:
         #: machine installs it via :meth:`set_obs`.  Hot paths test
         #: ``is not None`` only.
         self._obs = None
+        #: Arrival hook of the simulator's one interconnect, which sets it
+        #: (:class:`repro.network.topology.Interconnect`): the run loop
+        #: passes each in-flight message payload to it when it is due.
+        self._arrive: Optional[Callable[[Any], None]] = None
 
     @property
     def fast_path(self) -> bool:
@@ -613,21 +667,51 @@ class Simulator:
         return self._active_process
 
     # -- scheduling ----------------------------------------------------------
-    def _schedule(self, event: Event, delay: float) -> None:
-        # Timeout.__init__ carries the only other copy of this rule.
+    def _push(self, payload: Any, delay: float) -> None:
+        """Put ``payload`` on the calendar ``delay`` from now: the one
+        scheduling rule.  Jitter positive delays, reject a non-finite
+        result, stamp the global seq, then lane or heap.  Timeouts, event
+        triggers, process boots and message arrivals all come here;
+        :meth:`Process._resume` inlines its positive, unjittered case for
+        the sleep path."""
         if delay > 0 and self._jitter is not None:
             delay = self._jitter(delay)
             if not 0 <= delay < inf:
                 raise SimulationError(f"jitter hook produced an invalid delay {delay}")
-        if self._obs is not None:
-            event.sched_at = self.now
-        self._seq += 1
+        seq = self._seq = self._seq + 1
         if delay > 0 or not self._fast:
-            heapq.heappush(self._heap, (self.now + delay, self._seq, event))
+            heappush(self._heap, (self.now + delay, seq, payload))
         else:
             # Zero-delay: due at the current instant, strictly after every
             # already-scheduled entry due now (larger seq) — plain FIFO.
-            self._lane.append((self._seq, event))
+            self._lane.append((seq, payload))
+
+    def _schedule(self, event: Event, delay: float) -> None:
+        if self._obs is not None:
+            event.sched_at = self.now
+        self._push(event, delay)
+
+    def _orphan(self, payload: Any) -> None:
+        """Hand ``payload``'s calendar entry to an inert anonymous event.
+
+        The entry keeps its ``(time, seq)`` slot, so it still advances the
+        clock and counts once in :attr:`events_processed` when popped, as
+        the abandoned :class:`Timeout` of a ``yield sim.timeout(d)`` does.
+        A linear scan: only :meth:`Process.interrupt` gets here.
+        """
+        stand_in = Event(self)
+        stand_in._state = _TRIGGERED
+        heap = self._heap
+        for i, (t, seq, p) in enumerate(heap):
+            if p is payload:
+                heap[i] = (t, seq, stand_in)
+                return
+        lane = self._lane
+        for i, (seq, p) in enumerate(lane):
+            if p is payload:
+                lane[i] = (seq, stand_in)
+                return
+        raise SimulationError(f"{payload!r} has no calendar entry")
 
     def _compact(self) -> None:
         """Drop canceled entries from the calendar, in place.
@@ -681,12 +765,20 @@ class Simulator:
                 t = self.now
         else:
             t, _seq, event = heapq.heappop(heap)
-        if event._state == _CANCELED:
+        state = event._state
+        if state == _CANCELED:
             self.canceled_pending -= 1
             return False
         self.now = t
-        event._state = _PROCESSED
         self.events_processed += 1
+        if state == _SLEEPING:
+            event._state = _PENDING
+            event._resume(event)
+            return True
+        if state == _IN_FLIGHT:
+            self._arrive(event)
+            return True
+        event._state = _PROCESSED
         obs = self._obs
         if obs is not None and event.name and obs.enabled_for("kernel"):
             # Event latency: how long the event sat on the calendar.  Only
@@ -756,27 +848,37 @@ class Simulator:
                     event = heappop(heap)[2]
                 else:
                     break
-                if event._state == _CANCELED:
-                    self.canceled_pending -= 1
-                    continue
-                event._state = _PROCESSED
-                self.events_processed += 1
-                if self._trace_kernel and event.name:
-                    lat = now - event.sched_at if event.sched_at >= 0 else 0.0
-                    self._obs.instant(event.name, "kernel", 0, args={"lat": lat})
-                cbs = event.callbacks
-                if len(cbs) == 1:
-                    # Single subscriber (the overwhelmingly common case —
-                    # a process resume or condition check): direct call,
-                    # no list swap.  Clearing first keeps the "callbacks
-                    # consumed at processing" contract.
-                    cb = cbs[0]
-                    cbs.clear()
-                    cb(event)
-                else:
-                    event.callbacks = []
-                    for cb in cbs:
+                # Payload kinds in report frequency order (DESIGN §7.9).
+                state = event._state
+                if state == _SLEEPING:
+                    # A process booting or waking from ``yield d``.
+                    self.events_processed += 1
+                    event._state = _PENDING
+                    event._resume(event)
+                elif state == _IN_FLIGHT:
+                    self.events_processed += 1
+                    self._arrive(event)
+                elif state == _TRIGGERED:
+                    event._state = _PROCESSED
+                    self.events_processed += 1
+                    if self._trace_kernel and event.name:
+                        lat = now - event.sched_at if event.sched_at >= 0 else 0.0
+                        self._obs.instant(event.name, "kernel", 0, args={"lat": lat})
+                    cbs = event.callbacks
+                    if len(cbs) == 1:
+                        # Single subscriber (the overwhelmingly common case
+                        # — a process resume or condition check): direct
+                        # call, no list swap.  Clearing first keeps the
+                        # "callbacks consumed at processing" contract.
+                        cb = cbs[0]
+                        cbs.clear()
                         cb(event)
+                    else:
+                        event.callbacks = []
+                        for cb in cbs:
+                            cb(event)
+                else:
+                    self.canceled_pending -= 1
             if not heap:
                 return
             head = heap[0]

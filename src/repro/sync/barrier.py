@@ -54,7 +54,7 @@ class HardwareBarrierEngine(Controller):
         """Arrive at the barrier identified by ``block``; resume when all
         ``n`` participants have arrived."""
         self.stats.counters.add("barrier.arrivals")
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         home = self.amap.home_of(block)
         if self.node.resilience is not None:
             # One poll loop keyed on the release; the intermediate ack is
@@ -96,7 +96,7 @@ class HardwareBarrierEngine(Controller):
     # -- home side ----------------------------------------------------------
     def _h_arrive(self, msg: Message, entry):
         # The barrier counter lives in main memory at the home node.
-        yield self.sim.timeout(self.cfg.dir_cycle + self.cfg.memory_cycle)
+        yield self.cfg.dir_cycle + self.cfg.memory_cycle
         entry.barrier_count += 1
         entry.barrier_waiting.append(msg.src)
         if self.node.resilience is not None:
@@ -116,7 +116,7 @@ class HardwareBarrierEngine(Controller):
                 )
             for i, node_id in enumerate(waiting):
                 if i:
-                    yield self.sim.timeout(self.cfg.dir_cycle)
+                    yield self.cfg.dir_cycle
                 req_msg = self._bar_req.pop((entry.block, node_id), None)
                 if req_msg is not None:
                     self.reply_to(req_msg, MessageType.BARRIER_RELEASE, addr=entry.block)

@@ -95,7 +95,7 @@ class CBLEngine(Controller):
                 f"node {self.node.node_id} already holds/waits for lock {block}"
             )
         line.lock = _WAIT[mode]
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         home = self.amap.home_of(block)
         mtype = (
             MessageType.LOCK_REQ_READ if mode == "read" else MessageType.LOCK_REQ_WRITE
@@ -118,7 +118,7 @@ class CBLEngine(Controller):
             raise RuntimeError(f"node {self.node.node_id} does not hold lock {block}")
         counts = self.stats.counters.counts
         counts["cbl.release"] = counts.get("cbl.release", 0) + 1
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         home = self.amap.home_of(block)
         words, mask = list(line.data), line.dirty_mask
         line.lock = LockMode.NONE
@@ -147,7 +147,7 @@ class CBLEngine(Controller):
         line = self.node.lockcache.peek(block)
         if line is None or not line.lock.is_held:
             raise RuntimeError(f"lock {block} not held at node {self.node.node_id}")
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         return line.read_word(offset)
 
     def write_locked(self, block: int, offset: int, value: int):
@@ -157,7 +157,7 @@ class CBLEngine(Controller):
             raise RuntimeError(
                 f"write lock {block} not held at node {self.node.node_id}"
             )
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         line.write_word(offset, value)
 
     def holds(self, block: int) -> bool:
@@ -206,7 +206,7 @@ class CBLEngine(Controller):
     def _h_request(self, msg: Message, entry):
         req = msg.src
         mode = "read" if msg.mtype is MessageType.LOCK_REQ_READ else "write"
-        yield self.sim.timeout(self.cfg.dir_cycle)
+        yield self.cfg.dir_cycle
         if entry.usage is Usage.READ_UPDATE:
             raise RuntimeError(
                 f"block {entry.block} has READ-UPDATE subscribers; locks and "
@@ -219,7 +219,7 @@ class CBLEngine(Controller):
             entry.lock_held = True
             queue.append([req, mode, True])
             entry.queue_pointer = req
-            yield self.sim.timeout(self.cfg.memory_cycle)
+            yield self.cfg.memory_cycle
             words = self.node.memory.read_block(entry.block)
             self.reply_to(msg, MessageType.LOCK_GRANT, addr=entry.block, words=words)
             self._obs_grant(entry, req)
@@ -234,7 +234,7 @@ class CBLEngine(Controller):
             self.send(old_tail, MessageType.LOCK_FWD, addr=entry.block, req=req, share=share)
             if share:
                 self.stats.counters.add("cbl.read_shares")
-                yield self.sim.timeout(self.cfg.memory_cycle)
+                yield self.cfg.memory_cycle
                 words = self.node.memory.read_block(entry.block)
                 self.reply_to(msg, MessageType.LOCK_GRANT, addr=entry.block, words=words)
                 self._obs_grant(entry, req)
@@ -255,12 +255,12 @@ class CBLEngine(Controller):
 
     def _h_release(self, msg: Message, entry):
         rel = msg.src
-        yield self.sim.timeout(self.cfg.dir_cycle)
+        yield self.cfg.dir_cycle
         # Merge the releaser's dirty words into memory first: memory is
         # always current before any grant goes out.
         if msg.info["mask"]:
             self.node.memory.write_dirty_words(entry.block, msg.info["words"], msg.info["mask"])
-            yield self.sim.timeout(self.cfg.memory_cycle)
+            yield self.cfg.memory_cycle
         queue = entry.lock_queue
         idx = next((i for i, it in enumerate(queue) if it[0] == rel and it[2]), None)
         if idx is None:
@@ -281,7 +281,7 @@ class CBLEngine(Controller):
                         break
                     it[2] = True
                     self._grant(entry, it[0], words)
-                    yield self.sim.timeout(self.cfg.dir_cycle)
+                    yield self.cfg.dir_cycle
         if not queue:
             entry.lock_held = False
             entry.usage = Usage.NONE

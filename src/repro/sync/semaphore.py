@@ -48,7 +48,7 @@ class SemaphoreEngine(Controller):
         """Semaphore P (down): returns when granted.  NP-Synch."""
         self.stats.counters.add("sem.p")
         t0 = self.sim.now
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         home = self.amap.home_of(block)
         # Waiters spin locally: no traffic until granted (resilient mode
         # polls with backoff; queued polls are absorbed by the home's dedup).
@@ -63,7 +63,7 @@ class SemaphoreEngine(Controller):
         obs = self.obs
         if obs is not None:
             obs.instant("sem.v", "sync", self.node.node_id, args={"block": block})
-        yield self.sim.timeout(self.cfg.cache_cycle)
+        yield self.cfg.cache_cycle
         home = self.amap.home_of(block)
         if self.node.resilience is not None:
             # A lost V loses a count forever: always ack + retry.
@@ -110,7 +110,7 @@ class SemaphoreEngine(Controller):
 
     # -- home side ----------------------------------------------------------
     def _h_p(self, msg: Message, entry):
-        yield self.sim.timeout(self.cfg.dir_cycle + self.cfg.memory_cycle)
+        yield self.cfg.dir_cycle + self.cfg.memory_cycle
         if entry.sem_count > 0:
             entry.sem_count -= 1
             self.reply_to(msg, MessageType.SEM_GRANT, addr=entry.block)
@@ -121,7 +121,7 @@ class SemaphoreEngine(Controller):
         self._done(entry)
 
     def _h_v(self, msg: Message, entry):
-        yield self.sim.timeout(self.cfg.dir_cycle + self.cfg.memory_cycle)
+        yield self.cfg.dir_cycle + self.cfg.memory_cycle
         if entry.sem_waiters:
             waiter = entry.sem_waiters.pop(0)  # FIFO wake-up
             req_msg = self._sem_req.pop((entry.block, waiter), None)

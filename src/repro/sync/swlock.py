@@ -148,7 +148,7 @@ class TTSBackoffLock:
             if old == 0:
                 return
             _failed_probe(proc, self, self.addr)
-            yield proc.sim.timeout(delay)
+            yield delay
             delay = min(delay * 2, self.max_delay)
 
     def release(self, proc: "Processor", want_ack: bool = False):

@@ -11,7 +11,8 @@ from repro.network import (
     NetworkParams,
     OmegaNetwork,
 )
-from repro.sim import Simulator
+from repro.network.routing import omega_route
+from repro.sim import SimulationError, Simulator
 
 
 def make_net(cls, n=8, **kw):
@@ -167,6 +168,27 @@ def test_omega_wire_utilization_exact_all_pairs():
     assert sim.now == 12
     assert net.wire_utilization() == 0.5833333333333334
     assert net.wire_utilization(until=24) == 168 / (24 * 3 * 8)
+
+
+def test_omega_routes_are_shared_by_networks_of_one_size():
+    """Two networks of the same size share each channel's route tuple, so
+    routes are built once per process; the public ``omega_route`` still
+    returns a fresh list per call, since callers may mutate it."""
+    _, a, _ = make_net(OmegaNetwork, n=8)
+    _, b, _ = make_net(OmegaNetwork, n=8)
+    for net in (a, b):
+        net.send(Message(3, 6, MessageType.READ_MISS))
+    route = a._chans[3][6].route
+    assert route is b._chans[3][6].route
+    assert route == tuple(stage * 8 + w for stage, w in enumerate(omega_route(3, 6, 8)))
+    assert omega_route(3, 6, 8) is not omega_route(3, 6, 8)
+
+
+def test_one_interconnect_per_simulator():
+    sim = Simulator()
+    OmegaNetwork(sim, 4)
+    with pytest.raises(SimulationError, match="one interconnect"):
+        BusNetwork(sim, 4)
 
 
 def test_omega_wire_utilization_exact_wbi_machine():

@@ -288,14 +288,57 @@ def test_process_requires_generator():
 
 
 def test_yield_non_event_raises_simulation_error():
+    """A bare real number is a sleep; anything else that is not an event
+    (bool included, though it is an ``int``) is kernel misuse."""
+    for junk in (None, "5", object(), True):
+        sim = Simulator()
+
+        def p(sim):
+            yield junk
+
+        sim.process(p(sim))
+        with pytest.raises(SimulationError, match="yielded non-event"):
+            sim.run()
+
+
+@pytest.mark.parametrize("bad", [-1, math.nan, math.inf], ids=["negative", "nan", "inf"])
+def test_invalid_bare_delay_raises_value_error_at_the_yield(bad):
+    """``yield d`` with a delay ``sim.timeout(d)`` would refuse throws the
+    same ValueError into the generator, where the process can catch it."""
     sim = Simulator()
+    seen = []
 
     def p(sim):
-        yield 5
+        try:
+            yield bad
+        except ValueError as exc:
+            seen.append((sim.now, str(exc)))
+        yield 2
+        seen.append(sim.now)
 
     sim.process(p(sim))
-    with pytest.raises(SimulationError):
-        sim.run()
+    sim.run()
+    assert seen == [(0, f"invalid timeout delay {bad}"), 2]
+
+
+def test_bare_delay_sleeps_like_a_timeout():
+    sim = Simulator()
+    log = []
+
+    def p(sim, name, delays):
+        for d in delays:
+            got = yield d
+            log.append((sim.now, name, got))
+
+    sim.process(p(sim, "a", [3, 0, 2.5]))
+    sim.process(p(sim, "b", [0, 3]))
+    sim.run()
+    # At t=3 b's sleep (scheduled at t=0) precedes a's zero-delay one.
+    assert log == [
+        (0, "b", None), (3, "a", None), (3, "b", None), (3, "a", None), (5.5, "a", None),
+    ]
+    # Two boots, five sleeps and two process completions.
+    assert sim.events_processed == 9
 
 
 def test_interrupt_wakes_process_with_cause():

@@ -117,3 +117,56 @@ def test_interrupt_before_first_resume():
     proc.interrupt()
     sim.run()
     assert seen == [0]
+
+
+def test_interrupt_bare_delay_sleeper_wakes_once_at_interrupt_time():
+    """A process sleeping on ``yield d`` wakes at the interrupt and never at
+    the old deadline.  The abandoned calendar slot stays behind as an inert
+    entry, as an abandoned ``sim.timeout(d)`` would."""
+    sim = Simulator()
+    trace = []
+
+    def sleeper(sim):
+        try:
+            yield 10
+            trace.append("deadline")  # must not happen
+        except Interrupt as exc:
+            trace.append(("interrupted", sim.now, exc.cause))
+        yield 20
+        trace.append(("resumed", sim.now))
+
+    def poker(sim, victim):
+        yield 4
+        assert "sleeping" in repr(victim)
+        victim.interrupt("poke")
+        assert "sleeping" not in repr(victim)
+
+    victim = sim.process(sleeper(sim))
+    sim.process(poker(sim, victim))
+    sim.run(until=9)
+    assert trace == [("interrupted", 4, "poke")]
+    assert sim.pending_live() == 2  # the inert slot at t=10 and the t=24 sleep
+    sim.run()
+    assert trace == [("interrupted", 4, "poke"), ("resumed", 24)]
+    assert not victim.is_alive
+
+
+def test_interrupt_after_boot_reaches_a_bare_delay_sleeper():
+    """An interrupt issued before the first resumption lands after the boot;
+    if the process went to sleep on a bare delay by then, the sleep ends."""
+    sim = Simulator()
+    seen = []
+
+    def sleeper(sim):
+        try:
+            yield 50
+        except Interrupt:
+            seen.append(sim.now)
+        yield 1
+        seen.append(sim.now)
+
+    proc = sim.process(sleeper(sim))
+    proc.interrupt()
+    sim.run()
+    assert seen == [0, 1]
+    assert sim.now == 50  # the inert slot still advances the clock

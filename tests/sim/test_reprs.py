@@ -5,7 +5,9 @@ shape is pinned — including the canceled state, which the original repr
 could not render.
 """
 
-from repro.sim.core import Event, Process, Simulator
+import pytest
+
+from repro.sim.core import Event, Process, SimulationError, Simulator
 
 
 def test_event_repr_tracks_state():
@@ -52,6 +54,25 @@ def test_process_repr_alive_and_waiting():
     assert "waiting_on=Timeout" in repr(proc)
     sim.run()
     assert "worker processed" in repr(proc)
+
+
+def test_process_repr_sleeping_on_bare_delay():
+    sim = Simulator()
+
+    def body():
+        yield 3
+
+    proc = Process(sim, body(), name="napper")
+    assert repr(proc) == "<Process napper alive t=0>"  # booting
+    sim.step()
+    assert repr(proc) == "<Process napper alive sleeping t=0>"
+    assert proc.is_alive and not proc.triggered
+    with pytest.raises(SimulationError):
+        _ = proc.value  # no return value while it sleeps
+    sim.step()
+    assert repr(proc) == "<Process napper triggered t=3>"
+    sim.run()
+    assert "napper processed" in repr(proc)
 
 
 def test_process_repr_names_awaited_event():
