@@ -40,7 +40,7 @@ from typing import Callable, Optional, Tuple
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, ROOT)  # the rounds row times a referee from tests/
+sys.path.insert(0, ROOT)  # the rounds and latency rows time referees from tests/
 
 from repro import HWBarrier, Machine, MachineConfig, ObsParams  # noqa: E402
 
@@ -214,6 +214,51 @@ def process_sleep(n_procs: int = 32, sleeps: int = 2000) -> Measurement:
     }
 
 
+def latency_record(batches: int = 20_000, size: int = 4) -> Measurement:
+    """The traffic server's per-batch latency step on ``size``-sample
+    batches: the numpy recorder (``tests/system/latency_referee.py``) fed
+    ``now - issue[i:j]`` as an array, against ``record_many`` fed a list
+    built from a memoryview of the same issue times.  Both must build the
+    same histogram."""
+    import numpy as np
+
+    from repro.system.metrics import LatencyHistogram
+    from tests.system.latency_referee import record_many_numpy
+
+    issue = np.sort(np.random.default_rng(4).random(batches * size) * 1e6)
+    issue_at = memoryview(issue)
+    # (i, j, now) per batch; ``now`` a Python float, as ``sim.now`` is.
+    ends = [(i, i + size, issue_at[i + size - 1] + 7.0) for i in range(0, batches * size, size)]
+    hists = {}
+
+    def numpy_batches() -> float:
+        h = hists["numpy"] = LatencyHistogram()
+        t0 = time.perf_counter()
+        for i, j, now in ends:
+            record_many_numpy(h, now - issue[i:j])
+        return time.perf_counter() - t0
+
+    def list_batches() -> float:
+        h = hists["list"] = LatencyHistogram()
+        record = h.record_many
+        t0 = time.perf_counter()
+        for i, j, now in ends:
+            record([now - t for t in issue_at[i:j]])
+        return time.perf_counter() - t0
+
+    # Interleaved, best of three times as many runs as the other rows (as
+    # in process_sleep): the runs are short.
+    runs = [(numpy_batches(), list_batches()) for _ in range(3 * REPEATS)]
+    referee, optimized = min(r for r, _ in runs), min(o for _, o in runs)
+    assert hists["numpy"] == hists["list"], "latency recorders built different histograms"
+    return referee / optimized, {
+        "batches": batches,
+        "batch_size": size,
+        "numpy_ns_per_batch": referee / batches * 1e9,
+        "list_ns_per_batch": optimized / batches * 1e9,
+    }
+
+
 def cached_sweep() -> Measurement:
     """The full ``python -m repro.experiments`` sweep serial and cold,
     parallel and cold against a fresh cache, then re-run cached.  The gate
@@ -374,6 +419,8 @@ FLOORS: Tuple[Floor, ...] = (
           "ratio", 3.0, "x", kernel_drain),
     Floor("process sleep", "32 processes, yield sim.timeout(1)", "yield 1",
           "ratio", 1.5, "x", process_sleep),
+    Floor("latency record", "tests/system/latency_referee.py numpy recorder",
+          "list batches, pure-Python pairwise sum", "ratio", 2.0, "x", latency_record),
     Floor("cached sweep", "serial cold report sweep", "cached re-run",
           "ratio", 3.0, "x", cached_sweep),
     Floor("rounds compile", "tests/workloads/round_referees.py scalar compiler",

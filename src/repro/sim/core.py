@@ -267,7 +267,8 @@ class Process(Event):
     boot and the process itself during a sleep.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_wake")
+    # ``__weakref__`` lets tests watch a finished process being freed.
+    __slots__ = ("_generator", "_waiting_on", "_wake", "__weakref__")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
@@ -284,7 +285,8 @@ class Process(Event):
         self._generator = generator
         self._waiting_on: Optional[Event] = None
         #: ``self._resume`` bound once: every yield subscribes this same
-        #: object instead of allocating a fresh bound method.
+        #: object instead of allocating a fresh bound method.  ``None``
+        #: once the generator has finished.
         self._wake = self._resume
         # Boot: the process goes on the calendar at the current time.
         sim._push(self, 0)
@@ -392,10 +394,15 @@ class Process(Event):
                 self._waiting_on = self
                 return
         except StopIteration as stop:
+            # The bound method is the process's only reference to itself:
+            # dropping it lets refcounting free a finished process that
+            # nothing else holds, without waiting for the cyclic GC.
+            self._wake = None
             self.succeed(stop.value)
         except BaseException as exc:
             if isinstance(exc, SimulationError):
                 raise
+            self._wake = None
             # Uncaught exception in process body: fail the process event.  If
             # nobody is watching, re-raise so bugs do not vanish silently.
             if self.callbacks:

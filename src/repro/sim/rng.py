@@ -8,13 +8,14 @@ not perturb existing streams.
 
 from __future__ import annotations
 
+import itertools
 import random
 import zlib
-from typing import Dict
+from typing import Callable, Dict
 
 import numpy as np
 
-__all__ = ["RngStreams", "py_random"]
+__all__ = ["RngStreams", "block_reader", "py_random"]
 
 
 def py_random(seed: int) -> random.Random:
@@ -26,6 +27,26 @@ def py_random(seed: int) -> random.Random:
     ``unseeded-random`` rule enforces this).
     """
     return random.Random(seed)
+
+
+#: Doubles a :func:`block_reader` draws from its generator per refill.
+READ_BLOCK = 256
+
+
+def block_reader(rng: np.random.Generator) -> Callable[[], float]:
+    """``rng.random()``'s doubles as Python floats, one per call.
+
+    The doubles are drawn :data:`READ_BLOCK` at a time with
+    ``rng.random(READ_BLOCK)`` and handed out in stream order.
+    ``random(k)`` consumes one 64-bit word per double, so successive reads
+    equal successive ``rng.random(k).tolist()`` calls whatever the ``k``,
+    across block boundaries too, at a fraction of a numpy call per double.
+    The reader draws ahead: nothing else may draw from ``rng`` once it is
+    made.
+    """
+    return itertools.chain.from_iterable(
+        rng.random(READ_BLOCK).tolist() for _ in itertools.repeat(None)
+    ).__next__
 
 
 class RngStreams:

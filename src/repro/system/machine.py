@@ -287,7 +287,9 @@ class Machine:
         self.latency_hist().record(value)
 
     def record_latencies(self, values) -> None:
-        """Vectorized :meth:`record_latency` for a numpy array of samples."""
+        """:meth:`record_latency` for a batch of samples: a list of floats
+        (the traffic server's per-batch form) or a numpy array (see
+        :meth:`LatencyHistogram.record_many`)."""
         self.latency_hist().record_many(values)
 
     def _resilience_counter(self, key: str) -> int:

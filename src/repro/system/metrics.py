@@ -41,6 +41,52 @@ LATENCY_BOUNDS = _geometric_bounds()
 _EDGES = tuple(float(b) for b in LATENCY_BOUNDS)
 
 
+def _pairwise_sum(xs: List[float]) -> float:
+    """``float(np.add.reduce(np.asarray(xs, dtype=np.float64)))`` without
+    numpy: the same additions in the same order.
+
+    numpy reduces a contiguous float64 array by pairwise summation: below
+    8 elements a plain loop from ``0.0``; up to 128, eight strided
+    accumulators (:func:`_pairwise_block`); above that, two halves split
+    at a multiple of 8.  Python floats are IEEE doubles, so each addition
+    rounds as numpy's does and the result is bit-equal.  (The builtin
+    ``sum`` is not a substitute: since Python 3.12 it compensates float
+    rounding.)
+    """
+    if len(xs) < 8:
+        res = 0.0
+        for v in xs:
+            res += v
+        return res
+    return _pairwise_block(xs, 0, len(xs))
+
+
+def _pairwise_block(xs: List[float], lo: int, n: int) -> float:
+    """numpy's pairwise sum of ``xs[lo:lo + n]`` for ``n >= 8``.  Halving
+    above 128 leaves at least 64 elements on each side, so the recursion
+    never reaches the plain loop."""
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_block(xs, lo, half) + _pairwise_block(xs, lo + half, n - half)
+    r0, r1, r2, r3, r4, r5, r6, r7 = xs[lo:lo + 8]
+    k, end = lo + 8, lo + n - n % 8
+    while k < end:
+        r0 += xs[k]
+        r1 += xs[k + 1]
+        r2 += xs[k + 2]
+        r3 += xs[k + 3]
+        r4 += xs[k + 4]
+        r5 += xs[k + 5]
+        r6 += xs[k + 6]
+        r7 += xs[k + 7]
+        k += 8
+    res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for k in range(end, lo + n):
+        res += xs[k]
+    return res
+
+
 @dataclass(slots=True)
 class LatencyHistogram:
     """Deterministic request-latency histogram plus service-health counters.
@@ -75,27 +121,42 @@ class LatencyHistogram:
             self.max = float(value)
 
     def record_many(self, values) -> None:
-        """:meth:`record` for a batch of samples (a numpy array or a sequence).
+        """:meth:`record` for a batch of samples.
 
-        Each sample is bucketed by the same scalar ``bisect_left`` as
-        :meth:`record`: a traffic batch holds at most ``batch_cap`` (64)
-        samples, where numpy's per-call overhead costs more than a short
-        Python loop.  The sum stays numpy's ``arr.sum()``, whose pairwise
-        order differs from a Python loop's above 8 samples, so :attr:`sum`
-        and :attr:`mean` are bit-identical to earlier histograms.
+        A ``list`` is taken to hold float samples already (the traffic
+        server builds one per batch); anything else (a numpy array, a
+        tuple) goes through numpy's float64 conversion first.  Each sample
+        is bucketed by the same scalar ``bisect_left`` as :meth:`record`.
+        The batch is summed by :func:`_pairwise_sum`, numpy's float64
+        pairwise order, so :attr:`sum` and :attr:`mean` are bit-identical
+        to histograms that summed each batch with ``arr.sum()``.
         """
-        arr = np.asarray(values, dtype=np.float64).ravel()
-        samples = arr.tolist()
-        if not samples:
+        if values.__class__ is not list:
+            values = np.asarray(values, dtype=np.float64).ravel().tolist()
+        n = len(values)
+        if not n:
             return
         counts = self.counts
-        for v in samples:
-            counts[bisect_left(_EDGES, v)] += 1
-        self.total += len(samples)
-        self.sum += float(arr.sum())
-        m = max(samples)
-        if m > self.max:
-            self.max = m
+        top = self.max
+        if n < 8:
+            # _pairwise_sum's plain loop, fused with the bucketing: most
+            # traffic batches are this short.
+            total = 0.0
+            for v in values:
+                counts[bisect_left(_EDGES, v)] += 1
+                total += v
+                if v > top:
+                    top = v
+        else:
+            for v in values:
+                counts[bisect_left(_EDGES, v)] += 1
+                if v > top:
+                    top = v
+            total = _pairwise_sum(values)
+        self.total += n
+        self.sum += total
+        if top > self.max:
+            self.max = float(top)
 
     def note_backlog(self, backlog: int) -> None:
         """Record an observed service backlog (keeps the peak)."""

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple, Union
 
 from ..consistency.models import ConsistencyModel, get_model
+from ..sim.rng import block_reader
 from ..sync.base import CBLLock, HWBarrier
 from ..system.config import MachineConfig
 from ..system.machine import Machine
@@ -190,11 +191,6 @@ class LitmusTest:
 # Execution
 # --------------------------------------------------------------------------
 
-#: Doubles a jitter hook draws from its stream per numpy call; a fuzz
-#: machine consumes about half a block.
-_JITTER_BLOCK = 256
-
-
 def make_jitter(rng: "np.random.Generator", max_factor: float, prob: float = 0.25):
     """A deterministic latency-jitter hook for schedule fuzzing.
 
@@ -204,21 +200,21 @@ def make_jitter(rng: "np.random.Generator", max_factor: float, prob: float = 0.2
     stretching every one) shifts the relative order of in-flight events —
     a uniformly slowed system keeps its racy windows aligned, which hides
     reorderings.  Zero-delay (same-instant) sequencing is never touched.
-    Nothing else may draw from ``rng``: the hook reads it ahead.
+    The doubles come from a :func:`~repro.sim.rng.block_reader` over
+    ``rng`` (a fuzz machine uses about half of one 256-double block), so
+    nothing else may draw from ``rng``: the hook reads it ahead.
     """
     if max_factor < 1.0:
         raise ValueError("max_factor must be >= 1.0")
     if not 0.0 < prob <= 1.0:
         raise ValueError("prob must be in (0, 1]")
     span = max_factor - 1.0
-    # Doubles drawn in blocks and consumed in stream order, one for the
-    # coin and one for the factor, are the doubles ``rng.random()`` then
-    # ``rng.uniform(1, max_factor)`` would consume; ``uniform`` returns
-    # ``low + (high - low) * u`` of its double.  So every delay is
+    # Read in stream order, one double for the coin and one for the
+    # factor, the block reader's doubles are the ones ``rng.random()``
+    # then ``rng.uniform(1, max_factor)`` would consume; ``uniform``
+    # returns ``low + (high - low) * u`` of its double.  So every delay is
     # bit-identical to the two scalar calls, at a fraction of their cost.
-    draw = itertools.chain.from_iterable(
-        rng.random(_JITTER_BLOCK).tolist() for _ in itertools.repeat(None)
-    ).__next__
+    draw = block_reader(rng)
 
     def jitter(delay: float) -> float:
         if draw() < prob:

@@ -24,15 +24,14 @@ Two families live here:
   :meth:`~repro.workloads.base.RunBuilder.finish`.
 
 Determinism: a service draws only from streams named off the machine's
-seeded root (``node_stream(i, ...)``), iterates numpy arrays positionally,
-and gates every trace emission on ``machine.obs``.
+seeded root (``node_stream(i, ...)``, read through a
+:func:`~repro.sim.rng.block_reader`), iterates the batch's keys and
+clients positionally, and gates every trace emission on ``machine.obs``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from .base import RunBuilder, WorkloadResult, make_lock
 
@@ -63,6 +62,11 @@ class _OpenLoopService:
     of the batch's keys) so the per-request protocol cost amortizes and a
     million-request run stays tractable — the per-request compute cost is
     charged separately by the traffic driver.
+
+    ``serve_batch(proc, coin, keys, clients)`` takes the batch's keys and
+    clients as integer sequences (the server passes memoryview slices of
+    the schedule's columns) and ``coin``, a zero-argument callable
+    returning the next double of the serving node's ``"traffic"`` stream.
     """
 
     kind = "abstract"
@@ -93,15 +97,18 @@ class _OpenLoopService:
         self.locked_writes = machine.protocol == "writeupdate"
         first = machine.alloc_block(self.n_shards)
         self.shard_blocks = list(range(first, first + self.n_shards))
+        self._words_per_block = machine.amap.words_per_block
         self.locks = [make_lock(machine, lock_scheme) for _ in range(self.n_shards)]
 
     def sync_objects(self) -> List:
         return list(self.locks)
 
     def _key_addr(self, key: int) -> int:
-        m = self.machine
-        blk = self.shard_blocks[key % self.n_shards]
-        return m.amap.word_addr(blk, key % m.cfg.words_per_block)
+        """The word of ``key``'s shard block at offset ``key`` mod the block
+        size: ``amap.word_addr``'s arithmetic without its range check,
+        which a non-negative key cannot fail."""
+        wpb = self._words_per_block
+        return self.shard_blocks[key % self.n_shards] * wpb + key % wpb
 
     def _locked_write(self, proc: "Processor", key: int, value: int):
         lock = self.locks[key % self.n_shards]
@@ -109,7 +116,10 @@ class _OpenLoopService:
         yield from proc.shared_write(self._key_addr(key), value)
         yield from proc.release(lock)
 
-    def serve_batch(self, proc: "Processor", rng, keys: np.ndarray, clients: np.ndarray):
+    def serve_batch(
+        self, proc: "Processor", coin: Callable[[], float],
+        keys: Sequence[int], clients: Sequence[int],
+    ):
         raise NotImplementedError  # pragma: no cover
 
 
@@ -122,11 +132,11 @@ class KVService(_OpenLoopService):
 
     kind = "kv"
 
-    def serve_batch(self, proc: "Processor", rng, keys: np.ndarray, clients: np.ndarray):
-        take = min(int(keys.size), self.ops_cap)
-        draws = rng.random(take).tolist()
-        for key, draw in zip(keys[:take].tolist(), draws):
-            if draw < self.read_ratio:
+    def serve_batch(self, proc, coin, keys, clients):
+        # One coin per served key, in key order.
+        read_ratio = self.read_ratio
+        for key in keys[: self.ops_cap]:
+            if coin() < read_ratio:
                 yield from proc.shared_read(self._key_addr(key))
             elif self.locked_writes:
                 yield from self._locked_write(proc, key, proc.node_id)
@@ -146,10 +156,9 @@ class QueueService(_OpenLoopService):
 
     kind = "queue"
 
-    def serve_batch(self, proc: "Processor", rng, keys: np.ndarray, clients: np.ndarray):
-        take = min(int(keys.size), self.ops_cap)
+    def serve_batch(self, proc, coin, keys, clients):
         held = None
-        for key in keys[:take].tolist():
+        for key in keys[: self.ops_cap]:
             shard = key % self.n_shards
             if held is not None and held is not self.locks[shard]:
                 yield from proc.release(held)
@@ -174,9 +183,8 @@ class SessionService(_OpenLoopService):
 
     kind = "session"
 
-    def serve_batch(self, proc: "Processor", rng, keys: np.ndarray, clients: np.ndarray):
-        take = min(int(clients.size), self.ops_cap)
-        for client in clients[:take].tolist():
+    def serve_batch(self, proc, coin, keys, clients):
+        for client in clients[: self.ops_cap]:
             yield from proc.shared_read(self._key_addr(client))
             if self.locked_writes:
                 yield from self._locked_write(proc, client, proc.node_id)

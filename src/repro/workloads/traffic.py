@@ -34,6 +34,7 @@ from typing import IO, List, Optional
 
 import numpy as np
 
+from ..sim.rng import block_reader
 from ..sweep import derive_seed
 from ..system.machine import Machine, MachineConfig
 from .base import RunBuilder, WorkloadResult
@@ -104,24 +105,31 @@ class TrafficWorkload:
         p = self.params
         m = self.machine
         sim = m.sim
-        issue = self.schedule.issue_t[rows]
-        keys = self.schedule.key[rows]
-        clients = self.schedule.client[rows]
-        rng = m.rng.node_stream(proc.node_id, "traffic")
+        sched = self.schedule
+        # The schedule stays one numpy array per column.  Memoryviews read
+        # single issue times as Python floats and slice keys and clients
+        # as Python-int sequences, so a batch makes no numpy call and no
+        # Python object per request is built up front (that would cost
+        # peak RSS).
+        issue_at = memoryview(sched.issue_t[rows])
+        keys = memoryview(sched.key[rows])
+        clients = memoryview(sched.client[rows])
+        coin = block_reader(m.rng.node_stream(proc.node_id, "traffic"))
         hist = m.latency_hist()
         serve_batch = self.service.serve_batch
         batch_cap = p.batch_cap
-        # The schedule stays one numpy array per column; a memoryview reads
-        # single issue times as Python floats, so the per-batch backlog
-        # search and idle check make no numpy scalars and no Python object
-        # per request is built up front (that would cost peak RSS).
-        issue_at = memoryview(issue)
+        service_cycles = p.service_cycles
+        # proc.compute's accounting, inlined: a bare sleep charged to
+        # compute_cycles, with no generator frame per call.
+        counts = proc.stats.counters.counts
         i, n = 0, len(issue_at)
         while i < n:
             # Idle until the next unserved request has been issued.  The
             # float re-check absorbs rounding in now + (issue - now).
             while sim.now < issue_at[i]:
-                yield from proc.compute(issue_at[i] - sim.now)
+                d = issue_at[i] - sim.now
+                counts["compute_cycles"] = counts.get("compute_cycles", 0) + int(d)
+                yield d
             t0 = sim.now
             # Every served request was issued by an earlier batch start, so
             # searching [i, n) finds the same place as the whole array.
@@ -131,10 +139,13 @@ class TrafficWorkload:
             if take == batch_cap:
                 hist.note_saturated()
             j = i + take
-            yield from serve_batch(proc, rng, keys[i:j], clients[i:j])
-            if p.service_cycles * take > 0:
-                yield from proc.compute(p.service_cycles * take)
-            m.record_latencies(sim.now - issue[i:j])
+            yield from serve_batch(proc, coin, keys[i:j], clients[i:j])
+            d = service_cycles * take
+            if d > 0:
+                counts["compute_cycles"] = counts.get("compute_cycles", 0) + int(d)
+                yield d
+            now = sim.now
+            m.record_latencies([now - t for t in issue_at[i:j]])
             if m.obs is not None:
                 m.obs.span(
                     f"serve:{self.service.kind}",

@@ -29,6 +29,7 @@ GATES = {
     "fast kernel": ("ratio", 1.5),
     "batched drain": ("ratio", 3.0),
     "process sleep": ("ratio", 1.5),
+    "latency record": ("ratio", 2.0),
     "cached sweep": ("ratio", 3.0),
     "rounds compile": ("ratio", 4.0),
     "demand generator": ("absolute", 200_000),

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import RngStreams
+from repro.sim.rng import block_reader
 
 
 def test_same_seed_same_stream():
@@ -60,3 +62,27 @@ def test_fork_independent_but_deterministic():
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         RngStreams(-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    takes=st.lists(st.integers(0, 600), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_reader_takes_equal_successive_random_calls(takes, seed):
+    """Reads from a block reader, grouped into takes of ``k``, are the
+    lists successive ``rng.random(k).tolist()`` calls return, across the
+    256-double block boundaries."""
+    draw = block_reader(np.random.default_rng(seed))
+    ref = np.random.default_rng(seed)
+    for k in takes:
+        assert [draw() for _ in range(k)] == ref.random(k).tolist()
+
+
+def test_block_reader_crosses_many_blocks():
+    draw = block_reader(RngStreams(3).stream("x"))
+    ref = RngStreams(3).stream("x")
+    takes = (255, 1, 1, 300, 4, 512)
+    got = [[draw() for _ in range(k)] for k in takes]
+    assert got == [ref.random(k).tolist() for k in takes]
+    assert all(type(v) is float for take in got for v in take)

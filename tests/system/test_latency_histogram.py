@@ -1,14 +1,18 @@
 """``LatencyHistogram.record_many`` is exactly a loop of ``record``.
 
 The batch recorder buckets with the same scalar rule as ``record`` and
-keeps numpy's sum, so ``counts``/``total``/``max`` equal the per-sample
-loop and ``sum`` is bit-equal to ``float(np.asarray(arr).sum())``.
+sums each batch with ``_pairwise_sum``, a pure-Python copy of numpy's
+float64 pairwise summation, so ``counts``/``total``/``max`` equal the
+per-sample loop and ``sum`` is bit-equal to ``float(np.asarray(arr).sum())``.
+It takes a list of floats (the traffic server's form) or a numpy array.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.system.metrics import LATENCY_BOUNDS, LatencyHistogram
+from repro.system.metrics import LATENCY_BOUNDS, LatencyHistogram, _pairwise_sum
+from .latency_referee import record_many_numpy
 
 #: Every bucket edge and the next float above it, plus the overflow range.
 EDGES = sorted(
@@ -79,3 +83,46 @@ def test_overflow_bucket_and_edges_land_where_record_puts_them():
     assert h.counts[len(LATENCY_BOUNDS) - 1] == 1  # exactly the last edge
     h.record_many([float(LATENCY_BOUNDS[5]), float(np.nextafter(LATENCY_BOUNDS[5], np.inf))])
     assert h.counts[5] == 1 and h.counts[6] == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pool=st.lists(SAMPLES, min_size=1, max_size=64),
+    n=st.integers(0, 1100),
+    pick=st.randoms(use_true_random=False),
+)
+def test_pairwise_sum_is_numpys_float64_sum(pool, n, pick):
+    """Every length from the plain loop (< 8) through the eight
+    accumulators (<= 128) to several levels of halving; the samples are
+    drawn from a pool because hypothesis cannot draw 1100 floats apiece."""
+    xs = [pick.choice(pool) for _ in range(n)]
+    assert _pairwise_sum(xs) == float(np.add.reduce(np.asarray(xs, dtype=np.float64)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 127, 128, 129, 136, 255, 256, 257, 1100])
+def test_pairwise_sum_at_the_branch_edges(n):
+    rng = np.random.default_rng(n)
+    xs = (rng.random(n) * 10.0 ** rng.integers(-3, 12, n)).tolist()
+    assert _pairwise_sum(xs) == float(np.add.reduce(np.asarray(xs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SAMPLES, max_size=64))
+def test_a_list_records_what_its_array_records(values):
+    listed, arrayed = LatencyHistogram(), LatencyHistogram()
+    listed.record_many(list(values))
+    arrayed.record_many(np.asarray(values, dtype=np.float64))
+    assert listed == arrayed
+    assert type(listed.max) is float and type(listed.sum) is float
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(SAMPLES, max_size=70), max_size=6))
+def test_list_batches_equal_the_numpy_referee(batches):
+    """The traffic server's list batches give the histogram the old numpy
+    recorder built from the same batches as arrays."""
+    listed, referee = LatencyHistogram(), LatencyHistogram()
+    for batch in batches:
+        listed.record_many(list(batch))
+        record_many_numpy(referee, np.asarray(batch, dtype=np.float64))
+    assert listed == referee

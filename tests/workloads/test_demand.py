@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.workloads.demand import (
     ARRIVAL_FACTORIES,
     ClosedLoopDemand,
     DemandParams,
     OpenLoopDemand,
+    Schedule,
     make_arrivals,
     zipf_weights,
 )
@@ -123,3 +125,33 @@ def test_closed_loop_demand_requires_exactly_one_regime():
         ClosedLoopDemand(n_clients=4, requests_per_client=2, until_drained=True)
     with pytest.raises(ValueError, match="n_clients"):
         ClosedLoopDemand(n_clients=0, until_drained=True)
+
+
+# ---------------------------------------------------------------- distinct clients
+
+
+def _schedule_of(clients):
+    client = np.asarray(clients, dtype=np.int64)
+    n = client.size
+    return Schedule(np.zeros(n), client, np.zeros(n, dtype=np.int64), n_clients=2**62)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**62 - 1) | st.integers(0, 7), max_size=300))
+def test_distinct_clients_counts_what_unique_counts(clients):
+    assert _schedule_of(clients).distinct_clients() == np.unique(
+        np.asarray(clients, dtype=np.int64)
+    ).size
+
+
+@pytest.mark.parametrize(
+    "clients, expected",
+    [([], 0), ([5], 1), ([3] * 50, 1), ([2, 1, 2, 1], 2), (list(range(9, -1, -1)), 10)],
+)
+def test_distinct_clients_edge_cases(clients, expected):
+    assert _schedule_of(clients).distinct_clients() == expected
+
+
+def test_distinct_clients_of_a_built_schedule_matches_unique():
+    sched = OpenLoopDemand(_params(rate=4.0, n_clients=5_000)).build(np.random.default_rng(11))
+    assert sched.distinct_clients() == np.unique(sched.client).size

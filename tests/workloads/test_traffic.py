@@ -12,10 +12,11 @@ import os
 import pytest
 
 import repro.workloads.traffic as traffic_mod
-from repro.system.machine import Machine
+from repro.system.machine import Machine, MachineConfig
+from repro.workloads.demand import DemandParams
 from repro.workloads.policy import POLICY_FACTORIES
 from repro.workloads.service import SERVICE_FACTORIES, make_service
-from repro.workloads.traffic import main, traffic_point
+from repro.workloads.traffic import TrafficParams, TrafficWorkload, main, traffic_point
 
 #: Small but non-trivial: a few hundred requests over 4 nodes.
 POINT = dict(rate=0.4, horizon=1_200.0, n_clients=50_000, n_keys=64, n_nodes=4, seed=9)
@@ -67,8 +68,8 @@ def test_traffic_point_matches_golden(name):
 
     Repeat- and kernel-identity would both pass a drift that every run
     shares; these pins catch it.  Covered: kv at read ratios 0.9 and 0.1 on
-    primitives+cbl and wbi+tts, a saturated ``batch_cap=8`` point, and the
-    queue service on writeupdate+ts.
+    primitives+cbl and wbi+tts, a saturated ``batch_cap=8`` point, the
+    queue service on writeupdate+ts, and the session service.
     """
     point = GOLDEN[name]
     assert traffic_point(**point["params"]) == point["result"]
@@ -114,3 +115,50 @@ def test_writeupdate_protocol_point_runs():
                       n_nodes=2, seed=2, protocol="writeupdate", lock_scheme="ts",
                       service="queue")
     assert r["served"] == r["requests"] > 0
+
+
+def _metrics_doc(params):
+    """One kv traffic run's full ``RunMetrics`` JSON plus every processor's
+    counters (compute, data and sync cycles among them)."""
+    cfg = MachineConfig(n_nodes=params["n_nodes"], cache_blocks=128, cache_assoc=2,
+                        seed=params["seed"])
+    machine = Machine(cfg, protocol=params["protocol"])
+    wl = TrafficWorkload(machine, TrafficParams(
+        demand=DemandParams(rate=params["rate"], horizon=params["horizon"],
+                            n_clients=params["n_clients"], n_keys=params["n_keys"]),
+        policy=params["policy"],
+        service="kv",
+        lock_scheme=params["lock_scheme"],
+        read_ratio=params["read_ratio"],
+    ))
+    wl.run()
+    doc = {
+        "metrics": machine.metrics().to_json(),
+        "processors": {str(p.node_id): p.stats.counters.as_dict() for p in machine._processors},
+    }
+    # Through JSON, so the comparison sees exactly what the file holds.
+    return json.loads(json.dumps(doc))
+
+
+with open(os.path.join(HERE, "traffic_golden_metrics.json")) as _f:
+    GOLDEN_METRICS = json.load(_f)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_METRICS))
+def test_traffic_run_metrics_match_golden(name):
+    """The whole ``RunMetrics`` of a kv run and each processor's cycle
+    split, pinned to a recorded run: the server's compute accounting and
+    the service's batch arguments cannot drift without failing here."""
+    point = GOLDEN_METRICS[name]
+    assert _metrics_doc(point["params"]) == point["result"]
+
+
+@pytest.mark.parametrize("service", sorted(SERVICE_FACTORIES))
+def test_key_addr_is_the_address_maps_word(service):
+    """``_key_addr``'s arithmetic names the word ``amap.word_addr`` names."""
+    m = Machine(MachineConfig(n_nodes=4, cache_blocks=64, cache_assoc=2, seed=1), protocol="wbi")
+    svc = make_service(service, m, lock_scheme="tts")
+    wpb = m.amap.words_per_block
+    for key in list(range(200)) + [4_000_000 - 1, 2**62 + 3]:
+        expected = m.amap.word_addr(svc.shard_blocks[key % svc.n_shards], key % wpb)
+        assert svc._key_addr(key) == expected
