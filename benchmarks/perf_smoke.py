@@ -259,6 +259,42 @@ def latency_record(batches: int = 20_000, size: int = 4) -> Measurement:
     }
 
 
+def scalar_draws(programs: int = 400) -> Measurement:
+    """``gen_program`` drawing through numpy ``Generator`` scalar calls,
+    against ``gen_program`` drawing through a ``ScalarReader`` over a
+    generator on the same seed.  The generators are built before the
+    clock starts; the reader's own construction is timed.  Both must
+    draw the same programs."""
+    import numpy as np
+
+    from repro.sim.rng import ScalarReader
+    from repro.verify.fuzz import gen_program
+
+    drawn = {}
+
+    def timed(side: str) -> float:
+        gens = [np.random.default_rng(seed) for seed in range(programs)]
+        t0 = time.perf_counter()
+        if side == "reader":
+            progs = [gen_program(ScalarReader(g)) for g in gens]
+        else:
+            progs = [gen_program(g) for g in gens]
+        wall = time.perf_counter() - t0
+        drawn[side] = progs
+        return wall
+
+    # Interleaved, best of three times as many runs as the other rows (as
+    # in process_sleep): the runs are short.
+    runs = [(timed("numpy"), timed("reader")) for _ in range(3 * REPEATS)]
+    referee, optimized = min(r for r, _ in runs), min(o for _, o in runs)
+    assert drawn["numpy"] == drawn["reader"], "the reader drew different programs"
+    return referee / optimized, {
+        "programs": programs,
+        "numpy_us_per_program": referee / programs * 1e6,
+        "reader_us_per_program": optimized / programs * 1e6,
+    }
+
+
 def cached_sweep() -> Measurement:
     """The full ``python -m repro.experiments`` sweep serial and cold,
     parallel and cold against a fresh cache, then re-run cached.  The gate
@@ -421,6 +457,8 @@ FLOORS: Tuple[Floor, ...] = (
           "ratio", 1.5, "x", process_sleep),
     Floor("latency record", "tests/system/latency_referee.py numpy recorder",
           "list batches, pure-Python pairwise sum", "ratio", 2.0, "x", latency_record),
+    Floor("scalar draws", "gen_program over numpy Generator scalar calls",
+          "gen_program over ScalarReader", "ratio", 1.05, "x", scalar_draws),
     Floor("cached sweep", "serial cold report sweep", "cached re-run",
           "ratio", 3.0, "x", cached_sweep),
     Floor("rounds compile", "tests/workloads/round_referees.py scalar compiler",

@@ -277,13 +277,22 @@ class WUHomeController(Controller):
     def _h_read_miss(self, msg: Message, entry):
         yield self.cfg.dir_cycle + self.cfg.memory_cycle
         entry.sharers.add(msg.src)
-        words = self.node.memory.read_block(entry.block)
-        extra = {}
-        if self.node.resilience is not None:
-            extra["vers"] = [
-                self._word_ver.get(w, 0) for w in self.amap.words_of(entry.block)
-            ]
-        self.reply_to(msg, MessageType.DATA_BLOCK, addr=entry.block, words=words, **extra)
+        node = self.node
+        words = node.memory.read_block(entry.block)
+        if node.resilience is None:
+            self.reply_to(msg, MessageType.DATA_BLOCK, addr=entry.block, words=words)
+        else:
+            # Answered, never recorded for dedup replay: an update pushed
+            # after this reply can land while the reply is lost, so a
+            # replayed copy would install data older than the sharer's
+            # version watermark.  A retry re-executes against current
+            # memory and versions; a late duplicate's reply finds no
+            # pending read at the requester and is discarded there.
+            vers = [self._word_ver.get(w, 0) for w in self.amap.words_of(entry.block)]
+            self.send(msg.src, MessageType.DATA_BLOCK, addr=entry.block, words=words, vers=vers)
+            rseq = msg.info.get("rseq")
+            if rseq is not None:
+                node.req_log.pop((msg.src, rseq), None)
         self._done(entry)
 
     def _push_update(self, entry, word: int, value: int, exclude: int):

@@ -26,7 +26,37 @@ from ..system.config import MachineConfig
 if TYPE_CHECKING:  # pragma: no cover
     from ..coherence.base import Controller
 
-__all__ = ["Node"]
+__all__ = ["Node", "dispatch_layout"]
+
+#: Controller-class tuple -> its dispatch layout (see :func:`dispatch_layout`).
+_LAYOUTS: Dict[tuple, Dict[MessageType, int]] = {}
+
+
+def _check_free(table, in_types, node_id: int) -> None:
+    """Raise if any of ``in_types`` already has a handler in ``table``."""
+    taken = table.keys() & in_types
+    if taken:
+        mtype = min(taken, key=lambda mt: mt.name)
+        raise ValueError(f"message type {mtype.name} already handled on node {node_id}")
+
+
+def dispatch_layout(classes: tuple, node_id: int = 0) -> Dict[MessageType, int]:
+    """``mtype -> slot``, in table order: registering one controller of
+    each of ``classes`` in order routes ``mtype`` to the one at ``slot``.
+
+    Worked out once per class tuple and cached, so the mapping is shared
+    and read-only.  A tuple whose ``IN_TYPES`` overlap raises
+    :meth:`Node.register`'s ``ValueError`` (naming ``node_id``) every
+    time and is never cached.
+    """
+    layout = _LAYOUTS.get(classes)
+    if layout is None:
+        slot_of: Dict[MessageType, int] = {}
+        for slot, cls in enumerate(classes):
+            _check_free(slot_of, cls.IN_TYPES, node_id)
+            slot_of.update(dict.fromkeys(cls.IN_TYPES, slot))
+        layout = _LAYOUTS[classes] = slot_of
+    return layout
 
 
 class Node:
@@ -91,13 +121,27 @@ class Node:
 
     def register(self, controller: "Controller") -> None:
         """Route the controller's message types to it."""
-        taken = self.dispatch.keys() & controller.IN_TYPES
-        if taken:
-            mtype = min(taken, key=lambda mt: mt.name)
-            raise ValueError(
-                f"message type {mtype.name} already handled on node {self.node_id}"
-            )
+        _check_free(self.dispatch, controller.IN_TYPES, self.node_id)
         self.dispatch.update(dict.fromkeys(controller.IN_TYPES, controller))
+
+    def register_all(self, controllers: Tuple["Controller", ...]) -> None:
+        """:meth:`register` each of ``controllers``, in order, on a node
+        that has none yet.
+
+        The overlap check and the table's layout depend on the controller
+        classes alone, so they are worked out once per class tuple
+        (:func:`dispatch_layout`).  The table is filled in place: the
+        interconnect holds this dict object for its direct arrival path.
+        """
+        table = self.dispatch
+        if table:
+            raise ValueError(f"node {self.node_id} already has controllers")
+        layout = dispatch_layout(tuple(map(type, controllers)), self.node_id)
+        # Copying the layout puts every key in place, in order, in one
+        # step; the loop then only overwrites values.
+        table.update(layout)
+        for mtype, slot in layout.items():
+            table[mtype] = controllers[slot]
 
     def deliver(self, msg: Message) -> None:
         """Network delivery callback."""

@@ -360,14 +360,17 @@ class Process(Event):
                 if ok:
                     target = generator.send(value)
                 else:
-                    target = generator.throw(value)
+                    target = _throw(generator, value)
                 cls = target.__class__
-                if (cls is int or cls is float) and 0 < target < inf and sim._jitter is None:
-                    # The hot sleep: Simulator._push inlined for a positive,
-                    # finite, unjittered delay (stamp the seq, push on the
-                    # heap).  Every other sleep goes through _push itself.
-                    seq = sim._seq = sim._seq + 1
-                    heappush(sim._heap, (sim.now + target, seq, self))
+                if (cls is int or cls is float) and 0 < target < inf:
+                    if sim._jitter is None:
+                        # The hot sleep: Simulator._push inlined for a
+                        # positive, finite, unjittered delay (stamp the
+                        # seq, push on the heap).
+                        seq = sim._seq = sim._seq + 1
+                        heappush(sim._heap, (sim.now + target, seq, self))
+                    else:
+                        sim._push(self, target)
                     self._state = _SLEEPING
                     self._waiting_on = self
                     return
@@ -406,11 +409,35 @@ class Process(Event):
             # Uncaught exception in process body: fail the process event.  If
             # nobody is watching, re-raise so bugs do not vanish silently.
             if self.callbacks:
+                # The traceback's first entry is this frame, whose locals
+                # hold the process: the stored exception would keep its
+                # own process alive until the cyclic GC ran.  Drop that
+                # entry only; the generator's frames stay.
+                exc.__traceback__ = exc.__traceback__.tb_next
                 self.fail(exc)
             else:
                 raise
         finally:
             sim._active_process = None
+
+
+def _throw(generator: Generator, exc: BaseException) -> Any:
+    """``generator.throw(exc)``, leaving ``exc``'s traceback as it was if
+    the generator handles it (yields again or returns).
+
+    The failed event and every other watcher share ``exc``.  The frames a
+    handled throw adds to its traceback hold the handler's locals, the
+    failed process typically, which holds ``exc``: a cycle only the cyclic
+    GC frees.  An exception the generator lets through keeps them.
+    """
+    tb = exc.__traceback__
+    try:
+        target = generator.throw(exc)
+    except StopIteration:
+        exc.__traceback__ = tb
+        raise
+    exc.__traceback__ = tb
+    return target
 
 
 class _Condition(Event):

@@ -9,13 +9,14 @@ not perturb existing streams.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import zlib
 from typing import Callable, Dict
 
 import numpy as np
 
-__all__ = ["RngStreams", "block_reader", "py_random"]
+__all__ = ["RngStreams", "ScalarReader", "block_reader", "py_random"]
 
 
 def py_random(seed: int) -> random.Random:
@@ -47,6 +48,89 @@ def block_reader(rng: np.random.Generator) -> Callable[[], float]:
     return itertools.chain.from_iterable(
         rng.random(READ_BLOCK).tolist() for _ in itertools.repeat(None)
     ).__next__
+
+
+#: 64-bit words a :class:`ScalarReader` draws from its bit generator per
+#: refill (a fuzz iteration uses about twenty).
+RAW_BLOCK = 32
+
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+_U32 = 0xFFFFFFFF
+
+
+class ScalarReader:
+    """``Generator.random()``, ``integers(low, high)`` and
+    ``uniform(low, high)`` scalar draws as Python numbers, bit-equal to
+    the wrapped PCG64 ``Generator``'s own, without a numpy call per draw.
+
+    The reader takes the generator's 64-bit words :data:`RAW_BLOCK` at a
+    time with ``bit_generator.random_raw`` and does numpy's arithmetic on
+    them: a double is ``(w >> 11) * 2**-53``; a 32-bit draw is the low
+    half of a fresh word, the high half kept for the next 32-bit draw
+    (PCG64's buffered halves, which doubles do not touch); a bounded
+    integer is Lemire's multiply-shift over 32-bit draws with rejection.
+    ``integers`` serves ranges of up to ``2**32`` values, numpy's 32-bit
+    path, and refuses wider ones.
+
+    The reader draws ahead: nothing else may draw from the generator once
+    it is wrapped.
+    """
+
+    __slots__ = ("_next", "_half")
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        state = bitgen.state
+        if state["bit_generator"] != "PCG64":
+            raise TypeError(f"ScalarReader needs PCG64, got {state['bit_generator']}")
+        raw = bitgen.random_raw
+        self._next = itertools.chain.from_iterable(
+            raw(RAW_BLOCK).tolist() for _ in itertools.repeat(None)
+        ).__next__
+        #: The buffered high half of the last 32-bit draw's word, or -1.
+        self._half = state["uinteger"] if state["has_uint32"] else -1
+
+    def random(self) -> float:
+        """``Generator.random()``: a double in ``[0, 1)``."""
+        return (self._next() >> 11) * _DOUBLE_UNIT
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        """``Generator.uniform(low, high)``: ``low + (high - low) * random()``."""
+        low = float(low)
+        span = float(high) - low
+        if not math.isfinite(span):
+            raise OverflowError("Range exceeds valid bounds")
+        return low + span * self.random()
+
+    def _next32(self) -> int:
+        half = self._half
+        if half >= 0:
+            self._half = -1
+            return half
+        word = self._next()
+        self._half = word >> 32
+        return word & _U32
+
+    def integers(self, low: int, high: int) -> int:
+        """``Generator.integers(low, high)``: an int in ``[low, high)``."""
+        low = int(low)  # numpy integer bounds would wrap in the products below
+        span = int(high) - low
+        if span <= 0:
+            raise ValueError("low >= high")
+        if span == 1:
+            return low
+        if span > 1 << 32:
+            raise ValueError(f"range of {span} values is wider than 2**32")
+        if span == 1 << 32:
+            return low + self._next32()
+        m = self._next32() * span
+        leftover = m & _U32
+        if leftover < span:
+            threshold = ((1 << 32) - span) % span
+            while leftover < threshold:
+                m = self._next32() * span
+                leftover = m & _U32
+        return low + (m >> 32)
 
 
 class RngStreams:

@@ -45,7 +45,7 @@ so the oracle's allowed set only ever widens.
 Both program representations lower to one IR: litmus ``Op`` tuples via
 :func:`lower_litmus` and the fuzzer's round/atom grid via
 :func:`lower_fuzz_program` (duck-typed — no import of the fuzzer, which
-imports us).  :func:`derive_consume_allowed` re-derives the fuzzer's
+imports us).  :func:`consume_oracle` re-derives the fuzzer's
 consume oracle from the happens-before skeleton instead of hand-coded
 round arithmetic.
 
@@ -64,7 +64,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sync.base import CP_SYNCH_OPS, NP_SYNCH_OPS
 
@@ -86,6 +86,7 @@ __all__ = [
     "check_labels",
     "analyze_program",
     "conflict_graph",
+    "consume_oracle",
     "derive_consume_allowed",
     "main",
 ]
@@ -567,9 +568,11 @@ def conflict_graph(ir: ProgramIR) -> ConflictGraph:
 # Derived fuzz oracle
 # --------------------------------------------------------------------------
 
-def derive_consume_allowed(program, round_idx: int, target: int) -> set:
-    """Values a consume of ``target``'s slot may observe in ``round_idx``,
-    derived from the happens-before skeleton rather than round arithmetic.
+def consume_oracle(program) -> Callable[[int, int], set]:
+    """The consume oracle of ``program``: ``allowed(round_idx, target)``
+    is the set of values a consume of ``target``'s slot may observe in
+    ``round_idx``, derived from the happens-before skeleton rather than
+    round arithmetic.
 
     Candidate writes are partitioned against a probe read at the consuming
     round's barrier phase: writes ordered *before* it contribute only the
@@ -577,17 +580,36 @@ def derive_consume_allowed(program, round_idx: int, target: int) -> set:
     statically racy — writes contribute each of theirs, and writes ordered
     *after* it are invisible.  The location's initial value 0 applies when
     no write is ordered before.
+
+    The program is lowered once, here, and its slot writes grouped by
+    slot, so a run that checks many consume sites pays one lowering.
     """
     ir = lower_fuzz_program(program)
-    var = f"slot:{target}"
-    writes = [a for a in ir.accesses if a.var == var and a.is_write]
-    assert all(w.thread == target for w in writes), f"{var} is not single-writer"
-    probe_phase = round_idx if len(program.rounds) > 1 else 0
-    before = [w for w in writes if w.phases.get(ROUND_BARRIER, 0) < probe_phase]
-    concurrent = [w for w in writes if w.phases.get(ROUND_BARRIER, 0) == probe_phase]
-    allowed = {max(before, key=lambda w: w.index).value} if before else {0}
-    allowed |= {w.value for w in concurrent}
+    slot_writes: Dict[str, List[Access]] = {}
+    for a in ir.accesses:
+        if a.is_write and a.var.startswith("slot:"):
+            slot_writes.setdefault(a.var, []).append(a)
+    multi = len(program.rounds) > 1
+
+    def allowed(round_idx: int, target: int) -> set:
+        var = f"slot:{target}"
+        writes = slot_writes.get(var, ())
+        assert all(w.thread == target for w in writes), f"{var} is not single-writer"
+        probe_phase = round_idx if multi else 0
+        before = [w for w in writes if w.phases.get(ROUND_BARRIER, 0) < probe_phase]
+        concurrent = [w for w in writes if w.phases.get(ROUND_BARRIER, 0) == probe_phase]
+        values = {max(before, key=lambda w: w.index).value} if before else {0}
+        values |= {w.value for w in concurrent}
+        return values
+
     return allowed
+
+
+def derive_consume_allowed(program, round_idx: int, target: int) -> set:
+    """Values a consume of ``target``'s slot may observe in ``round_idx``:
+    one site of :func:`consume_oracle` (which see), lowering ``program``
+    for this call alone."""
+    return consume_oracle(program)(round_idx, target)
 
 
 # --------------------------------------------------------------------------

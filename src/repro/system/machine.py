@@ -144,14 +144,12 @@ class Machine:
                     obs=self.obs,
                     owner=node.node_id,
                 )
-            node.register(node.data_ctl)
-            node.register(node.home_ctl)
             node.cbl = CBLEngine(node)
-            node.register(node.cbl)
             node.barrier_engine = HardwareBarrierEngine(node)
-            node.register(node.barrier_engine)
             node.sem_engine = SemaphoreEngine(node)
-            node.register(node.sem_engine)
+            node.register_all((
+                node.data_ctl, node.home_ctl, node.cbl, node.barrier_engine, node.sem_engine,
+            ))
             self.nodes.append(node)
         self._next_block = 0
         self._procs: List[Process] = []

@@ -59,6 +59,7 @@ Exit codes (pinned by tests): **0** = budget exhausted with no failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -74,8 +75,8 @@ from ..consistency.models import ConsistencyModel, get_model
 from ..faults.diagnosis import HangDiagnosis
 from ..faults.plan import FaultSpec
 from ..obs import ObsParams
-from ..sim.rng import RngStreams, py_random
-from ..static.drf import derive_consume_allowed
+from ..sim.rng import RngStreams, ScalarReader, py_random
+from ..static.drf import consume_oracle, derive_consume_allowed
 from ..sim.watchdog import HangError
 from ..sync.base import CBLLock, HWBarrier
 from ..system.config import MachineConfig
@@ -183,6 +184,13 @@ def _kind_cdf(weights: Sequence[float]) -> List[float]:
     return cdf.tolist()
 
 
+@functools.lru_cache(maxsize=16)
+def _cached_kind_cdf(weights: Tuple[float, ...]) -> Tuple[float, ...]:
+    """:func:`_kind_cdf`, built once per weight tuple (a campaign uses one
+    mix, or one per scenario bias)."""
+    return tuple(_kind_cdf(weights))
+
+
 def gen_program(
     rng,
     n_threads: Optional[int] = None,
@@ -191,7 +199,9 @@ def gen_program(
     n_locks: int = 2,
     atom_weights: Optional[Sequence[Tuple[str, float]]] = None,
 ) -> Program:
-    """Draw a random well-synchronized program from ``rng``.
+    """Draw a random well-synchronized program from ``rng``, a numpy
+    ``Generator`` or a :class:`~repro.sim.rng.ScalarReader` over one (the
+    same program either way; the reader is cheaper per draw).
 
     ``atom_weights`` overrides the default atom mix (same kinds, different
     weights) — scenario bias (``--scenario``) uses it to tilt generation
@@ -203,7 +213,7 @@ def gen_program(
         n_rounds = int(rng.integers(1, 4))
     pairs = _ATOM_WEIGHTS if atom_weights is None else tuple(atom_weights)
     kinds = [k for k, _ in pairs]
-    cdf = _kind_cdf([w for _, w in pairs])
+    cdf = _cached_kind_cdf(tuple(w for _, w in pairs))
     random = rng.random
     pub_seq = [0] * n_threads
     rounds: List[Tuple[Tuple[Atom, ...], ...]] = []
@@ -300,8 +310,10 @@ def run_program(
     together they let the kernel-equivalence suite replay one program
     under both disciplines and compare metrics/traces bit-for-bit.
 
-    Consume values are checked against :func:`consume_allowed`; its
-    axiomatic twins in :mod:`repro.axiom` are test-time referees.
+    Consume values are checked against :func:`consume_allowed`'s sets,
+    derived per site from one :func:`~repro.static.drf.consume_oracle`
+    lowering; its axiomatic twins in :mod:`repro.axiom` are test-time
+    referees.
     """
     n_nodes = max(4, _next_pow2(program.n_threads + 1))
     cfg = MachineConfig(
@@ -407,13 +419,14 @@ def run_program(
     # Cross-thread value oracles; see module docstring for the writeupdate
     # exemption.
     if protocol != "writeupdate":
-        # Every oracle's answer depends on (round, target) alone; derive
-        # it once per site rather than once per consume.
+        # The oracle's answer depends on (round, target) alone: lower the
+        # program once and derive each site once.
+        oracle = consume_oracle(program) if consumes else None
         allowed_at: Dict[Tuple[int, int], set] = {}
         for ri, reader, target, value in consumes:
             allowed = allowed_at.get((ri, target))
             if allowed is None:
-                allowed = allowed_at[ri, target] = consume_allowed(program, ri, target)
+                allowed = allowed_at[ri, target] = oracle(ri, target)
             if value not in allowed:
                 failures.append(
                     f"stale consume: thread {reader} round {ri} read slot of "
@@ -743,8 +756,9 @@ def fuzz(
         protocol, model = combos[i % len(combos)]
         model_used: Union[str, ConsistencyModel] = inject if inject else model
         # Derived, not cached: the campaign would otherwise keep one
-        # generator per iteration alive until it returns.
-        rng = streams.derive(f"iter{i}")
+        # generator per iteration alive until it returns.  Every draw
+        # below goes through the reader, which owns the generator.
+        rng = ScalarReader(streams.derive(f"iter{i}"))
         program = gen_program(
             rng,
             n_threads=int(rng.integers(2, max_threads + 1)),

@@ -10,6 +10,8 @@ concurrent with an earlier-round probe.  The pinned program keeps that
 issue-order bug dead.
 """
 
+from functools import partial
+
 import numpy as np
 
 from repro.axiom import axiom_consume_allowed
@@ -86,6 +88,8 @@ def test_single_round_program_has_no_barrier_to_settle():
 
 
 def test_run_program_accepts_the_axiom_oracle(monkeypatch):
-    monkeypatch.setattr("repro.verify.fuzz.consume_allowed", axiom_consume_allowed)
+    monkeypatch.setattr(
+        "repro.verify.fuzz.consume_oracle", lambda p: partial(axiom_consume_allowed, p)
+    )
     p = gen_program(np.random.default_rng(11), n_threads=2, n_rounds=2)
     assert run_program(p, "primitives", "bc", seed=11, jitter=2.0) is None

@@ -19,6 +19,7 @@ Four pins:
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -160,7 +161,9 @@ def test_consume_projection_is_contained_in_both_oracles():
 def test_fuzz_campaign_passes_under_the_scale_oracle(monkeypatch):
     """The tighter oracle, swapped in for the fuzzer's DRF-derived one:
     48 iterations cover all 12 protocol × model pairs four times."""
-    monkeypatch.setattr("repro.verify.fuzz.consume_allowed", fuzz_consume_allowed)
+    monkeypatch.setattr(
+        "repro.verify.fuzz.consume_oracle", lambda p: partial(fuzz_consume_allowed, p)
+    )
     rep = fuzz(master_seed=0, iters=48, do_shrink=False)
     assert set(rep.runs_by_combo.values()) == {4}
     assert rep.ok, rep.failure

@@ -8,13 +8,14 @@ still produces correct results — and (c) that the fuzz shrinker can strip
 targeted entries one at a time.
 """
 
+import numpy as np
 import pytest
 
 from repro import Machine, MachineConfig
 from repro.faults.plan import FaultSpec
 from repro.sync.base import CBLLock
 from repro.verify import check_all
-from repro.verify.fuzz import _fault_reductions
+from repro.verify.fuzz import _fault_reductions, gen_program, run_program
 
 
 # --------------------------------------------------------------------------
@@ -165,3 +166,16 @@ def test_targeted_drops_consume_no_rng():
     )
     assert with_target["fault.targeted_drops"] == 0  # never sent, never hit
     assert base["fault.drops"] == with_target["fault.drops"]
+
+
+def test_writeupdate_retried_read_miss_reexecutes():
+    """One dropped ``DATA_BLOCK`` on write-update: the sharer registered
+    by the lost reply misses the next pushed update, so its retried read
+    must fetch current memory.  When the home replayed the recorded reply
+    instead, node 3 installed block 6 as [0, 0, 0, 0] while memory held
+    [1, 0, 0, 0] and the quiescence check failed."""
+    program = gen_program(np.random.default_rng(0))
+    assert run_program(
+        program, protocol="writeupdate", model="sc", seed=0, jitter=0,
+        faults=FaultSpec(targeted=(("DATA_BLOCK", 7, 1),)),
+    ) is None

@@ -30,6 +30,7 @@ GATES = {
     "batched drain": ("ratio", 3.0),
     "process sleep": ("ratio", 1.5),
     "latency record": ("ratio", 2.0),
+    "scalar draws": ("ratio", 1.05),
     "cached sweep": ("ratio", 3.0),
     "rounds compile": ("ratio", 4.0),
     "demand generator": ("absolute", 200_000),

@@ -4,9 +4,15 @@
 process refers to itself.  The kernel drops that reference when the
 generator returns or raises; then a finished process that nothing else
 holds is freed at once, with the cyclic garbage collector switched off.
+
+A failed process keeps its exception as its value.  The traceback must
+then hold no frame whose locals hold the process: neither the kernel's
+own frame, nor the frame of a watcher that caught the failure.  The
+failed generator's own frames stay on it.
 """
 
 import gc
+import traceback
 import weakref
 
 import pytest
@@ -70,3 +76,39 @@ def test_interrupting_a_failed_process_still_raises():
     assert victim._wake is None
     with pytest.raises(SimulationError, match="finished"):
         victim.interrupt()
+
+
+def _watch(sim, victim):
+    try:
+        yield victim
+    except KeyError:
+        pass
+
+
+@pytest.mark.parametrize("watcher", ("process", "callback"))
+def test_failed_watched_process_is_freed_without_the_collector(no_gc, watcher):
+    sim = Simulator()
+    victim = sim.process(_raises(sim))
+    seen = []
+    if watcher == "process":
+        sim.process(_watch(sim, victim))
+    else:
+        victim.callbacks.append(lambda ev: seen.append(ev.value))
+    ref = weakref.ref(victim)
+    del victim
+    sim.run()
+    assert ref() is None
+    if seen:
+        # The generator's frames are still on the stored exception.
+        lines = traceback.format_tb(seen[0].__traceback__)
+        assert any('raise KeyError("boom")' in line for line in lines)
+        assert not any("_resume" in line for line in lines)
+
+
+def test_failed_process_keeps_its_generator_frames():
+    sim = Simulator()
+    victim = sim.process(_raises(sim))
+    sim.process(_watch(sim, victim))
+    sim.run()
+    frames = [f.name for f in traceback.extract_tb(victim.value.__traceback__)]
+    assert frames == ["_raises"]

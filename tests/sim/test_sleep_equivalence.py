@@ -149,3 +149,23 @@ def test_program_exercises_every_interrupt_case():
     # The abandoned sleeps keep their calendar slots: p0's until t=5 and
     # the child's (booted, then slept 3 before the interrupt) until t=6.
     assert now == 6 and live == 0 and events == 19
+
+
+def test_jittered_bare_sleeps_equal_timeouts():
+    """Under a jitter hook a positive bare sleep goes to the calendar
+    through ``Simulator._push``, as a ``Timeout``'s delay does: the hook
+    sees the same delays in the same order, so both spellings land on the
+    same jittered times."""
+    program = [
+        [("sleep", 3), ("sleep", 0.5), ("sleep", 0), ("sleep", 7)],
+        [("sleep", 1), ("wait", 0), ("sleep", 2)],
+        [("succeed", 0, 2), ("sleep", 3), ("sleep", 1)],
+    ]
+    runs = {
+        (fast, bare): _run(program, fast, bare, jitter_seed=11, until=4)
+        for fast in (True, False)
+        for bare in (True, False)
+    }
+    assert len({repr(r) for r in runs.values()}) == 1
+    # The hook did move the clock: without it the runs end elsewhere.
+    assert runs[True, True][1][1] != _run(program, True, True, None, until=4)[1][1]

@@ -7,6 +7,7 @@ import pytest
 from repro.static.drf import (
     ROUND_BARRIER,
     analyze_program,
+    consume_oracle,
     derive_consume_allowed,
     lower_fuzz_program,
 )
@@ -117,6 +118,20 @@ def test_derived_oracle_matches_closed_form_on_generated_corpus():
                 assert derive_consume_allowed(p, r, target) == _closed_form(
                     p, r, target
                 ), f"seed={seed} round={r} target={target}"
+
+
+def test_one_lowering_answers_every_site():
+    """``consume_oracle`` lowers a program once and answers each site with
+    the set a fresh per-site derivation gives, in any order and however
+    often asked; a caller editing one answer does not change the next."""
+    for seed in range(60):
+        p = gen_program(np.random.default_rng(seed))
+        oracle = consume_oracle(p)
+        sites = [(r, t) for r in range(len(p.rounds)) for t in range(p.n_threads)]
+        for r, target in sites[::-1] + sites:
+            got = oracle(r, target)
+            assert got == derive_consume_allowed(p, r, target) == _closed_form(p, r, target)
+            got.add(-1)
 
 
 def test_fuzz_consume_allowed_is_the_derived_oracle():

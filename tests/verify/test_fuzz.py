@@ -64,22 +64,29 @@ def test_smoke_program_passes_everywhere(protocol, model):
     ],
 )
 def test_consume_oracle_derived_once_per_site(monkeypatch, oracle, module, name):
-    """Five consumes over three (round, target) sites: three derivations.
+    """Five consumes over three (round, target) sites: one oracle for the
+    run, three derivations.
 
     The fuzzer's one oracle and its two axiomatic referees, each swapped
-    in for ``consume_allowed``, are asked once per site."""
+    in behind ``consume_oracle``, are asked once per site."""
     import importlib
 
     import repro.verify.fuzz as fuzzmod
 
     real = getattr(importlib.import_module(module), name)
+    made = []
     sites = []
 
-    def counting(program, round_idx, target):
-        sites.append((round_idx, target))
-        return real(program, round_idx, target)
+    def counting(program):
+        made.append(program)
 
-    monkeypatch.setattr(fuzzmod, "consume_allowed", counting)
+        def allowed(round_idx, target):
+            sites.append((round_idx, target))
+            return real(program, round_idx, target)
+
+        return allowed
+
+    monkeypatch.setattr(fuzzmod, "consume_oracle", counting)
     program = Program(
         n_threads=3,
         rounds=(
@@ -92,6 +99,7 @@ def test_consume_oracle_derived_once_per_site(monkeypatch, oracle, module, name)
         ),
     )
     assert run_program(program, "primitives", "bc", seed=4, jitter=2.0) is None
+    assert made == [program]
     assert sorted(sites) == [(0, 0), (1, 0), (1, 1)]
 
 

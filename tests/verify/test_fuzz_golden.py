@@ -24,10 +24,14 @@ import repro.verify.fuzz as fuzz_mod
 from repro.verify.fuzz import fuzz
 
 #: (master_seed, iters, faults) -> sha256 over the per-iteration records.
+#: The faults slice was re-recorded when write-update homes stopped
+#: replaying read-miss replies from the dedup log (a retried read now
+#: re-executes, which changes the faulty runs' message counts); the two
+#: fault-free digests are the originals.
 GOLDEN = {
     (0, 300, False): "9160e726afded4c15572a7a0bc3056f64e51879ff62352759f1d9eb40077e193",
     (3, 300, False): "804285025516d08489376f397a455af6724064d38b25acfc84d0272727b3e8f7",
-    (0, 40, True): "0341c5fac4808b09204c0ce2cc56f3a130f49bcce37983cef61f4beb16bf7294",
+    (0, 40, True): "714004374225c7d46e177d7ebbe085b4a66c651ebeb5ae5ec97ccad3a1bc8487",
 }
 
 
