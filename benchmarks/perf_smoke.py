@@ -371,14 +371,17 @@ def rounds_compile(grain: int = 200, tasks: int = 400) -> Measurement:
             _, last, fresh = compile_one(d, b, o, last, fresh)
         return time.perf_counter() - t0
 
-    scalar = _best(lambda: timed(
-        lambda d, b, o, last, fresh: compile_sync_round_scalar(
-            params, shared, wpb, d, b, o, last, fresh
-        )
-    ))
-    vector = _best(lambda: timed(
-        lambda d, b, o, last, fresh: _compile_sync_round(wpb, d, b, o, last, fresh, scratch)
-    ))
+    def scalar_one(d, b, o, last, fresh):
+        return compile_sync_round_scalar(params, shared, wpb, d, b, o, last, fresh)
+
+    def vector_one(d, b, o, last, fresh):
+        return _compile_sync_round(wpb, d, b, o, last, fresh, scratch)
+
+    # Interleaved, best of 3 * REPEATS, as in process_sleep: timing every
+    # scalar run before every numpy run let a loaded host's bursts land on
+    # one side only.
+    runs = [(timed(scalar_one), timed(vector_one)) for _ in range(3 * REPEATS)]
+    scalar, vector = min(s for s, _ in runs), min(v for _, v in runs)
     refs = grain * tasks
     return scalar / vector, {
         "refs": refs,

@@ -140,7 +140,9 @@ class WriteBuffer:
         attempt = self._attempts.get(entry_id, 0)
         timer = self.sim.timeout(res.timeout_for(attempt))
         self._retry_timers[entry_id] = timer
-        timer.callbacks.append(lambda _e: self._on_retry_timer(entry_id, timer))
+        # The callback gets the timer as its argument: capturing it would
+        # make the timer and its own callback a cycle.
+        timer.callbacks.append(lambda ev: self._on_retry_timer(entry_id, ev))
 
     def _on_retry_timer(self, entry_id: int, timer: Event) -> None:
         if self._retry_timers.get(entry_id) is not timer:

@@ -211,21 +211,29 @@ class Controller:
                 self.send(dst, mtype, addr=addr, **info)
         return False
 
-    def void_stale_grants(self, target: int, block: int, grant_types) -> None:
-        """Forget completed dedup records that granted ``block`` to ``target``.
+    def void_stale_grants(self, target: int, block: int, grant_types) -> list:
+        """Hold back completed dedup records that granted ``block`` to
+        ``target``; returns their keys for :meth:`forget_voided`.
 
         A home about to probe ``target`` (INV / FETCH / FETCH_INV) is
-        revoking whatever those recorded replies granted; a late retry of
-        the original request must then *re-execute* against the current
-        directory state rather than replay the stale grant — replaying it
-        would re-install a copy the directory no longer tracks (the fuzzer
-        finds this as an EXCLUSIVE/SHARED coexistence).  Per-channel FIFO
-        makes voiding safe: by the time the probe is delivered, a grant the
-        home sent earlier on the same channel has either arrived or was
-        dropped — it can never show up afterwards.
+        revoking whatever those recorded replies granted.  Replaying one to
+        a late retry would re-install a copy the directory no longer tracks
+        (the fuzzer finds this as an EXCLUSIVE/SHARED coexistence).  Nor
+        may the retry re-execute while the probe is out: the original grant
+        can still be in flight ahead of the probe, and re-executing would
+        grant the block a second time to a requester that already has it
+        (found as "holds SHARED but is not registered").  So each record
+        turns back into an in-flight marker, which absorbs retries, until
+        the caller has the probe's answer and calls :meth:`forget_voided`.
+
+        Per-channel FIFO makes the forgetting safe: ``target`` answers the
+        probe only after the grant sent before it on the same channel has
+        arrived or was dropped, and a requester retries only while its
+        grant has not arrived, so a retry reaching the home after the
+        answer follows a dropped grant and must re-execute.
         """
         if self.node.resilience is None:
-            return
+            return []
         log = self.node.req_log
         stale = [
             key
@@ -239,7 +247,16 @@ class Controller:
             # the stale-grant path actually ran, not just that nothing broke.
             self.stats.counters.add("resilience.void_stale_grants", len(stale))
         for key in stale:
-            del log[key]
+            log[key] = _IN_FLIGHT
+        return stale
+
+    def forget_voided(self, keys) -> None:
+        """Forget the records :meth:`void_stale_grants` held back, once the
+        probe is answered: a later retry re-executes."""
+        log = self.node.req_log
+        for key in keys:
+            if log.get(key) is _IN_FLIGHT:
+                del log[key]
 
     def reply_to(self, req: Message, mtype: MessageType, addr: int = -1, *, dst=None, **info: Any) -> None:
         """Send a terminal reply for ``req`` and record it for dedup replay."""

@@ -378,16 +378,6 @@ class PrimitivesHomeController(Controller):
         super().__init__(node)
         self._token = 0
         self._ack_collectors: dict = {}
-        #: Request type -> home transaction, built once for :meth:`_admit`.
-        self._handlers = {
-            MessageType.READ_MISS: self._h_read_miss,
-            MessageType.READ_GLOBAL: self._h_read_global,
-            MessageType.GLOBAL_WRITE: self._h_global_write,
-            MessageType.WRITEBACK: self._h_writeback,
-            MessageType.RU_REQ: self._h_ru_req,
-            MessageType.RESET_UPDATE: self._h_reset_update,
-            MessageType.RMW_REQ: self._h_rmw,
-        }
 
     # -- dispatch ----------------------------------------------------------
     def handle(self, msg: Message) -> None:
@@ -409,10 +399,9 @@ class PrimitivesHomeController(Controller):
             entry.defer(msg)
             return
         entry.busy = True
-        handler = self._handlers[msg.mtype]
         # The name only surfaces in traces and reprs: build it only then.
         name = f"prim-home-{msg.mtype.name}-{msg.addr}" if self.obs is not None else ""
-        Process(self.sim, handler(msg, entry), name)
+        Process(self.sim, self._HANDLERS[msg.mtype](self, msg, entry), name)
 
     def _done(self, entry) -> None:
         entry.busy = False
@@ -599,3 +588,15 @@ class PrimitivesHomeController(Controller):
             )
         self.reply_to(msg, MessageType.RMW_REPLY, addr=entry.block, word=word, old=old)
         self._done(entry)
+
+    #: Request type -> home transaction (a plain function: bound methods
+    #: kept per instance would make every controller a reference cycle).
+    _HANDLERS = {
+        MessageType.READ_MISS: _h_read_miss,
+        MessageType.READ_GLOBAL: _h_read_global,
+        MessageType.GLOBAL_WRITE: _h_global_write,
+        MessageType.WRITEBACK: _h_writeback,
+        MessageType.RU_REQ: _h_ru_req,
+        MessageType.RESET_UPDATE: _h_reset_update,
+        MessageType.RMW_REQ: _h_rmw,
+    }

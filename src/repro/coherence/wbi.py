@@ -329,14 +329,6 @@ class WBIHomeController(Controller):
     def __init__(self, node: "Node"):
         super().__init__(node)
         self._ack_collectors: Dict[int, SourceAckCollector] = {}
-        #: Request type -> home transaction, built once for :meth:`_admit`.
-        self._handlers = {
-            MessageType.READ_MISS: self._h_read_miss,
-            MessageType.WRITE_MISS: self._h_write_miss,
-            MessageType.UPGRADE: self._h_upgrade,
-            MessageType.WRITEBACK: self._h_writeback,
-            MessageType.RMW_REQ: self._h_rmw,
-        }
 
     # -- dispatch ----------------------------------------------------------
     def handle(self, msg: Message) -> None:
@@ -368,10 +360,9 @@ class WBIHomeController(Controller):
             entry.defer(msg)
             return
         entry.busy = True
-        handler = self._handlers[mt]
         # The name only surfaces in traces and reprs: build it only then.
         name = f"wbi-home-{mt.name}-{msg.addr}" if self.obs is not None else ""
-        Process(self.sim, handler(msg, entry), name)
+        Process(self.sim, self._HANDLERS[mt](self, msg, entry), name)
 
     def _done(self, entry) -> None:
         """Close a transaction and replay the next deferred request."""
@@ -386,10 +377,11 @@ class WBIHomeController(Controller):
         targets = [s for s in sorted(entry.sharers) if s != exclude]
         coll = SourceAckCollector(self.sim, targets)
         rseq = self.rseq_or_none() if targets else None
+        voided = []
         if targets:
             self._ack_collectors[entry.block] = coll
             for t in targets:
-                self.void_stale_grants(t, entry.block, self.GRANT_TYPES)
+                voided += self.void_stale_grants(t, entry.block, self.GRANT_TYPES)
                 self.send(t, MessageType.INV, addr=entry.block, rseq=rseq)
             self.stats.counters.add("wbi.invalidations_sent", len(targets))
         yield from self.await_acks(
@@ -398,6 +390,7 @@ class WBIHomeController(Controller):
                 self.send(t, MessageType.INV, addr=entry.block, rseq=rseq) for t in waiting
             ],
         )
+        self.forget_voided(voided)
         self._ack_collectors.pop(entry.block, None)
         entry.sharers.clear()
 
@@ -406,8 +399,9 @@ class WBIHomeController(Controller):
         mem = self.node.memory
         mtype = MessageType.FETCH_INV if invalidate else MessageType.FETCH
         owner = entry.owner
-        self.void_stale_grants(owner, entry.block, self.GRANT_TYPES)
+        voided = self.void_stale_grants(owner, entry.block, self.GRANT_TYPES)
         words = yield from self.request(("h:fetch", entry.block), owner, mtype, addr=entry.block)
+        self.forget_voided(voided)
         if words is None:
             # The owner had already started a writeback; it is deferred on
             # this entry and will be replayed.  Use memory's current content
@@ -433,7 +427,7 @@ class WBIHomeController(Controller):
         coll = SourceAckCollector(self.sim, [victim])
         rseq = self.rseq_or_none()
         self._ack_collectors[entry.block] = coll
-        self.void_stale_grants(victim, entry.block, self.GRANT_TYPES)
+        voided = self.void_stale_grants(victim, entry.block, self.GRANT_TYPES)
         self.send(victim, MessageType.INV, addr=entry.block, rseq=rseq)
         self.stats.counters.add("wbi.dir_evictions")
         yield from self.await_acks(
@@ -442,6 +436,7 @@ class WBIHomeController(Controller):
                 self.send(t, MessageType.INV, addr=entry.block, rseq=rseq) for t in waiting
             ],
         )
+        self.forget_voided(voided)
         self._ack_collectors.pop(entry.block, None)
         entry.sharers.discard(victim)
 
@@ -540,3 +535,13 @@ class WBIHomeController(Controller):
         mem.write_word(word, apply_rmw(msg.info["op"], old, msg.info["operand"]))
         self.reply_to(msg, MessageType.RMW_REPLY, addr=entry.block, word=word, old=old)
         self._done(entry)
+
+    #: Request type -> home transaction (a plain function: bound methods
+    #: kept per instance would make every controller a reference cycle).
+    _HANDLERS = {
+        MessageType.READ_MISS: _h_read_miss,
+        MessageType.WRITE_MISS: _h_write_miss,
+        MessageType.UPGRADE: _h_upgrade,
+        MessageType.WRITEBACK: _h_writeback,
+        MessageType.RMW_REQ: _h_rmw,
+    }

@@ -237,13 +237,6 @@ class WUHomeController(Controller):
         self._word_ver: Dict[int, int] = {}
         #: block -> in-flight update fan-in (resilient mode only).
         self._upd_collectors: Dict[int, SourceAckCollector] = {}
-        #: Request type -> home transaction, built once for :meth:`_admit`.
-        self._handlers = {
-            MessageType.READ_MISS: self._h_read_miss,
-            MessageType.WU_WRITE: self._h_write,
-            MessageType.WU_EVICT: self._h_evict,
-            MessageType.RMW_REQ: self._h_rmw,
-        }
 
     def handle(self, msg: Message) -> None:
         if msg.mtype is MessageType.WU_UPDATE_ACK:
@@ -263,10 +256,9 @@ class WUHomeController(Controller):
             entry.defer(msg)
             return
         entry.busy = True
-        handler = self._handlers[msg.mtype]
         # The name only surfaces in traces and reprs: build it only then.
         name = f"wu-home-{msg.mtype.name}-{msg.addr}" if self.obs is not None else ""
-        Process(self.sim, handler(msg, entry), name)
+        Process(self.sim, self._HANDLERS[msg.mtype](self, msg, entry), name)
 
     def _done(self, entry) -> None:
         entry.busy = False
@@ -356,3 +348,12 @@ class WUHomeController(Controller):
         yield from self._push_update(entry, word, new, exclude=-1)
         self.reply_to(msg, MessageType.RMW_REPLY, addr=entry.block, word=word, old=old)
         self._done(entry)
+
+    #: Request type -> home transaction (a plain function: bound methods
+    #: kept per instance would make every controller a reference cycle).
+    _HANDLERS = {
+        MessageType.READ_MISS: _h_read_miss,
+        MessageType.WU_WRITE: _h_write,
+        MessageType.WU_EVICT: _h_evict,
+        MessageType.RMW_REQ: _h_rmw,
+    }

@@ -66,25 +66,25 @@ def fig_point(
 ) -> float:
     """One Figure 4-7 sample; returns completion time in cycles."""
     protocol = "primitives" if scheme == "cbl" else "wbi"
-    machine = Machine(MachineConfig(n_nodes=n, seed=seed), protocol=protocol)
-    g = GRAIN_SIZES[grain]
-    if model == "sync":
-        wl = SyncModelWorkload(
-            machine,
-            SyncModelParams(grain_size=g, tasks_per_node=tasks_per_node),
-            scheme,
-            consistency,
-        )
-    elif model == "queue":
-        wl = WorkQueueWorkload(
-            machine,
-            WorkQueueParams(n_tasks=tasks_per_node * n, grain_size=g),
-            scheme,
-            consistency,
-        )
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return wl.run().completion_time
+    with Machine(MachineConfig(n_nodes=n, seed=seed), protocol=protocol) as machine:
+        g = GRAIN_SIZES[grain]
+        if model == "sync":
+            wl = SyncModelWorkload(
+                machine,
+                SyncModelParams(grain_size=g, tasks_per_node=tasks_per_node),
+                scheme,
+                consistency,
+            )
+        elif model == "queue":
+            wl = WorkQueueWorkload(
+                machine,
+                WorkQueueParams(n_tasks=tasks_per_node * n, grain_size=g),
+                scheme,
+                consistency,
+            )
+        else:
+            raise ValueError(f"unknown model {model!r}")
+        return wl.run().completion_time
 
 
 def table2_point(n: int, scheme: str) -> Dict[str, float]:
@@ -101,21 +101,21 @@ def table3_point(n: int, scheme: str) -> Dict[str, float]:
     from .sync.base import CBLLock
     from .sync.swlock import TTSLock
 
-    m = Machine(
+    with Machine(
         MachineConfig(n_nodes=n, cache_blocks=256, cache_assoc=2, seed=3),
         protocol="primitives" if scheme == "cbl" else "wbi",
-    )
-    lock = CBLLock(m) if scheme == "cbl" else TTSLock(m)
+    ) as m:
+        lock = CBLLock(m) if scheme == "cbl" else TTSLock(m)
 
-    def w(p, lock=lock):
-        yield from p.acquire(lock)
-        yield from p.compute(50)
-        yield from p.release(lock)
+        def w(p, lock=lock):
+            yield from p.acquire(lock)
+            yield from p.compute(50)
+            yield from p.release(lock)
 
-    for i in range(n):
-        m.spawn(w(m.processor(i)))
-    m.run()
-    return {"time": m.sim.now, "messages": m.net.message_count}
+        for i in range(n):
+            m.spawn(w(m.processor(i)))
+        m.run()
+        return {"time": m.sim.now, "messages": m.net.message_count}
 
 
 def conformance_point(

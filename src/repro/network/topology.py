@@ -167,6 +167,12 @@ class Interconnect(ABC):
         table = getattr(getattr(handler, "__self__", None), "dispatch", None)
         self._tables[node_id] = table if isinstance(table, dict) else None
 
+    def close(self) -> None:
+        """Detach every node: each handler and dispatch table holds a node,
+        which holds this interconnect.  Stats stay readable; idempotent."""
+        self._handlers = {}
+        self._tables = [None] * self.n_nodes
+
     # -- sending ----------------------------------------------------------
     def send(self, msg: Message) -> None:
         """Inject ``msg``; it will be delivered to the destination handler."""

@@ -143,6 +143,13 @@ class Node:
         for mtype, slot in layout.items():
             table[mtype] = controllers[slot]
 
+    def close(self) -> None:
+        """Drop the controllers: each holds this node.  Caches, memory,
+        directory and stats stay readable; idempotent."""
+        self.dispatch = {}
+        self.data_ctl = self.home_ctl = self.cbl = None
+        self.barrier_engine = self.sem_engine = None
+
     def deliver(self, msg: Message) -> None:
         """Network delivery callback."""
         ctl = self.dispatch.get(msg.mtype)

@@ -144,6 +144,18 @@ class ScenarioWorld:
         """Register a post-run assertion."""
         self.checks.append(fn)
 
+    def expect(self, key: str, want: object, label: str) -> None:
+        """Register a check that the value recorded under ``key`` (see
+        :meth:`record`) equals ``want``.  The check holds the state dict,
+        not the world: the world holds its checks."""
+        state = self.state
+
+        def check() -> None:
+            got = state.get(key)
+            assert got == want, f"{label}: {got} != {want}"
+
+        self.checks.append(check)
+
     @property
     def victim_time(self) -> Optional[float]:
         """Victims' makespan, or ``None`` while any victim is unfinished."""

@@ -171,9 +171,7 @@ def _ping_pong_build(world: ScenarioWorld, attack: bool) -> None:
         return body()
 
     world.spawn_victim(victim(), "v0")
-    world.check(
-        lambda: _expect(world, "final", n_rounds, "hot-block-ping-pong counter")
-    )
+    world.expect("final", n_rounds, "hot-block-ping-pong counter")
 
     if attack:
         for j in range(4):
@@ -486,11 +484,7 @@ def _wu_update_storm_build(world: ScenarioWorld, attack: bool) -> None:
         expect[int(sched.key[r]) % n_servers] += 1
     for i in range(n_servers):
         world.spawn_victim(victim(i), f"v{i}")
-        world.check(
-            lambda i=i: _expect(
-                world, f"served{i}", expect[i], f"wu-update-storm server {i}"
-            )
-        )
+        world.expect(f"served{i}", expect[i], f"wu-update-storm server {i}")
 
     if attack:
         # Every service key mapping to the hot block shares word index
@@ -511,11 +505,6 @@ def _wu_update_storm_build(world: ScenarioWorld, attack: bool) -> None:
                     yield from proc.shared_write(atk_addr, proc.node_id)
 
             world.spawn_attacker(atk(), f"a{j}")
-
-
-def _expect(world: ScenarioWorld, key: str, want, label: str) -> None:
-    got = world.state.get(key)
-    assert got == want, f"{label}: {got} != {want}"
 
 
 def build_catalog() -> None:

@@ -57,33 +57,33 @@ def scenario_point(
     scn = get_scenario(name)
     cfg = scn.config(seed)
     faults = scn.fault_spec(seed) if (attack and scn.fault_spec is not None) else None
-    machine = Machine(cfg, protocol=scn.protocol, faults=faults, fast_path=fast_path)
-    machine.scenario = name if attack else f"{name}/baseline"
-    world = ScenarioWorld(machine)
-    scn.build(world, attack)
-    hang: Optional[Dict[str, Any]] = None
-    try:
-        machine.run_all(max_cycles=scn.max_cycles)
-    except HangError as exc:
-        diag = exc.diagnosis
-        hang = diag.to_dict() if diag is not None else {"reason": str(exc)}
-    if hang is None:
-        # The run must not merely finish: protocol invariants and the
-        # scenario's own result assertions must hold under attack.
-        check_all(machine)
-        for chk in world.checks:
-            chk()
-    met = machine.metrics()
-    return {
-        "scenario": name,
-        "seed": seed,
-        "attack": bool(attack),
-        "victims": list(world.victims),
-        "attackers": list(world.attackers),
-        "victim_time": world.victim_time,
-        "metrics": met.to_json(),
-        "hang": hang,
-    }
+    with Machine(cfg, protocol=scn.protocol, faults=faults, fast_path=fast_path) as machine:
+        machine.scenario = name if attack else f"{name}/baseline"
+        world = ScenarioWorld(machine)
+        scn.build(world, attack)
+        hang: Optional[Dict[str, Any]] = None
+        try:
+            machine.run_all(max_cycles=scn.max_cycles)
+        except HangError as exc:
+            diag = exc.diagnosis
+            hang = diag.to_dict() if diag is not None else {"reason": str(exc)}
+        if hang is None:
+            # The run must not merely finish: protocol invariants and the
+            # scenario's own result assertions must hold under attack.
+            check_all(machine)
+            for chk in world.checks:
+                chk()
+        met = machine.metrics()
+        return {
+            "scenario": name,
+            "seed": seed,
+            "attack": bool(attack),
+            "victims": list(world.victims),
+            "attackers": list(world.attackers),
+            "victim_time": world.victim_time,
+            "metrics": met.to_json(),
+            "hang": hang,
+        }
 
 
 def _seed_entry(scn: Scenario, base: Dict[str, Any], atk: Dict[str, Any]) -> Dict[str, Any]:

@@ -408,7 +408,10 @@ class Process(Event):
             self._wake = None
             # Uncaught exception in process body: fail the process event.  If
             # nobody is watching, re-raise so bugs do not vanish silently.
-            if self.callbacks:
+            # So too for an interrupt that lands after the process finished
+            # in the same instant (thrown into the spent generator): the
+            # process event is already triggered, watched or not.
+            if self.callbacks and self._state <= _PENDING:
                 # The traceback's first entry is this frame, whose locals
                 # hold the process: the stored exception would keep its
                 # own process alive until the cyclic GC ran.  Drop that
@@ -636,6 +639,18 @@ class Simulator:
     def fast_path(self) -> bool:
         """True when this simulator uses the zero-delay lane discipline."""
         return self._fast
+
+    def close(self) -> None:
+        """Drop what points back into the model built on this simulator:
+        the calendar's leftover entries, the interconnect's arrival hook
+        and the trace bus (which holds the simulator).  The clock and
+        :attr:`events_processed` stay readable; idempotent.
+        """
+        self._heap = []
+        self._lane = deque()
+        self.canceled_pending = 0
+        self._arrive = None
+        self.set_obs(None)
 
     # -- observability ------------------------------------------------------
     def set_obs(self, bus) -> None:

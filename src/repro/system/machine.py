@@ -165,20 +165,25 @@ class Machine:
 
     # -- write buffer wiring ---------------------------------------------------
     def _make_issue(self, node: Node):
+        # The closure holds what it sends through, not the machine or the
+        # node: the node holds the write buffer that holds the closure.
         resilient = self.cfg.resilience is not None
+        amap = self.amap
+        net = self.net
+        src = node.node_id
 
         def issue(word_addr: int, value: int, entry_id: int) -> None:
-            block = self.amap.block_of(word_addr)
-            home = self.amap.home_of(block)
+            block = amap.block_of(word_addr)
+            home = amap.home_of(block)
             info = {"word": word_addr, "value": value, "entry_id": entry_id}
             if resilient:
                 # Reissues reuse the entry id, so a ("wb", entry_id) rseq
                 # (disjoint from the int controller rseqs) makes the home's
                 # dedup absorb duplicated writes and replay the lost ack.
                 info["rseq"] = ("wb", entry_id)
-            self.net.send(
+            net.send(
                 Message(
-                    src=node.node_id,
+                    src=src,
                     dst=home,
                     mtype=MessageType.GLOBAL_WRITE,
                     addr=block,
@@ -272,6 +277,31 @@ class Machine:
                 f"t={self.sim.now}: possible deadlock or max_cycles too low"
             )
         return self.sim.now
+
+    # -- teardown -----------------------------------------------------------
+    def close(self) -> None:
+        """Cut the machine's reference cycles, so it is freed by refcount
+        once its owner drops it instead of waiting for the cyclic GC.
+
+        Drops the simulator's leftover calendar and hooks, the
+        interconnect's handlers, each node's controllers and the spawned
+        processes and processors.  Only references go: ``sim``, ``net``,
+        ``nodes`` and every stats object, histogram and counter dict stay
+        readable, but :meth:`metrics` and :meth:`time_breakdown` no longer
+        see the processors, so read them first.  Idempotent.
+        """
+        self.sim.close()
+        self.net.close()
+        for node in self.nodes:
+            node.close()
+        self._procs = []
+        self._processors = []
+
+    def __enter__(self) -> "Machine":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- request latency (traffic frontend) ---------------------------------
     def latency_hist(self) -> LatencyHistogram:

@@ -191,6 +191,13 @@ def _cached_kind_cdf(weights: Tuple[float, ...]) -> Tuple[float, ...]:
     return tuple(_kind_cdf(weights))
 
 
+@functools.cache
+def _atom(kind: str, arg: int) -> Atom:
+    """The one shared :class:`Atom` per ``(kind, arg)``: atoms are
+    immutable, and a campaign draws the same few dozen over and over."""
+    return Atom(kind, arg)
+
+
 def gen_program(
     rng,
     n_threads: Optional[int] = None,
@@ -224,23 +231,23 @@ def gen_program(
             for _ in range(int(rng.integers(1, max_atoms_per_round + 1))):
                 kind = kinds[bisect_right(cdf, random())]
                 if kind == "compute":
-                    atoms.append(Atom("compute", int(rng.integers(1, 30))))
+                    atoms.append(_atom("compute", int(rng.integers(1, 30))))
                 elif kind == "private":
-                    atoms.append(Atom("private", int(rng.integers(1, 4))))
+                    atoms.append(_atom("private", int(rng.integers(1, 4))))
                 elif kind == "publish":
                     pub_seq[t] += 1
-                    atoms.append(Atom("publish", pub_seq[t]))
+                    atoms.append(_atom("publish", pub_seq[t]))
                 elif kind == "consume":
                     if n_threads < 2:
                         continue
                     target = int(rng.integers(0, n_threads - 1))
                     if target >= t:
                         target += 1
-                    atoms.append(Atom("consume", target))
+                    atoms.append(_atom("consume", target))
                 elif kind == "lock_inc":
-                    atoms.append(Atom("lock_inc", int(rng.integers(0, n_locks))))
+                    atoms.append(_atom("lock_inc", int(rng.integers(0, n_locks))))
                 else:
-                    atoms.append(Atom("rmw_inc"))
+                    atoms.append(_atom("rmw_inc", 0))
             row.append(tuple(atoms))
         rounds.append(tuple(row))
     return Program(n_threads=n_threads, rounds=tuple(rounds))
@@ -396,65 +403,70 @@ def run_program(
         machine.spawn(body(proc, hist, t), name=f"fuzz.t{t}")
 
     try:
-        machine.run_all(max_cycles=max_cycles)
-    except HangError as exc:
-        diag = exc.diagnosis
-        if diag is not None and on_hang is not None:
-            on_hang(diag)
-        blame = "; ".join(sorted(diag.blame)) if diag is not None else "no diagnosis"
-        return f"hang diagnosed: {exc} [{blame}]"
-    except RuntimeError as exc:
-        return f"deadlock guard: {exc}"
-    finally:
-        if trace_path is not None:
-            machine.dump_trace(trace_path)
-        if on_machine is not None:
-            on_machine(machine)
-
-    try:
-        check_all(machine)
-    except InvariantViolation as exc:
-        failures.append(f"structural invariant: {exc}")
-
-    # Cross-thread value oracles; see module docstring for the writeupdate
-    # exemption.
-    if protocol != "writeupdate":
-        # The oracle's answer depends on (round, target) alone: lower the
-        # program once and derive each site once.
-        oracle = consume_oracle(program) if consumes else None
-        allowed_at: Dict[Tuple[int, int], set] = {}
-        for ri, reader, target, value in consumes:
-            allowed = allowed_at.get((ri, target))
-            if allowed is None:
-                allowed = allowed_at[ri, target] = oracle(ri, target)
-            if value not in allowed:
-                failures.append(
-                    f"stale consume: thread {reader} round {ri} read slot of "
-                    f"thread {target} = {value}, allowed {sorted(allowed)}"
-                )
-        for lid, ctr in lock_ctrs.items():
-            want = program.count("lock_inc", lid)
-            got = final_value(machine, ctr)
-            if got != want:
-                failures.append(
-                    f"lost update: lock {lid} counter is {got}, "
-                    f"expected {want} increments"
-                )
-
-    events = [e for h in histories for e in h.events]
-    if events:
         try:
-            check_rmw_linearizable(events)
-        except AssertionError as exc:
-            failures.append(f"rmw linearizability: {exc}")
-        want = program.count("rmw_inc")
-        got = final_value(machine, rmw_ctr)
-        if got != want:
-            failures.append(f"rmw counter is {got}, expected {want}")
+            machine.run_all(max_cycles=max_cycles)
+        except HangError as exc:
+            diag = exc.diagnosis
+            if diag is not None and on_hang is not None:
+                on_hang(diag)
+            blame = "; ".join(sorted(diag.blame)) if diag is not None else "no diagnosis"
+            return f"hang diagnosed: {exc} [{blame}]"
+        except RuntimeError as exc:
+            return f"deadlock guard: {exc}"
+        finally:
+            if trace_path is not None:
+                machine.dump_trace(trace_path)
+            if on_machine is not None:
+                on_machine(machine)
 
-    if failures:
-        return "; ".join(failures)
-    return None
+        try:
+            check_all(machine)
+        except InvariantViolation as exc:
+            failures.append(f"structural invariant: {exc}")
+
+        # Cross-thread value oracles; see module docstring for the writeupdate
+        # exemption.
+        if protocol != "writeupdate":
+            # The oracle's answer depends on (round, target) alone: lower the
+            # program once and derive each site once.
+            oracle = consume_oracle(program) if consumes else None
+            allowed_at: Dict[Tuple[int, int], set] = {}
+            for ri, reader, target, value in consumes:
+                allowed = allowed_at.get((ri, target))
+                if allowed is None:
+                    allowed = allowed_at[ri, target] = oracle(ri, target)
+                if value not in allowed:
+                    failures.append(
+                        f"stale consume: thread {reader} round {ri} read slot of "
+                        f"thread {target} = {value}, allowed {sorted(allowed)}"
+                    )
+            for lid, ctr in lock_ctrs.items():
+                want = program.count("lock_inc", lid)
+                got = final_value(machine, ctr)
+                if got != want:
+                    failures.append(
+                        f"lost update: lock {lid} counter is {got}, "
+                        f"expected {want} increments"
+                    )
+
+        events = [e for h in histories for e in h.events]
+        if events:
+            try:
+                check_rmw_linearizable(events)
+            except AssertionError as exc:
+                failures.append(f"rmw linearizability: {exc}")
+            want = program.count("rmw_inc")
+            got = final_value(machine, rmw_ctr)
+            if got != want:
+                failures.append(f"rmw counter is {got}, expected {want}")
+
+        if failures:
+            return "; ".join(failures)
+        return None
+    finally:
+        # After on_machine and every oracle read: nothing reads the
+        # machine again, so let refcounting free it.
+        machine.close()
 
 
 # --------------------------------------------------------------------------

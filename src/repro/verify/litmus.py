@@ -323,21 +323,21 @@ def run_litmus(
     while n_nodes < len(test.threads):
         n_nodes *= 2
     cfg = MachineConfig(n_nodes=n_nodes, cache_blocks=64, cache_assoc=2, seed=seed)
-    machine = Machine(cfg, protocol=protocol)
-    if jitter > 0:
-        machine.sim.set_jitter(
-            make_jitter(machine.rng.stream("litmus.jitter"), 1.0 + jitter)
-        )
-    env = _build_env(machine, test)
-    regs: Dict[str, int] = {}
-    for i, ops in enumerate(test.threads):
-        proc = machine.processor(i % n_nodes, consistency=model)
-        machine.spawn(_thread_body(proc, ops, env, regs), name=f"litmus.{test.name}.t{i}")
-    machine.run_all(max_cycles=max_cycles)
-    out = dict(regs)
-    for var in test.finals:
-        out[f"{var}!"] = final_value(machine, env["vars"][var])
-    return tuple(sorted(out.items()))
+    with Machine(cfg, protocol=protocol) as machine:
+        if jitter > 0:
+            machine.sim.set_jitter(
+                make_jitter(machine.rng.stream("litmus.jitter"), 1.0 + jitter)
+            )
+        env = _build_env(machine, test)
+        regs: Dict[str, int] = {}
+        for i, ops in enumerate(test.threads):
+            proc = machine.processor(i % n_nodes, consistency=model)
+            machine.spawn(_thread_body(proc, ops, env, regs), name=f"litmus.{test.name}.t{i}")
+        machine.run_all(max_cycles=max_cycles)
+        out = dict(regs)
+        for var in test.finals:
+            out[f"{var}!"] = final_value(machine, env["vars"][var])
+        return tuple(sorted(out.items()))
 
 
 def final_value(machine: Machine, addr: int) -> int:

@@ -114,6 +114,6 @@ class FFTWorkload:
 def run_fft(n_nodes: int, selective: bool, seed: int = 0, **cfg_kw) -> WorkloadResult:
     """Build a primitives machine and run the FFT workload."""
     cfg = MachineConfig(n_nodes=n_nodes, seed=seed, **cfg_kw)
-    machine = Machine(cfg, protocol="primitives")
-    wl = FFTWorkload(machine, FFTParams(selective=selective))
-    return wl.run()
+    with Machine(cfg, protocol="primitives") as machine:
+        wl = FFTWorkload(machine, FFTParams(selective=selective))
+        return wl.run()

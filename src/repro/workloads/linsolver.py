@@ -162,6 +162,6 @@ def run_linsolver(
         "write-update": "writeupdate",
     }.get(scheme, "wbi")
     cfg = MachineConfig(n_nodes=n_nodes, seed=seed, **cfg_kw)
-    machine = Machine(cfg, protocol=protocol)
-    wl = LinSolverWorkload(machine, scheme, LinSolverParams(iterations=iterations))
-    return wl.run()
+    with Machine(cfg, protocol=protocol) as machine:
+        wl = LinSolverWorkload(machine, scheme, LinSolverParams(iterations=iterations))
+        return wl.run()

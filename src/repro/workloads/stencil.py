@@ -107,5 +107,5 @@ class StencilWorkload:
 def run_stencil(n_nodes: int, protocol: str = "primitives", network: str = "omega", seed: int = 0, **pkw) -> WorkloadResult:
     """Build a machine and run the stencil."""
     cfg = MachineConfig(n_nodes=n_nodes, network=network, seed=seed)
-    machine = Machine(cfg, protocol=protocol)
-    return StencilWorkload(machine, StencilParams(**pkw)).run()
+    with Machine(cfg, protocol=protocol) as machine:
+        return StencilWorkload(machine, StencilParams(**pkw)).run()

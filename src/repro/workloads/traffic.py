@@ -209,44 +209,44 @@ def traffic_point(
     if protocol is None:
         protocol = "primitives" if lock_scheme == "cbl" else "wbi"
     cfg = MachineConfig(n_nodes=n_nodes, cache_blocks=128, cache_assoc=2, seed=seed)
-    machine = Machine(cfg, protocol=protocol)
-    params = TrafficParams(
-        demand=DemandParams(
-            process=process,
-            rate=rate,
-            horizon=horizon,
-            n_clients=n_clients,
-            n_keys=n_keys,
-            zipf_s=zipf_s,
-        ),
-        policy=policy,
-        service=service,
-        lock_scheme=lock_scheme,
-        consistency=consistency,
-        batch_cap=batch_cap,
-        ops_cap=ops_cap,
-        service_cycles=service_cycles,
-        read_ratio=read_ratio,
-    )
-    wl = TrafficWorkload(machine, params)
-    res = wl.run()
-    lat = res.extra["latency"]
-    info = res.extra["traffic"]
-    return {
-        "completion_time": res.completion_time,
-        "messages": res.messages,
-        "flits": res.flits,
-        "served": res.tasks_done,
-        "requests": info["requests"],
-        "distinct_clients": info["distinct_clients"],
-        "p50": lat["p50"],
-        "p95": lat["p95"],
-        "p99": lat["p99"],
-        "p999": lat["p999"],
-        "mean": lat["mean"],
-        "backlog_peak": lat["backlog_peak"],
-        "saturated_batches": lat["saturated_batches"],
-    }
+    with Machine(cfg, protocol=protocol) as machine:
+        params = TrafficParams(
+            demand=DemandParams(
+                process=process,
+                rate=rate,
+                horizon=horizon,
+                n_clients=n_clients,
+                n_keys=n_keys,
+                zipf_s=zipf_s,
+            ),
+            policy=policy,
+            service=service,
+            lock_scheme=lock_scheme,
+            consistency=consistency,
+            batch_cap=batch_cap,
+            ops_cap=ops_cap,
+            service_cycles=service_cycles,
+            read_ratio=read_ratio,
+        )
+        wl = TrafficWorkload(machine, params)
+        res = wl.run()
+        lat = res.extra["latency"]
+        info = res.extra["traffic"]
+        return {
+            "completion_time": res.completion_time,
+            "messages": res.messages,
+            "flits": res.flits,
+            "served": res.tasks_done,
+            "requests": info["requests"],
+            "distinct_clients": info["distinct_clients"],
+            "p50": lat["p50"],
+            "p95": lat["p95"],
+            "p99": lat["p99"],
+            "p999": lat["p999"],
+            "mean": lat["mean"],
+            "backlog_peak": lat["backlog_peak"],
+            "saturated_batches": lat["saturated_batches"],
+        }
 
 
 # --------------------------------------------------------------------------

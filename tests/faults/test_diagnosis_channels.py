@@ -3,11 +3,15 @@
 Delay spikes act before the FIFO resequencer, so a spiked message leaves
 its later same-channel successors *held* until it lands.  Stopping a
 spiky WBI run mid-flight gives a machine with messages in flight and held
-on several channels at once.  The expected dicts were recorded on the
-implementation that kept three tuple-keyed channel dicts, key order
-included: ``in_flight`` lists channels in first-send order, ``held`` in
-the order each channel last started holding (at t=1650, ``1->0`` started
-holding after ``0->0`` had drained and before ``0->0`` held again).
+on several channels at once.  The expected dicts pin key order:
+``in_flight`` lists channels in first-send order, ``held`` in the order
+each channel last started holding (at t=1400, ``0->2`` has held since
+before t=1350 and ``3->0``, though first used earlier, started holding
+after it).  The first pins, on spike seed 0, were recorded on the
+implementation that kept three tuple-keyed channel dicts.  These were
+recorded with spike seed 4 once a WBI home stopped re-executing a retry
+that reaches it while it probes the requester (DESIGN §5): the seed-0
+run then no longer held two channels at once.
 """
 
 import pytest
@@ -20,7 +24,7 @@ from repro.system.machine import Machine
 
 def _spiky_counter_run(until):
     cfg = MachineConfig(n_nodes=4, cache_blocks=64, cache_assoc=2, seed=0)
-    machine = Machine(cfg, protocol="wbi", faults=FaultSpec(spike_prob=0.3, spike_cycles=200, seed=0))
+    machine = Machine(cfg, protocol="wbi", faults=FaultSpec(spike_prob=0.3, spike_cycles=200, seed=4))
     ctr = machine.alloc_word()
     machine.poke(ctr, 0)
 
@@ -38,8 +42,8 @@ def _spiky_counter_run(until):
 @pytest.mark.parametrize(
     "until, in_flight, held, holds",
     [
-        (900, {"2->0": 2, "3->0": 2}, {"3->0": 1, "2->0": 1}, 10),
-        (1650, {"0->0": 3, "1->0": 2, "0->3": 1}, {"1->0": 1, "0->0": 1}, 15),
+        (1350, {"0->2": 2, "0->3": 2}, {"0->2": 1, "0->3": 1}, 6),
+        (1400, {"3->0": 2, "0->2": 2}, {"0->2": 1, "3->0": 1}, 7),
     ],
 )
 def test_in_flight_and_held_match_recorded(until, in_flight, held, holds):

@@ -15,7 +15,7 @@ from repro import Machine, MachineConfig
 from repro.faults.plan import FaultSpec
 from repro.sync.base import CBLLock
 from repro.verify import check_all
-from repro.verify.fuzz import _fault_reductions, gen_program, run_program
+from repro.verify.fuzz import Atom, Program, _fault_reductions, gen_program, run_program
 
 
 # --------------------------------------------------------------------------
@@ -179,3 +179,36 @@ def test_writeupdate_retried_read_miss_reexecutes():
         program, protocol="writeupdate", model="sc", seed=0, jitter=0,
         faults=FaultSpec(targeted=(("DATA_BLOCK", 7, 1),)),
     ) is None
+
+
+def test_wbi_late_grant_retry_is_absorbed_while_probe_is_out():
+    """Seed 3, iteration 290 of ``fuzz --faults``: wbi × wo with 800-cycle
+    delay spikes.  A grant runs late, the requester's retry reaches the
+    home while the home's probe of that requester is still behind the
+    grant, and the home used to re-execute the retry: a second grant the
+    requester no longer waited for left node 1 holding block 3 SHARED
+    without the directory listing it.  The voided record must absorb that
+    retry (one more duplicate absorbed) until the probe is answered."""
+    program = Program(
+        n_threads=2,
+        rounds=(
+            (
+                (Atom("publish", 1), Atom("consume", 1)),
+                (Atom("publish", 1), Atom("consume", 0)),
+            ),
+            (
+                (Atom("compute", 7),),
+                (Atom("lock_inc", 1),),
+            ),
+        ),
+    )
+    counters = {}
+    failure = run_program(
+        program, protocol="wbi", model="wo", seed=1869111973,
+        jitter=0.12846050166170642,
+        faults=FaultSpec(spike_prob=0.05, spike_cycles=800, seed=136088181),
+        on_machine=lambda m: counters.update(m.metrics().node_counters),
+    )
+    assert failure is None
+    assert counters["resilience.void_stale_grants"] > 0
+    assert counters["resilience.dup_requests"] == 4

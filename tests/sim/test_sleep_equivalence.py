@@ -15,7 +15,7 @@ disciplines, and the runs must agree on the ``(now, process, step)`` log,
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Interrupt, Simulator
@@ -116,6 +116,17 @@ def _run(program, fast, bare, jitter_seed, until):
     program=PROGRAMS,
     jitter_seed=st.one_of(st.none(), st.integers(0, 2**16)),
     until=st.sampled_from([0, 1, 2.5, 4, 9]),
+)
+# p0.2 is interrupted twice at t=0 (by itself and by p1); the first
+# interrupt finishes it, and the second lands on the finished process
+# while p0 still watches it: it must escape run() as it does unwatched.
+@example(
+    program=[
+        [("join", [("sleep", 0), ("sleep", 0), ("interrupt", 2)])],
+        [("join", [("sleep", 0)]), ("interrupt", 2)],
+    ],
+    jitter_seed=None,
+    until=0,
 )
 def test_bare_delay_equals_timeout(program, jitter_seed, until):
     runs = {
