@@ -40,7 +40,7 @@ from typing import Callable, Optional, Tuple
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, ROOT)  # the rounds and latency rows time referees from tests/
+sys.path.insert(0, ROOT)  # the kernel, rounds and latency rows time referees from tests/
 
 from repro import HWBarrier, Machine, MachineConfig, ObsParams  # noqa: E402
 
@@ -118,32 +118,34 @@ def trace_overhead() -> Measurement:
 
 
 def _kernel_speedup(fill: Callable, until: float) -> Measurement:
-    """Heap-discipline time over fast-discipline time to run one calendar;
-    both must process the same number of events."""
+    """All-heap referee time (``tests/sim/heap_referee.py``) over the
+    production loop's time to run one calendar; both must process the
+    same number of events."""
     from repro.sim.core import Simulator
+    from tests.sim.heap_referee import HeapSimulator
 
     events = {}
 
-    def timed(fast: bool) -> float:
-        sim = Simulator(fast_path=fast)
+    def timed(cls) -> float:
+        sim = cls()
         fill(sim)
         t0 = time.perf_counter()
         sim.run(until=until)
         wall = time.perf_counter() - t0
-        events[fast] = sim.events_processed
+        events[cls] = sim.events_processed
         return wall
 
-    heap, fast = _best(lambda: timed(False)), _best(lambda: timed(True))
-    assert events[False] == events[True], "kernel disciplines processed different events"
+    heap, fast = _best(lambda: timed(HeapSimulator)), _best(lambda: timed(Simulator))
+    assert events[HeapSimulator] == events[Simulator], "kernel loops processed different events"
     return heap / fast, {
-        "events": events[True], "heap_wall_seconds": heap, "fast_wall_seconds": fast,
+        "events": events[Simulator], "heap_wall_seconds": heap, "fast_wall_seconds": fast,
     }
 
 
 def kernel_lane(ballast: int = 2048, burst: int = 64, rounds: int = 500) -> Measurement:
     """Bursts of same-instant events created and processed over a deep
     backlog of far-future timeouts (outstanding protocol timeout guards,
-    in a real run): every zero-delay push and pop the heap discipline
+    in a real run): every zero-delay push and pop the heap referee
     performs is O(log ballast); the zero-delay lane makes them O(1)."""
 
     def driver(sim):

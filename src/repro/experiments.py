@@ -544,10 +544,10 @@ def run_report(
     report_conformance(out, res)
     report_under_attack(out, shape, res)
     # Generation time goes to stderr, not the report body: regeneration is
-    # byte-identical across kernel disciplines, worker counts and cache
-    # state (CI's REPORT.md golden gate and the benchmark's ``report``
-    # workload compare a regeneration with the committed file), and a
-    # timing line in the body would break that.
+    # byte-identical across worker counts and cache state (CI's REPORT.md
+    # golden gate and the benchmark's ``report`` workload compare a
+    # regeneration with the committed file), and a timing line in the body
+    # would break that.
     print(
         # lint-ok: wall-clock (report generation time, not sim state)
         f"report generated in {time.time() - t0:.1f}s wall-clock",

@@ -20,8 +20,8 @@ determinism tests):
   be gated on ``attack``.
 * **Seeded randomness only.**  Any randomness comes from
   ``machine.rng.stream(...)`` streams named after the scenario, never from
-  the :mod:`random` module — same seed must give identical metrics under
-  either kernel discipline.
+  the :mod:`random` module — same seed must give identical metrics, on
+  the kernel's run loop and on its all-heap test referee alike.
 * **Victims record completion.**  Victims are spawned through
   :meth:`ScenarioWorld.spawn_victim`, which timestamps each victim's
   finish; the envelope's slowdown is computed over the *victims'* makespan

@@ -43,7 +43,6 @@ def scenario_point(
     name: str,
     seed: int,
     attack: bool,
-    fast_path: Optional[bool] = None,
 ) -> Dict[str, Any]:
     """Run one scenario once; returns a JSON-able run document.
 
@@ -57,7 +56,7 @@ def scenario_point(
     scn = get_scenario(name)
     cfg = scn.config(seed)
     faults = scn.fault_spec(seed) if (attack and scn.fault_spec is not None) else None
-    with Machine(cfg, protocol=scn.protocol, faults=faults, fast_path=fast_path) as machine:
+    with Machine(cfg, protocol=scn.protocol, faults=faults) as machine:
         machine.scenario = name if attack else f"{name}/baseline"
         world = ScenarioWorld(machine)
         scn.build(world, attack)
@@ -194,7 +193,6 @@ def run_scenarios(
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
-    fast_path: Optional[bool] = None,
     stats: Optional[SweepStats] = None,
 ) -> Dict[str, Any]:
     """Run scenarios across seeds and return the verdict document."""
@@ -207,13 +205,7 @@ def run_scenarios(
         for i in range(n_seeds):
             seed = derive_seed(base_seed, "scenarios", scn.name, i)
             for attack in (False, True):
-                params: Dict[str, Any] = {
-                    "name": scn.name,
-                    "seed": seed,
-                    "attack": attack,
-                }
-                if fast_path is not None:
-                    params["fast_path"] = fast_path
+                params = {"name": scn.name, "seed": seed, "attack": attack}
                 tasks.append(SweepTask("repro.scenarios.runner:scenario_point", params))
                 index.append((scn.name, seed, attack))
     results = run_sweep(tasks, jobs=jobs, cache_dir=cache_dir, use_cache=use_cache, stats=stats)

@@ -17,28 +17,17 @@ by ``_state`` (DESIGN.md §7.9): an :class:`Event`, a :class:`Process`
 booting or sleeping, or a :class:`~repro.network.message.Message` in
 flight, which the run loop hands to the simulator's interconnect.
 
-Scheduling disciplines
-----------------------
-Two cycle-identical calendars are maintained (see DESIGN.md §7):
-
-* **fast** (the default) — positive-delay events go on the binary heap;
-  zero-delay events (same-instant sequencing, the bulk of a cycle-level
-  run) go on a plain FIFO lane that bypasses the heap.  The unbounded
-  run loop merges the two by global ``(time, _seq)`` order and drains
-  each instant in a batched inner loop, so the processing order is
-  *identical* to an all-heap calendar.
-* **heap** — every event goes through the heap and the run loop is the
-  seed kernel's ``peek()``/``step()`` iteration.  This is the referee
-  the differential suite (``tests/sim/test_kernel_equivalence.py``) and
-  the perf gate compare against.
-
-Bounded runs (``run(max_events=...)``) take the referee loop on both
-disciplines; ``peek()``/``step()`` already apply the merged lane/heap
-pop rule, so a fast-discipline bounded run stops on the same event.
-
-Select per instance with ``Simulator(fast_path=False)`` for the referee,
-or globally with ``REPRO_KERNEL=heap`` in the environment (any other
-value, or none, selects **fast**).
+Calendar
+--------
+Positive-delay entries go on a binary heap; zero-delay entries
+(same-instant sequencing, the bulk of a cycle-level run) go on a plain
+FIFO lane that bypasses the heap.  :meth:`Simulator.run` merges the two
+by global ``(time, _seq)`` order and drains each instant in a batched
+inner loop, so the processing order is *identical* to an all-heap
+calendar (DESIGN.md §7).  That all-heap calendar, with the seed kernel's
+``peek()``/``step()`` loop and ``run(max_events=...)``, is kept as a test
+referee (``tests/sim/heap_referee.py``) that the differential suites and
+the perf floors compare against.
 
 Example
 -------
@@ -56,7 +45,6 @@ Example
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from heapq import heappush
 from math import inf
@@ -73,16 +61,6 @@ __all__ = [
     "Interrupt",
     "SimulationError",
 ]
-
-
-def _env_fast_path() -> bool:
-    """The discipline selected by ``REPRO_KERNEL`` right now.
-
-    Read at :class:`Simulator` construction (not import), so sweep workers
-    and subprocesses pick up the environment they were launched with.
-    Only ``heap`` selects the referee; every other value selects fast.
-    """
-    return os.environ.get("REPRO_KERNEL") != "heap"
 
 
 #: Lazily-canceled calendar entries tolerated before :meth:`Simulator.run`
@@ -318,6 +296,17 @@ class Process(Event):
         wake._state = _TRIGGERED
         wake.callbacks.append(self._wake)
         self.sim._schedule(wake, 0)
+
+    def close(self) -> None:
+        """Retire a process that will never run again, so refcounting can
+        free it: stop waiting, and drop the bound wake-up, which holds the
+        process itself, and the callbacks of whatever waits on it.  For a
+        hung machine's teardown; a finished process holds neither.
+        Idempotent."""
+        if self._waiting_on is not None:
+            self._stop_waiting()
+        self._wake = None
+        self.callbacks = []
 
     # -- kernel internals --------------------------------------------------
     def _stop_waiting(self) -> None:
@@ -569,7 +558,7 @@ class AnyOf(_Condition):
 class Simulator:
     """The event calendar and execution loop.
 
-    The calendar is split in two (fast path, the default):
+    The calendar is split in two:
 
     * ``_heap`` — binary heap of ``(time, seq, event)`` for positive-delay
       events;
@@ -581,7 +570,8 @@ class Simulator:
     Both structures carry the same global ``_seq`` stamp, and the pop rule
     ("take the heap head only when it is due now *and* has the smaller
     seq") reproduces the exact ``(time, seq)`` total order of an all-heap
-    calendar — runs are bit-identical across disciplines.
+    calendar: runs are bit-identical to the all-heap referee in
+    ``tests/sim/heap_referee.py``.
 
     An entry's payload is an :class:`Event` (its callbacks run), a
     :class:`Process` in state ``_SLEEPING`` (resumed directly), or a
@@ -598,13 +588,12 @@ class Simulator:
         "_jitter",
         "events_processed",
         "canceled_pending",
-        "_fast",
         "_trace_kernel",
         "_obs",
         "_arrive",
     )
 
-    def __init__(self, fast_path: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._heap: list[tuple[float, int, Event]] = []
         #: Zero-delay FIFO lane; every entry is due at :attr:`now`.
         self._lane: Deque[Tuple[int, Event]] = deque()
@@ -621,10 +610,9 @@ class Simulator:
         #: scheduled events — the watchdog and ``HangDiagnosis`` use it to
         #: tell a quiet calendar from one stuffed with dead retry timers.
         self.canceled_pending: int = 0
-        self._fast: bool = _env_fast_path() if fast_path is None else bool(fast_path)
-        #: Cached ``obs is not None and obs.enabled_for("kernel")``: the fast
-        #: run loop's per-event gate.  Recomputed by :meth:`refresh_trace_flags`
-        #: (on bus install / category change) and at every fast ``run()`` entry.
+        #: Cached ``obs is not None and obs.enabled_for("kernel")``: the run
+        #: loop's per-event gate.  Recomputed by :meth:`refresh_trace_flags`
+        #: (on bus install / category change) and at every ``run()`` entry.
         self._trace_kernel: bool = False
         #: Trace bus (:class:`repro.obs.bus.TraceBus`) or ``None``; the
         #: machine installs it via :meth:`set_obs`.  Hot paths test
@@ -634,11 +622,6 @@ class Simulator:
         #: (:class:`repro.network.topology.Interconnect`): the run loop
         #: passes each in-flight message payload to it when it is due.
         self._arrive: Optional[Callable[[Any], None]] = None
-
-    @property
-    def fast_path(self) -> bool:
-        """True when this simulator uses the zero-delay lane discipline."""
-        return self._fast
 
     def close(self) -> None:
         """Drop what points back into the model built on this simulator:
@@ -728,7 +711,7 @@ class Simulator:
             if not 0 <= delay < inf:
                 raise SimulationError(f"jitter hook produced an invalid delay {delay}")
         seq = self._seq = self._seq + 1
-        if delay > 0 or not self._fast:
+        if delay > 0:
             heappush(self._heap, (self.now + delay, seq, payload))
         else:
             # Zero-delay: due at the current instant, strictly after every
@@ -780,107 +763,30 @@ class Simulator:
                 lane.extend(live)
         self.canceled_pending = 0
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none.
-
-        Canceled events at the head of the calendar are discarded so the
-        reported time is that of the next event that will actually run.
-        """
-        lane = self._lane
-        while lane and lane[0][1]._state == _CANCELED:
-            lane.popleft()
-            self.canceled_pending -= 1
-        heap = self._heap
-        while heap and heap[0][2]._state == _CANCELED:
-            heapq.heappop(heap)
-            self.canceled_pending -= 1
-        if lane:
-            # Lane entries are always due at the current instant.
-            return self.now
-        return heap[0][0] if heap else float("inf")
-
-    def step(self) -> bool:
-        """Process exactly one event; returns False for a canceled entry
-        (discarded without advancing the clock or running callbacks)."""
-        lane = self._lane
-        heap = self._heap
-        if lane:
-            # Merged pop: take the heap head only when it is due now and
-            # precedes the lane head in global sequence order.
-            if heap and heap[0][0] <= self.now and heap[0][1] < lane[0][0]:
-                t, _seq, event = heapq.heappop(heap)
-            else:
-                _seq, event = lane.popleft()
-                t = self.now
-        else:
-            t, _seq, event = heapq.heappop(heap)
-        state = event._state
-        if state == _CANCELED:
-            self.canceled_pending -= 1
-            return False
-        self.now = t
-        self.events_processed += 1
-        if state == _SLEEPING:
-            event._state = _PENDING
-            event._resume(event)
-            return True
-        if state == _IN_FLIGHT:
-            self._arrive(event)
-            return True
-        event._state = _PROCESSED
-        obs = self._obs
-        if obs is not None and event.name and obs.enabled_for("kernel"):
-            # Event latency: how long the event sat on the calendar.  Only
-            # named events are traced; anonymous plumbing (bootstrap events,
-            # bare timeouts) would drown the trace.
-            lat = t - event.sched_at if event.sched_at >= 0 else 0.0
-            obs.instant(event.name, "kernel", 0, args={"lat": lat})
-        callbacks, event.callbacks = event.callbacks, []
-        for cb in callbacks:
-            cb(event)
-        return True
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run until the calendar drains, ``until`` time, or ``max_events``.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the calendar drains or the next entry is due past
+        ``until``.
 
         ``until`` is inclusive: events scheduled exactly at ``until`` run.
         The clock only advances to processed events' times — it is never
         artificially bumped to ``until`` (completion time stays meaningful).
+        The loop body inlines one event's processing (no per-event method
+        call).  ``heap`` and ``lane`` stay valid across :meth:`_compact`
+        because it mutates both in place.  The obs kernel gate is the
+        cached ``_trace_kernel`` flag.
         """
-        if not self._fast or max_events is not None:
-            # Seed-kernel loop: the differential referee, and the bounded
-            # run on both disciplines (step() applies the merged lane/heap
-            # pop rule).  Only *processed* events count against the budget;
-            # canceled entries are discarded on both disciplines without
-            # touching it (pinned by ``test_max_events_accounting``).
-            count = 0
-            heap = self._heap
-            lane = self._lane
-            while heap or lane:
-                if until is not None and self.peek() > until:
-                    return
-                if self.step():
-                    count += 1
-                    if max_events is not None and count >= max_events:
-                        return
-            return
-        # Fast path: the step() body is inlined (no per-iteration
-        # peek() re-scan, no method-call overhead per event).  ``heap`` and
-        # ``lane`` stay valid across _compact() because it mutates both in
-        # place.  The obs kernel gate is the cached _trace_kernel flag.
         self.refresh_trace_flags()
         if until is not None and self.now > until:
-            # Only reachable when a previous bounded run() stopped with
-            # same-instant work still queued past ``until``.
+            # Only reachable when the caller passes an ``until`` that is
+            # already past: lane entries due at ``now`` must not run.
             return
-        # Unbounded fast run — the report-generating hot loop.  Two levels:
-        # the inner loop drains *everything due at the current instant*
-        # (lane entries plus heap entries landing exactly at ``now``),
-        # re-entering the merged pop comparison only while both sides hold
-        # due work; the outer loop advances the clock.  Same-instant
-        # callbacks can only append lane entries or strictly-future heap
-        # entries (zero-delay never touches the heap on this path), so the
-        # instant drain is exhaustive.
+        # Two levels: the inner loop drains *everything due at the current
+        # instant* (lane entries plus heap entries landing exactly at
+        # ``now``), re-entering the merged pop comparison only while both
+        # sides hold due work; the outer loop advances the clock.
+        # Same-instant callbacks can only append lane entries or
+        # strictly-future heap entries (zero-delay never touches the heap),
+        # so the instant drain is exhaustive.
         heap = self._heap
         lane = self._lane
         heappop = heapq.heappop

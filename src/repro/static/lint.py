@@ -3,8 +3,9 @@
 The repo's north-star performance work (kernel fast path, sweep result
 caching, kernel-equivalence differential tests) rests on **bit-identical
 determinism**: the same (config, seed) pair must replay the same run on
-any kernel discipline, with tracing on or off.  This linter audits the
-source for the bug classes that silently break that property:
+the kernel's run loop and on its all-heap test referee, with tracing on
+or off.  This linter audits the source for the bug classes that
+silently break that property:
 
 ``unseeded-random``
     Module-global ``random.*`` / legacy ``numpy.random.*`` calls and

@@ -84,7 +84,6 @@ class Machine:
         cfg: MachineConfig,
         protocol: str = "wbi",
         faults: Optional[FaultSpec] = None,
-        fast_path: Optional[bool] = None,
     ):
         if protocol not in self.PROTOCOLS:
             raise ValueError(f"protocol must be one of {self.PROTOCOLS}, got {protocol!r}")
@@ -100,10 +99,7 @@ class Machine:
         self.fault_plan: Optional[FaultPlan] = (
             FaultPlan(faults) if faults is not None and not faults.is_null else None
         )
-        # ``fast_path`` selects the kernel scheduling discipline (see
-        # sim/core.py); both are cycle-identical, so this only matters for
-        # the differential suite and perf measurements.
-        self.sim = Simulator(fast_path=fast_path)
+        self.sim = Simulator()
         #: Trace bus, or ``None`` when ``cfg.obs`` is unset (the default):
         #: every instrumented component caches this reference, and the
         #: disabled machine pays one ``is not None`` branch per site.
@@ -285,11 +281,16 @@ class Machine:
 
         Drops the simulator's leftover calendar and hooks, the
         interconnect's handlers, each node's controllers and the spawned
-        processes and processors.  Only references go: ``sim``, ``net``,
-        ``nodes`` and every stats object, histogram and counter dict stay
-        readable, but :meth:`metrics` and :meth:`time_breakdown` no longer
-        see the processors, so read them first.  Idempotent.
+        processes and processors.  A process still alive (a hung or
+        deadlocked run) is retired first (:meth:`Process.close`): its
+        callbacks hold ``run_all``'s completion condition.  Only references
+        go: ``sim``, ``net``, ``nodes`` and every stats object, histogram
+        and counter dict stay readable, but :meth:`metrics` and
+        :meth:`time_breakdown` no longer see the processors, so read them
+        first.  Idempotent.
         """
+        for proc in self._procs:
+            proc.close()
         self.sim.close()
         self.net.close()
         for node in self.nodes:

@@ -93,7 +93,7 @@ def check_writeupdate_coherence(machine: "Machine") -> int:
     if machine.protocol != "writeupdate":
         return 0
     n_checked = 0
-    quiescent = machine.sim.peek() == float("inf")
+    quiescent = machine.sim.pending_live() == 0
     for node in machine.nodes:
         for line in node.cache.valid_lines():
             n_checked += 1

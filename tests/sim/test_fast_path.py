@@ -1,6 +1,9 @@
-"""Unit tests for the kernel fast path: the zero-delay lane, lazy
-cancellation + compaction, ``pending_live``, the O(1) condition fixes,
-bounded-run accounting and the ``REPRO_KERNEL`` selector.
+"""Unit tests for the kernel's run loop: the zero-delay lane, lazy
+cancellation + compaction, ``pending_live``, the O(1) condition fixes and
+bounded runs.  Each runs on the production :class:`Simulator` and on the
+all-heap referee (``tests/sim/heap_referee.py``); ``peek()``, ``step()``
+and ``run(max_events=...)`` exist on the referee only, and the production
+loop's cases compare its ``run(until=...)`` stop against them.
 
 The differential suite (``test_kernel_equivalence.py``) pins whole-machine
 equivalence; these tests pin each mechanism in isolation so a regression
@@ -17,20 +20,21 @@ from repro.sim.core import (
     SimulationError,
     Simulator,
 )
+from tests.sim.heap_referee import HeapSimulator
 
 
-def both_disciplines(fn):
-    return pytest.mark.parametrize("fast", [False, True], ids=["heap", "fast"])(fn)
+def both_loops(fn):
+    return pytest.mark.parametrize("cls", [HeapSimulator, Simulator], ids=["heap", "fast"])(fn)
 
 
 # ------------------------------------------------------------- lane ordering
 
 
-@both_disciplines
-def test_zero_delay_events_fifo_across_containers(fast):
+@both_loops
+def test_zero_delay_events_fifo_across_containers(cls):
     """Zero-delay events interleaved with due heap events must fire in
     global schedule (seq) order, not container order."""
-    sim = Simulator(fast_path=fast)
+    sim = cls()
     order = []
 
     def make(tag):
@@ -53,12 +57,12 @@ def test_zero_delay_events_fifo_across_containers(fast):
     assert order == ["z0", "y0", "z1", "y1", "z2", "y2", "z3", "y3"]
 
 
-@both_disciplines
-def test_same_instant_heap_and_lane_interleave_by_seq(fast):
+@both_loops
+def test_same_instant_heap_and_lane_interleave_by_seq(cls):
     """An event scheduled with delay d that lands at ``now`` once the clock
     reaches it must still order by seq against zero-delay events scheduled
     at that instant: the merged pop rule compares (time, seq) exactly."""
-    sim = Simulator(fast_path=fast)
+    sim = cls()
     order = []
 
     def cb(tag):
@@ -83,12 +87,12 @@ def test_same_instant_heap_and_lane_interleave_by_seq(fast):
     assert order == ["A", "B", "C"]
 
 
-@both_disciplines
-def test_run_until_with_pending_zero_delay_work(fast):
+@both_loops
+def test_run_until_with_pending_zero_delay_work(cls):
     """``run(until=now)`` must still drain lane entries due exactly at
     ``until`` (inclusive), and a second run with until < now returns
     without touching the calendar."""
-    sim = Simulator(fast_path=fast)
+    sim = cls()
     fired = []
     sim.timeout(5).callbacks.append(lambda ev: fired.append("t5"))
     sim.run(until=5)
@@ -103,9 +107,9 @@ def test_run_until_with_pending_zero_delay_work(fast):
 # ------------------------------------------------ cancellation + compaction
 
 
-@both_disciplines
-def test_cancel_tracks_canceled_pending_and_pending_live(fast):
-    sim = Simulator(fast_path=fast)
+@both_loops
+def test_cancel_tracks_canceled_pending_and_pending_live(cls):
+    sim = cls()
     evs = [sim.timeout(10 + i) for i in range(8)]
     assert sim.pending_live() == 8
     for ev in evs[:3]:
@@ -119,21 +123,27 @@ def test_cancel_tracks_canceled_pending_and_pending_live(fast):
     assert sim.events_processed == 5
 
 
-@both_disciplines
-def test_peek_skips_canceled_heads(fast):
-    sim = Simulator(fast_path=fast)
+@both_loops
+def test_peek_skips_canceled_heads(cls):
+    """A canceled head is discarded without moving the clock: the
+    referee's ``peek()`` reports the next live time, and a run until
+    before that time stops on both loops with the dead head gone."""
+    sim = cls()
     early = sim.timeout(1)
     sim.timeout(7)
     early.cancel()
-    assert sim.peek() == 7
-    assert sim.canceled_pending == 0  # peek discarded the dead head
+    if cls is HeapSimulator:
+        assert sim.peek() == 7
+    sim.run(until=5)
+    assert sim.now == 0 and sim.pending_live() == 1
+    assert sim.canceled_pending == 0
 
 
-@both_disciplines
-def test_mass_cancel_triggers_compaction(fast):
+@both_loops
+def test_mass_cancel_triggers_compaction(cls):
     """Canceling more than half the calendar (past the floor) compacts it
     in place; the survivors still fire, in order."""
-    sim = Simulator(fast_path=fast)
+    sim = cls()
     n = _COMPACT_MIN * 4
     doomed = [sim.timeout(100 + i) for i in range(n)]
     keep = sim.timeout(500)
@@ -150,10 +160,10 @@ def test_mass_cancel_triggers_compaction(fast):
     assert fired == [500]
 
 
-@both_disciplines
-def test_cancel_zero_delay_event(fast):
-    """A zero-delay (lane, on the fast path) entry can be canceled too."""
-    sim = Simulator(fast_path=fast)
+@both_loops
+def test_cancel_zero_delay_event(cls):
+    """A zero-delay entry (on the lane, in production) can be canceled too."""
+    sim = cls()
 
     def driver(sim):
         yield sim.timeout(1)
@@ -169,16 +179,24 @@ def test_cancel_zero_delay_event(fast):
     assert sim.canceled_pending == 0
 
 
-@both_disciplines
-def test_step_returns_false_for_canceled(fast):
-    sim = Simulator(fast_path=fast)
+@both_loops
+def test_step_returns_false_for_canceled(cls):
+    """A dead entry is consumed without moving the clock or counting as
+    processed: the referee's ``step()`` returns False for it, and the
+    production loop discards it on the way to the next live entry."""
+    sim = cls()
     ev = sim.timeout(1)
     sim.timeout(2)
     ev.cancel()
-    assert sim.step() is False  # dead entry consumed, clock unmoved
-    assert sim.now == 0
-    assert sim.step() is True
-    assert sim.now == 2
+    if cls is HeapSimulator:
+        assert sim.step() is False
+        assert (sim.now, sim.canceled_pending) == (0, 0)
+        assert sim.step() is True
+    else:
+        sim.run(until=1)
+        assert (sim.now, sim.canceled_pending) == (0, 0)
+        sim.run(until=2)
+    assert (sim.now, sim.events_processed) == (2, 1)
 
 
 def test_cancel_requires_triggered_state():
@@ -191,11 +209,11 @@ def test_cancel_requires_triggered_state():
 # ------------------------------------------------------------ condition fixes
 
 
-@both_disciplines
-def test_all_of_with_already_processed_events(fast):
+@both_loops
+def test_all_of_with_already_processed_events(cls):
     """Building an AllOf over events that already ran must fire immediately
     instead of waiting forever (the pending count may never go negative)."""
-    sim = Simulator(fast_path=fast)
+    sim = cls()
     a, b = sim.timeout(1), sim.timeout(2)
     sim.run()
     done = []
@@ -209,9 +227,9 @@ def test_all_of_with_already_processed_events(fast):
     assert done == [2]
 
 
-@both_disciplines
-def test_all_of_mixed_processed_and_pending(fast):
-    sim = Simulator(fast_path=fast)
+@both_loops
+def test_all_of_mixed_processed_and_pending(cls):
+    sim = cls()
     a = sim.timeout(1)
     sim.run()
     b = sim.timeout(3)
@@ -226,9 +244,9 @@ def test_all_of_mixed_processed_and_pending(fast):
     assert done == [4]  # b scheduled at now=1, fires at 1 + 3
 
 
-@both_disciplines
-def test_any_of_with_already_processed_event_fires_immediately(fast):
-    sim = Simulator(fast_path=fast)
+@both_loops
+def test_any_of_with_already_processed_event_fires_immediately(cls):
+    sim = cls()
     a = sim.timeout(1)
     sim.run()
     b = sim.timeout(100)
@@ -244,12 +262,12 @@ def test_any_of_with_already_processed_event_fires_immediately(fast):
     assert b not in got[0]
 
 
-@both_disciplines
-def test_any_of_detaches_check_from_losers(fast):
+@both_loops
+def test_any_of_detaches_check_from_losers(cls):
     """Once AnyOf decides, remaining sub-events must not retain the
     condition's _check callback — the O(n) rescan this PR removed also
     leaked callbacks onto every loser."""
-    sim = Simulator(fast_path=fast)
+    sim = cls()
     a, b, c = sim.timeout(1), sim.timeout(5), sim.timeout(9)
     cond = AnyOf(sim, [a, b, c])
     sim.run(until=2)
@@ -259,9 +277,9 @@ def test_any_of_detaches_check_from_losers(fast):
     sim.run()  # losers fire without re-poking the decided condition
 
 
-@both_disciplines
-def test_all_of_failure_detaches_from_remaining(fast):
-    sim = Simulator(fast_path=fast)
+@both_loops
+def test_all_of_failure_detaches_from_remaining(cls):
+    sim = cls()
     a = Event(sim)
     b = sim.timeout(50)
     cond = AllOf(sim, [a, b])
@@ -273,11 +291,11 @@ def test_all_of_failure_detaches_from_remaining(fast):
     sim.run()
 
 
-@both_disciplines
-def test_all_of_large_fanin_completes(fast):
+@both_loops
+def test_all_of_large_fanin_completes(cls):
     """await_acks-style fan-in: one AllOf over many events stays linear and
     correct (each sub-event is visited exactly once)."""
-    sim = Simulator(fast_path=fast)
+    sim = cls()
     events = [sim.timeout(i % 7) for i in range(200)]
     done = []
 
@@ -290,12 +308,17 @@ def test_all_of_large_fanin_completes(fast):
     assert done == [6]
 
 
-# --------------------------------------------------------------- misc API
+# --------------------------------------------------------------- containers
 
 
-def test_fast_path_property_and_default():
-    assert Simulator(fast_path=True).fast_path is True
-    assert Simulator(fast_path=False).fast_path is False
+@both_loops
+def test_only_the_production_loop_uses_the_lane(cls):
+    """Zero-delay entries go on the lane in production and on the heap in
+    the referee; positive delays go on the heap in both."""
+    sim = cls()
+    sim.timeout(0)
+    sim.timeout(3)
+    assert (len(sim._lane), len(sim._heap)) == ((0, 2) if cls is HeapSimulator else (1, 1))
 
 
 # ----------------------------------------------------- bounded-run accounting
@@ -314,38 +337,48 @@ def _cancel_heavy(sim):
         v.cancel()
 
 
-@both_disciplines
+def _run_bounded(sim, n):
+    """Stop ``_cancel_heavy``'s calendar after its ``n``-th processed
+    event: the referee by its event budget, the production loop, which
+    has none, by running until that event's time."""
+    if type(sim) is HeapSimulator:
+        sim.run(max_events=n)
+    else:
+        sim.run(until=0.5 * min(n, 25))
+
+
+@both_loops
 @pytest.mark.parametrize("max_events", [1, 7, 25, 100])
-def test_max_events_accounting(max_events, fast):
-    """Both disciplines stop after the *same* processed event: canceled
-    entries never consume budget, so the stop is fixed by the live
+def test_max_events_accounting(max_events, cls):
+    """Both loops stop after the *same* processed event: canceled entries
+    never consume the referee's budget, so the stop is fixed by the live
     schedule alone."""
-    sim = Simulator(fast_path=fast)
+    sim = cls()
     _cancel_heavy(sim)
-    sim.run(max_events=max_events)
+    _run_bounded(sim, max_events)
     done = min(max_events, 25)
     assert sim.events_processed == done
     assert sim.now == 0.5 * done
     assert sim.pending_live() == 25 - done
 
 
-@both_disciplines
-def test_max_events_resume_continues_identically(fast):
+@both_loops
+def test_max_events_resume_continues_identically(cls):
     """A bounded run followed by a drain ends in the same state as one
     unbounded run."""
-    sim = Simulator(fast_path=fast)
+    sim = cls()
     _cancel_heavy(sim)
-    sim.run(max_events=10)
+    _run_bounded(sim, 10)
     sim.run()
     assert (sim.events_processed, sim.now) == (25, 12.5)
     assert sim.pending_live() == 0
 
 
-@both_disciplines
-def test_jitter_applies_only_to_positive_delays(fast):
+@both_loops
+def test_jitter_applies_only_to_positive_delays(cls):
     """Zero-delay scheduling must bypass the jitter hook entirely, or the
     lane invariant (entries due exactly at ``now``) would break."""
-    sim = Simulator(fast_path=fast)
+    sim = cls()
     seen = []
 
     def jit(d):

@@ -50,6 +50,28 @@ def test_finished_process_is_freed_without_the_collector(no_gc):
     assert ref() is None
 
 
+@pytest.mark.parametrize("waits_on", ["event", "sleep"])
+def test_closed_hung_process_is_freed_without_the_collector(no_gc, waits_on):
+    """A process that never finishes, waiting on an event that never fires
+    or asleep, is freed once closed; ``Process.close`` is how a hung
+    machine's teardown retires its workloads."""
+    sim = Simulator()
+    never = sim.event(name="never")
+
+    def body(sim):
+        yield never if waits_on == "event" else 10**9
+
+    proc = sim.process(body(sim))
+    sim.run(until=5)
+    assert proc.is_alive
+    proc.close()
+    ref = weakref.ref(proc)
+    del proc
+    sim.close()
+    assert ref() is None
+    assert never.callbacks == []
+
+
 def test_a_held_process_keeps_its_value_and_state():
     sim = Simulator()
     proc = sim.process(_returns(sim))

@@ -50,7 +50,7 @@ def test_process_repr_alive_and_waiting():
 
     proc = Process(sim, body(), name="worker")
     assert repr(proc) == "<Process worker alive t=0>"
-    sim.step()  # bootstrap: the process runs up to its first yield
+    sim.run(until=0)  # bootstrap: the process runs up to its first yield
     assert "waiting_on=Timeout" in repr(proc)
     sim.run()
     assert "worker processed" in repr(proc)
@@ -64,14 +64,17 @@ def test_process_repr_sleeping_on_bare_delay():
 
     proc = Process(sim, body(), name="napper")
     assert repr(proc) == "<Process napper alive t=0>"  # booting
-    sim.step()
+    sim.run(until=0)
     assert repr(proc) == "<Process napper alive sleeping t=0>"
     assert proc.is_alive and not proc.triggered
     with pytest.raises(SimulationError):
         _ = proc.value  # no return value while it sleeps
-    sim.step()
-    assert repr(proc) == "<Process napper triggered t=3>"
+    # Scheduled after the sleep, this timeout fires between the wake-up
+    # at t=3 and the processing of the process's own (zero-delay) event.
+    seen = []
+    sim.timeout(3).callbacks.append(lambda ev: seen.append(repr(proc)))
     sim.run()
+    assert seen == ["<Process napper triggered t=3>"]
     assert "napper processed" in repr(proc)
 
 
@@ -83,7 +86,7 @@ def test_process_repr_names_awaited_event():
         yield gate
 
     proc = Process(sim, body(), name="waiter")
-    sim.step()
+    sim.run()
     assert "waiting_on=gate" in repr(proc)
     gate.succeed()
     sim.run()

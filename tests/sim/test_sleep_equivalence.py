@@ -1,14 +1,15 @@
 """A bare ``yield d`` is indistinguishable from ``yield sim.timeout(d)``.
 
 The sleep path puts the process itself on the calendar instead of a
-:class:`~repro.sim.core.Timeout`.  Both kernel disciplines share that path,
-so the fast-vs-heap suite cannot referee it; this test does.  Hypothesis
+:class:`~repro.sim.core.Timeout`.  The production loop and the all-heap
+referee (``tests/sim/heap_referee.py``) share that path, so the
+fast-vs-heap suite cannot referee it; this test does.  Hypothesis
 generates small process programs that mix bare delays (0 included),
 ``Event.succeed``, ``AnyOf``/``AllOf``, sub-process joins, interrupts of
 sleeping, waiting and not-yet-booted processes (self-interrupts too) and a
 seeded jitter hook.  Each program runs with every sleep written ``yield d``
 and again with every sleep written ``yield sim.timeout(d)``, on both
-disciplines, and the runs must agree on the ``(now, process, step)`` log,
+loops, and the runs must agree on the ``(now, process, step)`` log,
 ``events_processed``, ``pending_live()`` and the clock, both at a midway
 ``run(until=...)`` stop and at the end.
 """
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Interrupt, Simulator
+from tests.sim.heap_referee import HeapSimulator
 
 DELAYS = st.sampled_from([0, 0, 1, 2, 3, 0.5, 7])
 N_EVENTS = 3
@@ -39,11 +41,14 @@ _step = st.one_of(
     st.tuples(st.just("join"), _child),
     st.tuples(st.just("spawn_interrupt"), _child),
 )
+#: The production run loop and its all-heap referee.
+LOOPS = (Simulator, HeapSimulator)
+
 PROGRAMS = st.lists(st.lists(_step, min_size=1, max_size=8), min_size=1, max_size=N_PROCS)
 
 
-def _run(program, fast, bare, jitter_seed, until):
-    sim = Simulator(fast_path=fast)
+def _run(program, cls, bare, jitter_seed, until):
+    sim = cls()
     if jitter_seed is not None:
         rng = random.Random(jitter_seed)
         sim.set_jitter(lambda d: d * (1 + rng.random()))
@@ -130,11 +135,11 @@ def _run(program, fast, bare, jitter_seed, until):
 )
 def test_bare_delay_equals_timeout(program, jitter_seed, until):
     runs = {
-        (fast, bare): _run(program, fast, bare, jitter_seed, until)
-        for fast in (True, False)
+        (cls, bare): _run(program, cls, bare, jitter_seed, until)
+        for cls in LOOPS
         for bare in (True, False)
     }
-    reference = runs[True, False]
+    reference = runs[Simulator, False]
     for key, got in runs.items():
         assert got == reference, key
 
@@ -148,12 +153,12 @@ def test_program_exercises_every_interrupt_case():
         [("sleep", 1), ("interrupt", 0), ("interrupt", 1), ("spawn_interrupt", [("sleep", 3)])],
     ]
     runs = {
-        (fast, bare): _run(program, fast, bare, None, until=2)
-        for fast in (True, False)
+        (cls, bare): _run(program, cls, bare, None, until=2)
+        for cls in LOOPS
         for bare in (True, False)
     }
     assert len({repr(r) for r in runs.values()}) == 1
-    _, (log, now, events, live) = runs[True, True]
+    _, (log, now, events, live) = runs[Simulator, True]
     assert (1, "p0", 0, "interrupted by", "p2") in log
     assert (2, "p1", 0, "interrupted by", "p2") in log
     assert (3, "p2.3", 0, "interrupted by", "p2") in log
@@ -173,10 +178,10 @@ def test_jittered_bare_sleeps_equal_timeouts():
         [("succeed", 0, 2), ("sleep", 3), ("sleep", 1)],
     ]
     runs = {
-        (fast, bare): _run(program, fast, bare, jitter_seed=11, until=4)
-        for fast in (True, False)
+        (cls, bare): _run(program, cls, bare, jitter_seed=11, until=4)
+        for cls in LOOPS
         for bare in (True, False)
     }
     assert len({repr(r) for r in runs.values()}) == 1
     # The hook did move the clock: without it the runs end elsewhere.
-    assert runs[True, True][1][1] != _run(program, True, True, None, until=4)[1][1]
+    assert runs[Simulator, True][1][1] != _run(program, Simulator, True, None, until=4)[1][1]

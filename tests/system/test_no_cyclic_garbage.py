@@ -84,5 +84,16 @@ def test_scenario_point_leaves_no_cycles(name):
     assert _cyclic_garbage(call) == 0
 
 
+def test_hung_scenario_point_leaves_no_cycles():
+    """The attack hangs by design: the watchdog stops the run with every
+    workload process still waiting on the calendar."""
+
+    def call():
+        doc = scenario_point("denial-of-progress-overbudget", seed=1, attack=True)
+        assert doc["hang"] is not None
+
+    assert _cyclic_garbage(call) == 0
+
+
 def test_conformance_point_leaves_no_cycles():
     assert _cyclic_garbage(lambda: conformance_point("mp", "primitives", "bc", 2, [0.0, 2.0])) == 0

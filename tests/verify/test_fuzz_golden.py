@@ -12,8 +12,9 @@ machine and everything the machine did with it:
 * the network's counter dict and its mean message latency.
 
 The digests were recorded before the fuzz path's RNG draws were reworked
-to block draws and a cdf bisection; they hold on both kernel
-disciplines (CI runs this file again under ``REPRO_KERNEL=heap``).
+to block draws and a cdf bisection; they hold on the production run loop
+and on the all-heap referee (``tests/conftest.py`` runs each test here
+again on ``tests/sim/heap_referee.py``).
 """
 
 import hashlib

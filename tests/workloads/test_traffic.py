@@ -1,9 +1,8 @@
 """Traffic frontend: open-loop driving of the demand/policy/service stack.
 
 The acceptance property here is *bit-identity*: a traffic point is a pure
-function of its arguments, across repeats and across simulator kernels
-(``REPRO_KERNEL`` is read when each machine's simulator is constructed, so
-the heap kernel check only has to set it around the call).
+function of its arguments, across repeats and across the production run
+loop and the all-heap referee (``tests/sim/heap_referee.py``).
 """
 
 import json
@@ -12,11 +11,13 @@ import os
 import pytest
 
 import repro.workloads.traffic as traffic_mod
+from repro.sim.core import Simulator
 from repro.system.machine import Machine, MachineConfig
 from repro.workloads.demand import DemandParams
 from repro.workloads.policy import POLICY_FACTORIES
 from repro.workloads.service import SERVICE_FACTORIES, make_service
 from repro.workloads.traffic import TrafficParams, TrafficWorkload, main, traffic_point
+from tests.sim.heap_referee import HeapSimulator
 
 #: Small but non-trivial: a few hundred requests over 4 nodes.
 POINT = dict(rate=0.4, horizon=1_200.0, n_clients=50_000, n_keys=64, n_nodes=4, seed=9)
@@ -38,22 +39,21 @@ def test_traffic_point_histogram_is_populated():
     assert r["completion_time"] > 0 and r["messages"] > 0
 
 
-def test_traffic_point_matches_heap_kernel(monkeypatch):
+def test_traffic_point_matches_heap_kernel(monkeypatch, heap_kernel):
     built = []
 
     class RecordingMachine(Machine):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            built.append(self)
+            built.append(type(self.sim))
 
     monkeypatch.setattr(traffic_mod, "Machine", RecordingMachine)
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
     fast = traffic_point(**POINT)
-    monkeypatch.setenv("REPRO_KERNEL", "heap")
-    heap = traffic_point(**POINT)
-    # Each run really used the kernel it names, so the pin cannot
-    # silently compare a discipline with itself.
-    assert [m.sim.fast_path for m in built] == [True, False]
+    with heap_kernel():
+        heap = traffic_point(**POINT)
+    # Each run really used the loop it names, so the pin cannot
+    # silently compare a loop with itself.
+    assert built == [Simulator, HeapSimulator]
     assert heap == fast
 
 
@@ -78,6 +78,15 @@ def test_traffic_point_matches_golden(name):
 def test_quick_rate_sweep_matches_golden(capsys):
     """The CLI's quick sweep, byte for byte (CI diffs the same file)."""
     assert main(["--rate-sweep", "--quick", "--seed", "1"]) == 0
+    with open(os.path.join(HERE, "traffic_rate_sweep_quick_seed1.md")) as f:
+        assert capsys.readouterr().out == f.read()
+
+
+def test_quick_rate_sweep_matches_golden_on_heap_kernel(capsys, heap_kernel):
+    """The same sweep on the all-heap referee, byte for byte."""
+    with heap_kernel() as sims:
+        assert main(["--rate-sweep", "--quick", "--seed", "1"]) == 0
+    assert sims and all(type(sim) is HeapSimulator for sim in sims)
     with open(os.path.join(HERE, "traffic_rate_sweep_quick_seed1.md")) as f:
         assert capsys.readouterr().out == f.read()
 
