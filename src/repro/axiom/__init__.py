@@ -2,7 +2,7 @@
 
 Litmus programs are lowered to event graphs (reusing the DRF analyzer's
 IR), candidate executions — reads-from, coherence order, lock order —
-are enumerated with incremental acyclicity pruning, and the paper's
+are searched by one partial-order-reduced engine, and the paper's
 consistency models are applied as relational axioms over po, rf, co, fr
 and the fence/sync edges derived from the NP/CP-Synch labeling table.
 
@@ -12,21 +12,20 @@ Public surface:
   litmus test under one model × protocol;
 * :func:`run_gate` — the three-way differential (axiomatic vs the
   litmus oracle's closed form vs operationally observed outcomes);
-* :func:`axiom_consume_allowed` / :func:`fuzz_consume_allowed` — the
-  fuzzer's consume sets rederived from the event graph's closures and
-  enumerated exactly by the reduced engine: test-time referees of the
-  fuzzer's one oracle, :func:`repro.verify.fuzz.consume_allowed`;
 * :func:`reduced_outcomes_for_graph` / :func:`fuzz_allowed_outcomes` —
   the partial-order-reduced engine and its whole-program round
-  decomposition (the exhaustive enumerator stays as the differential
-  referee);
+  decomposition (``python -m repro.axiom --at-scale``);
 * :func:`check_trace` / :func:`conformance_report` — single-execution
   conformance: an observed TraceBus run checked against the axioms in
   polynomial time (``python -m repro.axiom --conform TRACE``);
 * ``python -m repro.axiom`` — the CLI gate with JSON verdicts.
+
+The second, independent derivations — the exhaustive enumerator and the
+two axiomatic consume referees of the fuzzer's DRF-derived oracle — are
+test-only and live in ``tests/axiom/referees.py``.
 """
 
-from .check import allowed_outcomes, count_executions
+from .check import allowed_outcomes
 from .conformance import (
     ConformanceReport,
     ConformanceViolation,
@@ -35,15 +34,12 @@ from .conformance import (
     conformance_report,
 )
 from .differential import GateReport, GateRow, run_gate
-from .enumerate import Execution, allowed_outcomes_for_graph, enumerate_executions
 from .events import Event, EventGraph, litmus_event_graph
-from .fuzzoracle import axiom_consume_allowed
 from .model import AxModel, ax_model_for
 from .scale import (
     AxiomBudgetExceeded,
     estimate_candidate_space,
     fuzz_allowed_outcomes,
-    fuzz_consume_allowed,
     fuzz_program_event_graph,
     fuzz_round_event_graph,
     reduced_outcomes_for_graph,
@@ -55,20 +51,14 @@ __all__ = [
     "Event",
     "EventGraph",
     "litmus_event_graph",
-    "Execution",
-    "enumerate_executions",
-    "allowed_outcomes_for_graph",
     "allowed_outcomes",
-    "count_executions",
     "GateRow",
     "GateReport",
     "run_gate",
-    "axiom_consume_allowed",
     "AxiomBudgetExceeded",
     "reduced_outcomes_for_graph",
     "estimate_candidate_space",
     "fuzz_allowed_outcomes",
-    "fuzz_consume_allowed",
     "fuzz_program_event_graph",
     "fuzz_round_event_graph",
     "ConformanceReport",

@@ -2,26 +2,22 @@
 
 :func:`allowed_outcomes` is the checker's public entry point: the set of
 outcomes the axioms admit for a litmus test under one consistency model
-and protocol.  Results are cached per (test, model name, protocol,
-engine) — enumeration is exact and deterministic, so the cache is safe
-for the whole process lifetime (litmus tests are frozen dataclasses).
+and protocol, computed by the partial-order-reduced search of
+:mod:`repro.axiom.scale` with the DRF short-circuit.  Results are cached
+per (test, model name, protocol) — enumeration is exact and
+deterministic, so the cache is safe for the whole process lifetime
+(litmus tests are frozen dataclasses).
 
-Two engines answer the same query: ``"reduced"`` (the default) runs the
-partial-order-reduced search of :mod:`repro.axiom.scale` with the DRF
-short-circuit; ``"exhaustive"`` runs the original enumerator verbatim.
-``tests/axiom/test_scale.py`` holds them bit-identical over the whole
-corpus — the exhaustive engine is the referee, the reduced engine is
-what everything else calls.
+``tests/axiom/test_scale.py`` holds the answers bit-identical to the
+exhaustive referee (``tests/axiom/referees.py``) over the whole corpus.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
-from ..consistency.models import ConsistencyModel
 from ..static.drf import classification_for
-from .enumerate import allowed_outcomes_for_graph, enumerate_executions
 from .events import litmus_event_graph
 from .model import ax_model_for
 from .scale import reduced_outcomes_for_graph
@@ -29,50 +25,21 @@ from .scale import reduced_outcomes_for_graph
 if TYPE_CHECKING:  # pragma: no cover
     from ..verify.litmus import LitmusTest
 
-__all__ = ["allowed_outcomes", "count_executions"]
-
-
-def _outcomes_for(test: "LitmusTest", ax, engine: str) -> frozenset:
-    g = litmus_event_graph(test)
-    if engine == "exhaustive":
-        return allowed_outcomes_for_graph(g, ax, finals=test.finals)
-    if engine == "reduced":
-        return reduced_outcomes_for_graph(
-            g, ax, finals=test.finals,
-            classification=classification_for(test),
-        )
-    raise ValueError(f"unknown engine {engine!r}")
+__all__ = ["allowed_outcomes"]
 
 
 @lru_cache(maxsize=None)
-def _cached_outcomes(
-    test: "LitmusTest", model_name: str, protocol: str, engine: str
-) -> frozenset:
-    return _outcomes_for(test, ax_model_for(model_name, protocol), engine)
+def _cached_outcomes(test: "LitmusTest", model: str, protocol: str) -> frozenset:
+    return reduced_outcomes_for_graph(
+        litmus_event_graph(test),
+        ax_model_for(model, protocol),
+        finals=test.finals,
+        classification=classification_for(test),
+    )
 
 
 def allowed_outcomes(
-    test: "LitmusTest",
-    model: Union[str, ConsistencyModel],
-    protocol: str = "primitives",
-    engine: str = "reduced",
+    test: "LitmusTest", model: str, protocol: str = "primitives"
 ) -> frozenset:
     """Outcomes the axioms admit for ``test`` under ``model`` × ``protocol``."""
-    if isinstance(model, str):
-        return _cached_outcomes(test, model, protocol, engine)
-    return _outcomes_for(test, ax_model_for(model, protocol), engine)
-
-
-def count_executions(
-    test: "LitmusTest",
-    model: Union[str, ConsistencyModel],
-    protocol: str = "primitives",
-) -> int:
-    """Number of consistent candidate executions (for reports/tests)."""
-    ax = ax_model_for(model, protocol)
-    return sum(
-        1
-        for _ in enumerate_executions(
-            litmus_event_graph(test), ax, finals=test.finals
-        )
-    )
+    return _cached_outcomes(test, model, protocol)

@@ -1,8 +1,8 @@
 """Single-execution conformance: ``observed ⊨ model`` for whole traces.
 
-The exhaustive and reduced engines (:mod:`repro.axiom.enumerate`,
-:mod:`repro.axiom.scale`) answer "which outcomes does the model *allow*"
-by enumerating candidate executions — exponential in the worst case and
+The reduced engine (:mod:`repro.axiom.scale`) and its exhaustive test
+referee answer "which outcomes does the model *allow*" by enumerating
+candidate executions — exponential in the worst case and
 pointless for a workload trace, which already names **one** candidate
 execution.  This module checks that single candidate in polynomial time.
 

@@ -30,7 +30,7 @@ write buffer delaying a *shared write* past later same-thread operations
   :func:`repro.sync.base.draining_kinds`, the labeling table's helper.
 
 Everything else (rf, co, fr, the lock release→acquire order) is chosen
-per candidate execution by :mod:`repro.axiom.enumerate`.
+per candidate execution (:mod:`repro.axiom.relations`).
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
-"""Partial-order-reduced enumeration: the axiomatic checker at fuzzer scale.
+"""Partial-order-reduced enumeration: the axiomatic checker's one engine.
 
-:mod:`repro.axiom.enumerate` is exhaustive and exact but exponential —
-it enumerates every per-lock critical-section permutation, every
-per-location coherence linear order, and every reads-from product, and
-only then prunes.  That is fine for 2–4-thread litmus shapes and
-useless for a full-size fuzzer program.  This module keeps the *axioms*
-verbatim (it calls the same ``_read_candidates`` / ``_coherent_per_location``
-/ ``_resolve_values`` machinery) and replaces the *search* with a
-reduced one, in four layers:
+An exhaustive search is exact but exponential — it enumerates every
+per-lock critical-section permutation, every per-location coherence
+linear order, and every reads-from product, and only then prunes.  That
+is fine for 2–4-thread litmus shapes and hopeless for most full-size
+fuzzer programs.  This module applies the axioms of
+:mod:`repro.axiom.relations` verbatim (``_read_candidates`` /
+``_coherent_per_location`` / ``_resolve_values``) and prunes the
+*search* instead, in four layers:
 
 **R0 — DRF short-circuit.**  A program the static analyzer proves
 non-``relaxable`` (:class:`repro.static.drf.Classification`) admits only
@@ -55,9 +55,10 @@ independently — with ``atomic_inc`` forcing the home-serialized
 fetch-add semantics the machine actually implements — and the outcome
 sets compose by product.
 
-The exhaustive enumerator stays verbatim as the differential referee:
-``tests/axiom/test_scale.py`` holds reduced == exhaustive on the full
-litmus corpus and hypothesis re-checks it on random small programs.
+The exhaustive enumerator is the differential referee and lives with
+the tests (``tests/axiom/referees.py``): ``tests/axiom/test_scale.py``
+holds reduced == exhaustive on the full litmus corpus and a pinned
+full-size program, and hypothesis re-checks it on random small programs.
 """
 
 from __future__ import annotations
@@ -76,12 +77,13 @@ from ..static.drf import (
     lower_fuzz_program,
 )
 from ..sync.base import draining_kinds
-from .enumerate import (
+from .relations import (
     Outcome,
     _acyclic,
     _closure,
     _co_orders,
     _coherent_per_location,
+    _linear_extensions,
     _outcome,
     _reaches,
     _read_candidates,
@@ -99,7 +101,6 @@ __all__ = [
     "fuzz_program_event_graph",
     "fuzz_allowed_outcomes",
     "fuzz_round_outcomes",
-    "fuzz_consume_allowed",
     "consume_reg",
 ]
 
@@ -122,25 +123,6 @@ _FUZZ_AX = AxModel(
 # --------------------------------------------------------------------------
 # R1: lock orders as linear extensions of the required precedence
 # --------------------------------------------------------------------------
-
-def _linear_extensions(
-    items: Sequence[int], pred: Dict[int, Set[int]]
-) -> Iterator[Tuple[int, ...]]:
-    """All linear extensions of ``pred`` over ``items`` (lexicographic)."""
-
-    def extend(placed: List[int], done: frozenset) -> Iterator[Tuple[int, ...]]:
-        if len(placed) == len(items):
-            yield tuple(placed)
-            return
-        for x in items:
-            if x in done or not pred[x] <= done:
-                continue
-            placed.append(x)
-            yield from extend(placed, done | {x})
-            placed.pop()
-
-    yield from extend([], frozenset())
-
 
 def _reduced_lock_orders(
     g: EventGraph, base_reach: List[int]
@@ -327,9 +309,8 @@ def reduced_outcomes_for_graph(
 ) -> frozenset:
     """The allowed-outcome set of ``g`` under ``ax``, reduced search.
 
-    Bit-identical to
-    :func:`repro.axiom.enumerate.allowed_outcomes_for_graph` (the tests
-    hold them equal over the corpus and random programs), but prunes
+    Bit-identical to the exhaustive referee (the tests hold them equal
+    over the corpus and random programs), but prunes
     the candidate space instead of materializing it.  ``classification``
     enables the R0 DRF short-circuit; ``atomic_inc`` adds the machine's
     fetch-add atomicity (the exhaustive referee has no such axiom, so
@@ -351,12 +332,13 @@ def reduced_outcomes_for_graph(
 
 
 def estimate_candidate_space(g: EventGraph) -> float:
-    """Upper-bound candidate count the *exhaustive* enumerator walks.
+    """Naive candidate count: what an unpruned search would walk.
 
     Lock permutations × per-location coherence orders × rf products —
-    the product the exhaustive engine materializes before its closure
-    checks prune anything.  Used as evidence in tests and the at-scale
-    CI artifact that a graph is out of exhaustive range.
+    the product an exhaustive search materializes before its closure
+    checks prune anything.  It overstates any pruned search; the
+    at-scale CI artifact records it per program as a size measure, and
+    the tests use it to keep the exhaustive referee on small graphs.
     """
     total = 1.0
     for lock in g.sections:
@@ -528,10 +510,10 @@ def fuzz_round_event_graph(program, round_idx: int) -> EventGraph:
 def fuzz_program_event_graph(program) -> EventGraph:
     """The *whole-program* event graph (rounds chained by barriers).
 
-    This is what the exhaustive referee consumes: on small programs the
-    hypothesis property holds it equal to the round decomposition, and
-    on full-size programs :func:`estimate_candidate_space` documents why
-    nothing exhaustive ever returns from it.
+    The tests hold one reduced enumeration of it equal to the round
+    decomposition and, on small programs and one pinned full-size
+    program, to the exhaustive referee; the at-scale CLI sizes each
+    program by it with :func:`estimate_candidate_space`.
     """
     b = _GraphBuilder()
     n_rounds = len(program.rounds)
@@ -545,32 +527,17 @@ def fuzz_program_event_graph(program) -> EventGraph:
     return b.finish({})
 
 
-#: (program, round_idx) -> outcome frozenset, for programs that finished
-#: within budget.  Programs are frozen dataclasses, so this is safe for
-#: the process lifetime (mirrors check.py's litmus cache).
-_ROUND_CACHE: Dict[Tuple[object, int], frozenset] = {}
-
-
 def fuzz_round_outcomes(
     program, round_idx: int, budget_seconds: Optional[float] = None
 ) -> frozenset:
     """Joint outcomes (consume register valuations) of one round."""
-    key = (program, round_idx)
-    cached = _ROUND_CACHE.get(key)
-    if cached is not None:
-        return cached
-    g = fuzz_round_event_graph(program, round_idx)
     cls = classify_ir(lower_fuzz_program(_RoundView(program, round_idx)))
-    out = reduced_outcomes_for_graph(
-        g, _FUZZ_AX,
+    return reduced_outcomes_for_graph(
+        fuzz_round_event_graph(program, round_idx), _FUZZ_AX,
         classification=cls,
         atomic_inc=True,
         budget_seconds=budget_seconds,
     )
-    if len(_ROUND_CACHE) >= 4096:
-        _ROUND_CACHE.clear()
-    _ROUND_CACHE[key] = out
-    return out
 
 
 def fuzz_allowed_outcomes(
@@ -610,35 +577,3 @@ def fuzz_allowed_outcomes(
                 "outcome composition overran its wall-clock budget"
             )
     return frozenset(merged)
-
-
-def fuzz_consume_allowed(
-    program,
-    round_idx: int,
-    target: int,
-    consumer: Optional[int] = None,
-    budget_seconds: Optional[float] = None,
-) -> set:
-    """Values a consume of ``target``'s slot may observe in ``round_idx``.
-
-    The at-scale twin of :func:`repro.static.drf.derive_consume_allowed`
-    and :func:`repro.axiom.fuzzoracle.axiom_consume_allowed`: projected
-    from the round's *joint* outcome set, so it is never wider than the
-    phase-partition derivations and can be strictly tighter (a consumer
-    reading its own slot, or one ordered through a lock chain, gets only
-    the values some consistent execution actually delivers).  With
-    ``consumer`` the projection is restricted to that thread's consumes.
-    """
-    outs = fuzz_round_outcomes(program, round_idx, budget_seconds)
-    regs = [
-        consume_reg(round_idx, t, k)
-        for t in range(program.n_threads)
-        if consumer is None or t == consumer
-        for k, atom in enumerate(program.rounds[round_idx][t])
-        if atom.kind == "consume" and atom.arg == target
-    ]
-    values: set = set()
-    for outcome in outs:
-        d = dict(outcome)
-        values.update(d[reg] for reg in regs)
-    return values

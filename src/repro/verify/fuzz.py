@@ -76,7 +76,7 @@ from ..faults.diagnosis import HangDiagnosis
 from ..faults.plan import FaultSpec
 from ..obs import ObsParams
 from ..sim.rng import RngStreams, ScalarReader, py_random
-from ..static.drf import consume_oracle, derive_consume_allowed
+from ..static.drf import consume_oracle
 from ..sim.watchdog import HangError
 from ..sync.base import CBLLock, HWBarrier
 from ..system.config import MachineConfig
@@ -253,21 +253,6 @@ def gen_program(
     return Program(n_threads=n_threads, rounds=tuple(rounds))
 
 
-def consume_allowed(program: Program, round_idx: int, target: int) -> set:
-    """Values a consume of ``target``'s slot may legally observe in
-    ``round_idx``.
-
-    *Derived*, not hand-coded: :func:`repro.static.drf.derive_consume_allowed`
-    lowers the program to the analyzer's IR and partitions the slot's
-    writes against the consuming round's barrier phase — writes ordered
-    before contribute only the program-order-last value, statically-racy
-    concurrent writes contribute each of theirs.  (The closed form: the
-    last value published in an earlier round — 0 if none — plus any value
-    the target publishes concurrently this round.)
-    """
-    return derive_consume_allowed(program, round_idx, target)
-
-
 # --------------------------------------------------------------------------
 # Execution + oracles
 # --------------------------------------------------------------------------
@@ -314,9 +299,9 @@ def run_program(
     ``on_machine`` receives the finished machine before any oracle runs,
     so a caller can read its metrics, counters and simulator.
 
-    Consume values are checked against :func:`consume_allowed`'s sets,
-    derived per site from one :func:`~repro.static.drf.consume_oracle`
-    lowering; its axiomatic twins in :mod:`repro.axiom` are test-time
+    Consume values are checked against the sets of one
+    :func:`~repro.static.drf.consume_oracle` lowering, derived per site;
+    its axiomatic twins in ``tests/axiom/referees.py`` are test-time
     referees.
     """
     n_nodes = max(4, _next_pow2(program.n_threads + 1))

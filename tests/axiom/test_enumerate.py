@@ -1,4 +1,5 @@
-"""Candidate-execution enumeration (:mod:`repro.axiom.enumerate`).
+"""Candidate-execution enumeration (the exhaustive referee in
+``tests/axiom/referees.py``).
 
 Unit-level pins on the enumerator itself: executions carry coherent
 rf/co witnesses, the per-word chain constrains coherence order, lock
@@ -7,14 +8,13 @@ closure keeps future writes out of reads-from — the soundness property
 whose absence once admitted a machine-impossible mp+lock outcome.
 """
 
-from repro.axiom import (
-    allowed_outcomes,
-    ax_model_for,
+from repro.axiom import allowed_outcomes, ax_model_for, litmus_event_graph
+from repro.verify.litmus import LITMUS_TESTS, outcome
+from tests.axiom.referees import (
+    allowed_outcomes_for_graph,
     count_executions,
     enumerate_executions,
-    litmus_event_graph,
 )
-from repro.verify.litmus import LITMUS_TESTS, outcome
 
 TESTS = {t.name: t for t in LITMUS_TESTS}
 
@@ -77,7 +77,6 @@ def test_delayed_writes_are_transparent_to_the_ordering_chain():
     Without chain transparency the enumerator let t0's read miss the
     x-write that t2's barrier arrival had already drained, admitting a
     machine-impossible outcome."""
-    from repro.axiom import allowed_outcomes_for_graph
     from repro.verify.litmus import ACQ, BAR, LitmusTest, R, REL, W, outcome
 
     t = LitmusTest(

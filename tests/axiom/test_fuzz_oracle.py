@@ -14,14 +14,9 @@ from functools import partial
 
 import numpy as np
 
-from repro.axiom import axiom_consume_allowed
-from repro.verify.fuzz import (
-    Atom,
-    Program,
-    consume_allowed,
-    gen_program,
-    run_program,
-)
+from repro.static.drf import derive_consume_allowed
+from repro.verify.fuzz import Atom, Program, gen_program, run_program
+from tests.axiom.referees import axiom_consume_allowed
 
 
 def _consume_sites(program):
@@ -42,7 +37,7 @@ def test_oracles_agree_on_a_500_seed_corpus():
             n_rounds=int(rng.integers(1, 4)),
         )
         for ri, target in _consume_sites(p):
-            drf = consume_allowed(p, ri, target)
+            drf = derive_consume_allowed(p, ri, target)
             ax = axiom_consume_allowed(p, ri, target)
             assert drf == ax, (seed, ri, target, sorted(drf), sorted(ax))
             checked += 1
@@ -61,7 +56,7 @@ def test_issue_order_regression_next_round_publish_is_invisible():
         n_rounds=int(rng.integers(1, 4)),
     )
     assert [a.kind for a in p.rounds[2][1]].count("publish") == 1
-    assert consume_allowed(p, 1, 1) == {0}
+    assert derive_consume_allowed(p, 1, 1) == {0}
     assert axiom_consume_allowed(p, 1, 1) == {0}
 
 
@@ -84,7 +79,7 @@ def test_single_round_program_has_no_barrier_to_settle():
         n_threads=2,
         rounds=(((Atom("publish", 9),), (Atom("consume", 0),)),),
     )
-    assert axiom_consume_allowed(p, 0, 0) == {0, 9} == consume_allowed(p, 0, 0)
+    assert axiom_consume_allowed(p, 0, 0) == {0, 9} == derive_consume_allowed(p, 0, 0)
 
 
 def test_run_program_accepts_the_axiom_oracle(monkeypatch):

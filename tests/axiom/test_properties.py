@@ -13,9 +13,10 @@ corpus never hand-picked:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.axiom import allowed_outcomes_for_graph, ax_model_for, litmus_event_graph
+from repro.axiom import ax_model_for, litmus_event_graph
 from repro.static.drf import classify_litmus
 from repro.verify.litmus import ACQ, BAR, LitmusTest, R, REL, W
+from tests.axiom.referees import allowed_outcomes_for_graph
 
 _AX = {name: ax_model_for(name) for name in ("sc", "bc", "wo", "rc")}
 

@@ -2,9 +2,10 @@
 
 Four pins:
 
-* **corpus referee** — the reduced engine is bit-identical to the
-  exhaustive enumerator on every litmus test × model × protocol row (the
-  exhaustive engine is kept verbatim as the referee);
+* **corpus referee** — the reduced engine behind
+  :func:`repro.axiom.allowed_outcomes` is bit-identical to the
+  exhaustive enumerator (``tests/axiom/referees.py``) on every litmus
+  test × model × protocol row;
 * **scale** — a full-size fuzzer program (4 threads × 3 rounds × 3 atoms)
   enumerates in well under the 10-second budget, on inputs whose naive
   candidate space is astronomically large, and matches the exhaustive
@@ -27,12 +28,9 @@ import pytest
 from repro.axiom import (
     AxiomBudgetExceeded,
     allowed_outcomes,
-    allowed_outcomes_for_graph,
     ax_model_for,
-    axiom_consume_allowed,
     estimate_candidate_space,
     fuzz_allowed_outcomes,
-    fuzz_consume_allowed,
     fuzz_program_event_graph,
     litmus_event_graph,
     reduced_outcomes_for_graph,
@@ -41,6 +39,11 @@ from repro.axiom.scale import _FUZZ_AX
 from repro.static.drf import derive_consume_allowed
 from repro.verify.fuzz import fuzz, gen_program
 from repro.verify.litmus import LITMUS_TESTS, MODELS
+from tests.axiom.referees import (
+    allowed_outcomes_for_graph,
+    axiom_consume_allowed,
+    fuzz_consume_allowed,
+)
 
 FULL_SIZE = dict(n_threads=4, n_rounds=3, max_atoms_per_round=3)
 
@@ -50,9 +53,12 @@ FULL_SIZE = dict(n_threads=4, n_rounds=3, max_atoms_per_round=3)
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("test", LITMUS_TESTS, ids=lambda t: t.name)
 def test_reduced_is_bit_identical_to_exhaustive_on_the_corpus(test, model):
+    g = litmus_event_graph(test)
     for proto in test.protocols:
-        reduced = allowed_outcomes(test, model, proto, engine="reduced")
-        exhaustive = allowed_outcomes(test, model, proto, engine="exhaustive")
+        reduced = allowed_outcomes(test, model, proto)
+        exhaustive = allowed_outcomes_for_graph(
+            g, ax_model_for(model, proto), test.finals
+        )
         assert reduced == exhaustive, (test.name, model, proto)
 
 

@@ -14,14 +14,10 @@ interplay, same-location write stacks, read-only programs).
 import pytest
 from hypothesis import given, settings
 
-from repro.axiom import (
-    allowed_outcomes_for_graph,
-    ax_model_for,
-    litmus_event_graph,
-    reduced_outcomes_for_graph,
-)
+from repro.axiom import ax_model_for, litmus_event_graph, reduced_outcomes_for_graph
 from repro.static.drf import classify_litmus
 from repro.verify.litmus import ACQ, BAR, MODELS, PROTOCOLS, LitmusTest, R, REL, W
+from tests.axiom.referees import allowed_outcomes_for_graph
 
 from .test_properties import small_litmus
 

@@ -58,9 +58,9 @@ def test_smoke_program_passes_everywhere(protocol, model):
 @pytest.mark.parametrize(
     "oracle, module, name",
     [
-        ("drf", "repro.verify.fuzz", "consume_allowed"),
-        ("axiom", "repro.axiom", "axiom_consume_allowed"),
-        ("axiom-scale", "repro.axiom", "fuzz_consume_allowed"),
+        ("drf", "repro.static.drf", "derive_consume_allowed"),
+        ("axiom", "tests.axiom.referees", "axiom_consume_allowed"),
+        ("axiom-scale", "tests.axiom.referees", "fuzz_consume_allowed"),
     ],
 )
 def test_consume_oracle_derived_once_per_site(monkeypatch, oracle, module, name):
