@@ -78,7 +78,7 @@ def _at_scale(
             row = {
                 "program": i, "ok": True, "seconds": round(dt, 3),
                 "outcomes": len(outcomes), "events": program.size(),
-                "exhaustive_space": space,
+                "naive_space": space,
             }
             verdict = f"{len(outcomes)} outcome(s) in {dt:.3f}s"
         except AxiomBudgetExceeded as exc:
@@ -87,7 +87,7 @@ def _at_scale(
                 "program": i, "ok": False,
                 "seconds": round(time.monotonic() - t0, 3),  # lint-ok: wall-clock (CLI budget/reporting)
                 "error": str(exc), "events": program.size(),
-                "exhaustive_space": space,
+                "naive_space": space,
             }
             verdict = f"BUDGET EXCEEDED ({exc})"
         rows.append(row)
@@ -95,7 +95,7 @@ def _at_scale(
             print(
                 f"program {i}: {program.n_threads} threads x "
                 f"{len(program.rounds)} rounds ({program.size()} ops, "
-                f"~{space:.2e} exhaustive candidates): {verdict}"
+                f"~{space:.2e} naive candidates): {verdict}"
             )
     if json_path:
         with open(json_path, "w") as fh:

@@ -332,13 +332,14 @@ def reduced_outcomes_for_graph(
 
 
 def estimate_candidate_space(g: EventGraph) -> float:
-    """Naive candidate count: what an unpruned search would walk.
+    """Naive candidate count: what a search that pruned nothing would walk.
 
-    Lock permutations × per-location coherence orders × rf products —
-    the product an exhaustive search materializes before its closure
-    checks prune anything.  It overstates any pruned search; the
-    at-scale CI artifact records it per program as a size measure, and
-    the tests use it to keep the exhaustive referee on small graphs.
+    Lock permutations × per-location coherence orders × rf products.  No
+    search here walks that product: the exhaustive referee prunes too,
+    and enumerates the pinned seed-4 program, which reads above 1e13
+    here, in seconds.  So the count is a size measure only, not a cost:
+    the at-scale CI artifact records it per program as ``naive_space``,
+    and the tests use it to keep the exhaustive referee on small graphs.
     """
     total = 1.0
     for lock in g.sections:

@@ -6,11 +6,9 @@ from typing import List, Optional, Tuple
 
 from ..sim.stats import StatSet
 from .line import CacheLine
-from .states import LineState
+from .states import INVALID, LineState
 
 __all__ = ["SetAssocCache", "CacheGeometryError"]
-
-_INVALID = LineState.INVALID
 
 
 class CacheGeometryError(ValueError):
@@ -65,7 +63,7 @@ class SetAssocCache:
         if s is not None:
             for line in s:
                 # ``line.valid`` without the property frame (here and below).
-                if line.state is not _INVALID and line.block == block:
+                if line.state is not INVALID and line.block == block:
                     if touch:
                         line.last_used = now
                     counts["hits"] = counts.get("hits", 0) + 1
@@ -78,7 +76,7 @@ class SetAssocCache:
         s = self._sets[block & (self.n_sets - 1)]
         if s is not None:
             for line in s:
-                if line.state is not _INVALID and line.block == block:
+                if line.state is not INVALID and line.block == block:
                     return line
         return None
 
@@ -89,7 +87,7 @@ class SetAssocCache:
         candidates = self._set(self.set_index(block))
         best: Optional[CacheLine] = None
         for line in candidates:
-            if line.state is _INVALID:
+            if line.state is INVALID:
                 return line
             if line.is_queue_member():
                 continue

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .states import LineState, LockMode
+from .states import INVALID, LOCK_NONE, LineState, LockMode
 
 __all__ = ["CacheLine"]
 
@@ -36,11 +36,11 @@ class CacheLine:
 
     def __init__(self, words_per_block: int):
         self.block: int = -1
-        self.state: LineState = LineState.INVALID
+        self.state: LineState = INVALID
         self.data: List[int] = [0] * words_per_block
         self.dirty_mask: int = 0
         self.update: bool = False
-        self.lock: LockMode = LockMode.NONE
+        self.lock: LockMode = LOCK_NONE
         self.prev: Optional[int] = None
         self.next: Optional[int] = None
         self.last_used: float = 0.0
@@ -48,7 +48,7 @@ class CacheLine:
     # -- predicates ----------------------------------------------------------
     @property
     def valid(self) -> bool:
-        return self.state is not LineState.INVALID
+        return self.state is not INVALID
 
     @property
     def dirty(self) -> bool:
@@ -60,7 +60,7 @@ class CacheLine:
         Such lines must not be replaced (the paper's motivation for the
         separate lock cache): evicting one would sever the list.
         """
-        return self.update or self.lock is not LockMode.NONE
+        return self.update or self.lock is not LOCK_NONE
 
     # -- word access -----------------------------------------------------
     def read_word(self, offset: int) -> int:
@@ -78,15 +78,15 @@ class CacheLine:
         self.state = state
         self.dirty_mask = 0
         self.update = False
-        self.lock = LockMode.NONE
+        self.lock = LOCK_NONE
         self.prev = None
         self.next = None
 
     def invalidate(self) -> None:
-        self.state = LineState.INVALID
+        self.state = INVALID
         self.dirty_mask = 0
         self.update = False
-        self.lock = LockMode.NONE
+        self.lock = LOCK_NONE
         self.prev = None
         self.next = None
 

@@ -34,8 +34,23 @@ class LockMode(Enum):
 
     @property
     def is_held(self) -> bool:
-        return self in (LockMode.READ, LockMode.WRITE)
+        return self is READ or self is WRITE
 
     @property
     def is_waiting(self) -> bool:
-        return self in (LockMode.WAIT_READ, LockMode.WAIT_WRITE)
+        return self is WAIT_READ or self is WAIT_WRITE
+
+
+# Every member bound once as a module global for function bodies to load
+# (see the note above ``repro.network.message.READ_MISS``).  ``SHARED``,
+# ``EXCLUSIVE`` and ``NONE`` recur in ``DirState`` and ``Usage``, so they
+# carry a prefix here.
+INVALID = LineState.INVALID
+LINE_SHARED = LineState.SHARED
+LINE_EXCLUSIVE = LineState.EXCLUSIVE
+VALID_LOCAL = LineState.VALID_LOCAL
+LOCK_NONE = LockMode.NONE
+READ = LockMode.READ
+WRITE = LockMode.WRITE
+WAIT_READ = LockMode.WAIT_READ
+WAIT_WRITE = LockMode.WAIT_WRITE

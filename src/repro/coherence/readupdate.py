@@ -24,9 +24,29 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List
 
-from ..cache.states import LineState, LockMode
-from ..memory.directory import Usage
-from ..network.message import Message, MessageType
+from ..cache.states import LOCK_NONE, VALID_LOCAL
+from ..memory.directory import LOCK, READ_UPDATE, USAGE_NONE
+from ..network.message import (
+    DATA_BLOCK,
+    GLOBAL_WRITE,
+    GLOBAL_WRITE_ACK,
+    READ_GLOBAL,
+    READ_GLOBAL_REPLY,
+    READ_MISS,
+    RESET_UPDATE,
+    RESET_UPDATE_ACK,
+    RMW_REPLY,
+    RMW_REQ,
+    RU_ACK,
+    RU_DATA,
+    RU_REQ,
+    RU_UNLINK,
+    RU_UPDATE,
+    RU_UPDATE_FWD,
+    WRITEBACK,
+    WRITEBACK_ACK,
+    Message,
+)
 from ..sim.core import Event, Process
 from .base import AckCollector, Controller
 from .wbi import apply_rmw
@@ -42,16 +62,16 @@ class PrimitivesCacheController(Controller):
 
     IN_TYPES = frozenset(
         {
-            MessageType.DATA_BLOCK,
-            MessageType.READ_GLOBAL_REPLY,
-            MessageType.WRITEBACK_ACK,
-            MessageType.GLOBAL_WRITE_ACK,
-            MessageType.RU_DATA,
-            MessageType.RU_UPDATE,
-            MessageType.RU_UPDATE_FWD,
-            MessageType.RU_UNLINK,
-            MessageType.RESET_UPDATE_ACK,
-            MessageType.RMW_REPLY,
+            DATA_BLOCK,
+            READ_GLOBAL_REPLY,
+            WRITEBACK_ACK,
+            GLOBAL_WRITE_ACK,
+            RU_DATA,
+            RU_UPDATE,
+            RU_UPDATE_FWD,
+            RU_UNLINK,
+            RESET_UPDATE_ACK,
+            RMW_REPLY,
         }
     )
 
@@ -107,7 +127,7 @@ class PrimitivesCacheController(Controller):
         yield self.cfg.cache_cycle
         t0 = self.sim.now
         value = yield from self.request(
-            ("c:rg", word_addr), home, MessageType.READ_GLOBAL, addr=block, word=word_addr
+            ("c:rg", word_addr), home, READ_GLOBAL, addr=block, word=word_addr
         )
         if self.obs is not None:
             self.obs.span(
@@ -154,7 +174,7 @@ class PrimitivesCacheController(Controller):
         # The RU_DATA handler installs the subscription line synchronously at
         # delivery so pushed updates can never slip between reply and install.
         words, old_head = yield from self.request(
-            ("c:rudata", block), home, MessageType.RU_REQ, addr=block
+            ("c:rudata", block), home, RU_REQ, addr=block
         )
         if self.obs is not None:
             self.obs.span(
@@ -162,7 +182,7 @@ class PrimitivesCacheController(Controller):
             )
         if old_head is not None:
             # Thread ourselves before the old head of the subscriber list.
-            self.send(old_head, MessageType.RU_UNLINK, addr=block, set_prev=self.node.node_id)
+            self.send(old_head, RU_UNLINK, addr=block, set_prev=self.node.node_id)
         return words[offset]
 
     def reset_update(self, word_addr: int):
@@ -183,7 +203,7 @@ class PrimitivesCacheController(Controller):
         yield self.cfg.cache_cycle
         t0 = self.sim.now
         old = yield from self.request(
-            ("c:rmw", word_addr), home, MessageType.RMW_REQ,
+            ("c:rmw", word_addr), home, RMW_REQ,
             addr=block, word=word_addr, op=op, operand=operand,
         )
         if self.obs is not None:
@@ -206,8 +226,8 @@ class PrimitivesCacheController(Controller):
         t0 = self.sim.now
         yield from self._evict_for(block)
         home = self.amap.home_of(block)
-        words = yield from self.request(("c:data", block), home, MessageType.READ_MISS, addr=block)
-        line, _ = self.node.cache.install(block, words, LineState.VALID_LOCAL, now=self.sim.now)
+        words = yield from self.request(("c:data", block), home, READ_MISS, addr=block)
+        line, _ = self.node.cache.install(block, words, VALID_LOCAL, now=self.sim.now)
         if self.obs is not None:
             self.obs.span(
                 "miss:prim.fetch", "coh", self.node.node_id, t0, args={"block": block}
@@ -225,7 +245,7 @@ class PrimitivesCacheController(Controller):
             candidates = [
                 l
                 for l in cache._set(cache.set_index(block))
-                if l.valid and l.lock is LockMode.NONE
+                if l.valid and l.lock is LOCK_NONE
             ]
             if not candidates:  # pragma: no cover - lock lines live in lock cache
                 raise RuntimeError("no evictable line")
@@ -245,7 +265,7 @@ class PrimitivesCacheController(Controller):
         words = list(line.data)
         mask = line.dirty_mask
         yield from self.request(
-            ("c:wback", line.block), home, MessageType.WRITEBACK,
+            ("c:wback", line.block), home, WRITEBACK,
             addr=line.block, words=words, mask=mask,
         )
         line.dirty_mask = 0
@@ -254,7 +274,7 @@ class PrimitivesCacheController(Controller):
         self.stats.counters.add("prim.ru_unsubscribes")
         home = self.amap.home_of(line.block)
         yield from self.request(
-            ("c:ruack", line.block), home, MessageType.RESET_UPDATE, addr=line.block
+            ("c:ruack", line.block), home, RESET_UPDATE, addr=line.block
         )
         line.update = False
         line.prev = None
@@ -265,31 +285,31 @@ class PrimitivesCacheController(Controller):
         if self.node.resilience is not None and not self.dedup_admit(msg):
             return
         mt = msg.mtype
-        if mt is MessageType.DATA_BLOCK:
+        if mt is DATA_BLOCK:
             self.resolve(("c:data", msg.addr), msg.info["words"])
-        elif mt is MessageType.READ_GLOBAL_REPLY:
+        elif mt is READ_GLOBAL_REPLY:
             self.resolve(("c:rg", msg.info["word"]), msg.info["value"])
-        elif mt is MessageType.WRITEBACK_ACK:
+        elif mt is WRITEBACK_ACK:
             self.resolve(("c:wback", msg.addr))
-        elif mt is MessageType.GLOBAL_WRITE_ACK:
+        elif mt is GLOBAL_WRITE_ACK:
             self.node.write_buffer.retire(msg.info["entry_id"])
-        elif mt is MessageType.RU_DATA:
+        elif mt is RU_DATA:
             if self.node.resilience is not None and not self.has_pending(("c:rudata", msg.addr)):
                 return  # stale duplicate subscription fill
             self._on_ru_data(msg)
-        elif mt in (MessageType.RU_UPDATE, MessageType.RU_UPDATE_FWD):
+        elif mt in (RU_UPDATE, RU_UPDATE_FWD):
             if self.has_pending(("c:rudata", msg.addr)):
                 self._ru_deferred.setdefault(msg.addr, []).append(msg)
             else:
                 self._on_ru_update(msg)
-        elif mt is MessageType.RU_UNLINK:
+        elif mt is RU_UNLINK:
             if self.has_pending(("c:rudata", msg.addr)):
                 self._ru_deferred.setdefault(msg.addr, []).append(msg)
             else:
                 self._on_ru_unlink(msg)
-        elif mt is MessageType.RESET_UPDATE_ACK:
+        elif mt is RESET_UPDATE_ACK:
             self.resolve(("c:ruack", msg.addr))
-        elif mt is MessageType.RMW_REPLY:
+        elif mt is RMW_REPLY:
             self.resolve(("c:rmw", msg.info["word"]), msg.info["old"])
         else:  # pragma: no cover - wiring error
             raise RuntimeError(f"primitives cache controller got {msg!r}")
@@ -300,7 +320,7 @@ class PrimitivesCacheController(Controller):
         snapshot = list(msg.info["words"])
         old_head = msg.info["old_head"]
         line, _ = self.node.cache.install(
-            msg.addr, list(msg.info["words"]), LineState.VALID_LOCAL, now=self.sim.now
+            msg.addr, list(msg.info["words"]), VALID_LOCAL, now=self.sim.now
         )
         line.update = True
         line.prev = None
@@ -331,7 +351,7 @@ class PrimitivesCacheController(Controller):
             delay.callbacks.append(
                 lambda _e: self.send(
                     nxt,
-                    MessageType.RU_UPDATE_FWD,
+                    RU_UPDATE_FWD,
                     addr=msg.addr,
                     words=msg.info["words"],
                     chain=rest,
@@ -342,7 +362,7 @@ class PrimitivesCacheController(Controller):
         elif msg.info["ack_home"]:
             delay.callbacks.append(
                 lambda _e: self.send(
-                    home, MessageType.RU_ACK, addr=msg.addr, token=msg.info["token"]
+                    home, RU_ACK, addr=msg.addr, token=msg.info["token"]
                 )
             )
 
@@ -362,16 +382,16 @@ class PrimitivesHomeController(Controller):
 
     REQUEST_TYPES = frozenset(
         {
-            MessageType.READ_MISS,
-            MessageType.READ_GLOBAL,
-            MessageType.GLOBAL_WRITE,
-            MessageType.WRITEBACK,
-            MessageType.RU_REQ,
-            MessageType.RESET_UPDATE,
-            MessageType.RMW_REQ,
+            READ_MISS,
+            READ_GLOBAL,
+            GLOBAL_WRITE,
+            WRITEBACK,
+            RU_REQ,
+            RESET_UPDATE,
+            RMW_REQ,
         }
     )
-    RESPONSE_TYPES = frozenset({MessageType.RU_ACK})
+    RESPONSE_TYPES = frozenset({RU_ACK})
     IN_TYPES = REQUEST_TYPES | RESPONSE_TYPES
 
     def __init__(self, node: "Node"):
@@ -386,7 +406,7 @@ class PrimitivesHomeController(Controller):
         self._admit(msg)
 
     def _admit(self, msg: Message) -> None:
-        if msg.mtype is MessageType.RU_ACK:
+        if msg.mtype is RU_ACK:
             key = (msg.addr, msg.info["token"])
             coll = self._ack_collectors.get(key)
             if coll is not None:
@@ -413,7 +433,7 @@ class PrimitivesHomeController(Controller):
     def _h_read_miss(self, msg: Message, entry):
         yield self.cfg.dir_cycle + self.cfg.memory_cycle
         words = self.node.memory.read_block(entry.block)
-        self.reply_to(msg, MessageType.DATA_BLOCK, addr=entry.block, words=words)
+        self.reply_to(msg, DATA_BLOCK, addr=entry.block, words=words)
         self._done(entry)
 
     def _h_read_global(self, msg: Message, entry):
@@ -429,7 +449,7 @@ class PrimitivesHomeController(Controller):
             )
         self.reply_to(
             msg,
-            MessageType.READ_GLOBAL_REPLY,
+            READ_GLOBAL_REPLY,
             addr=entry.block,
             word=msg.info["word"],
             value=value,
@@ -457,7 +477,7 @@ class PrimitivesHomeController(Controller):
         if ack_now:
             self.reply_to(
                 msg,
-                MessageType.GLOBAL_WRITE_ACK,
+                GLOBAL_WRITE_ACK,
                 addr=entry.block,
                 entry_id=msg.info["entry_id"],
             )
@@ -478,7 +498,7 @@ class PrimitivesHomeController(Controller):
                 for sub in subscribers:
                     self.send(
                         sub,
-                        MessageType.RU_UPDATE,
+                        RU_UPDATE,
                         addr=entry.block,
                         words=words,
                         chain=(),
@@ -496,7 +516,7 @@ class PrimitivesHomeController(Controller):
                 head, rest = subscribers[0], tuple(subscribers[1:])
                 self.send(
                     head,
-                    MessageType.RU_UPDATE,
+                    RU_UPDATE,
                     addr=entry.block,
                     words=words,
                     chain=rest,
@@ -507,7 +527,7 @@ class PrimitivesHomeController(Controller):
             if not ack_now:
                 self.reply_to(
                     msg,
-                    MessageType.GLOBAL_WRITE_ACK,
+                    GLOBAL_WRITE_ACK,
                     addr=entry.block,
                     entry_id=msg.info["entry_id"],
                 )
@@ -532,11 +552,11 @@ class PrimitivesHomeController(Controller):
                     "src": msg.src,
                 },
             )
-        self.reply_to(msg, MessageType.WRITEBACK_ACK, addr=entry.block)
+        self.reply_to(msg, WRITEBACK_ACK, addr=entry.block)
         self._done(entry)
 
     def _h_ru_req(self, msg: Message, entry):
-        if entry.usage is Usage.LOCK:
+        if entry.usage is LOCK:
             raise RuntimeError(
                 f"block {entry.block} is in use as a lock; READ-UPDATE and "
                 "locks are mutually exclusive per block (paper, Section 4.1)"
@@ -547,11 +567,11 @@ class PrimitivesHomeController(Controller):
             entry.ru_subscribers.remove(msg.src)
             old_head = entry.ru_subscribers[0] if entry.ru_subscribers else None
         entry.ru_subscribers.insert(0, msg.src)
-        entry.usage = Usage.READ_UPDATE
+        entry.usage = READ_UPDATE
         entry.queue_pointer = msg.src  # head of the subscriber list
         words = self.node.memory.read_block(entry.block)
         self.reply_to(
-            msg, MessageType.RU_DATA, addr=entry.block, words=words, old_head=old_head
+            msg, RU_DATA, addr=entry.block, words=words, old_head=old_head
         )
         self._done(entry)
 
@@ -565,13 +585,13 @@ class PrimitivesHomeController(Controller):
             subs.pop(i)
             # Splice the distributed list to match.
             if prv is not None:
-                self.send(prv, MessageType.RU_UNLINK, addr=entry.block, set_next=nxt)
+                self.send(prv, RU_UNLINK, addr=entry.block, set_next=nxt)
             if nxt is not None:
-                self.send(nxt, MessageType.RU_UNLINK, addr=entry.block, set_prev=prv)
+                self.send(nxt, RU_UNLINK, addr=entry.block, set_prev=prv)
             entry.queue_pointer = subs[0] if subs else None
             if not subs:
-                entry.usage = Usage.NONE
-        self.reply_to(msg, MessageType.RESET_UPDATE_ACK, addr=entry.block)
+                entry.usage = USAGE_NONE
+        self.reply_to(msg, RESET_UPDATE_ACK, addr=entry.block)
         self._done(entry)
 
     def _h_rmw(self, msg: Message, entry):
@@ -586,17 +606,17 @@ class PrimitivesHomeController(Controller):
                 "mem.rmw", "mem", self.node.node_id,
                 args={"word": word, "old": old, "new": new, "src": msg.src},
             )
-        self.reply_to(msg, MessageType.RMW_REPLY, addr=entry.block, word=word, old=old)
+        self.reply_to(msg, RMW_REPLY, addr=entry.block, word=word, old=old)
         self._done(entry)
 
     #: Request type -> home transaction (a plain function: bound methods
     #: kept per instance would make every controller a reference cycle).
     _HANDLERS = {
-        MessageType.READ_MISS: _h_read_miss,
-        MessageType.READ_GLOBAL: _h_read_global,
-        MessageType.GLOBAL_WRITE: _h_global_write,
-        MessageType.WRITEBACK: _h_writeback,
-        MessageType.RU_REQ: _h_ru_req,
-        MessageType.RESET_UPDATE: _h_reset_update,
-        MessageType.RMW_REQ: _h_rmw,
+        READ_MISS: _h_read_miss,
+        READ_GLOBAL: _h_read_global,
+        GLOBAL_WRITE: _h_global_write,
+        WRITEBACK: _h_writeback,
+        RU_REQ: _h_ru_req,
+        RESET_UPDATE: _h_reset_update,
+        RMW_REQ: _h_rmw,
     }

@@ -30,9 +30,27 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from ..cache.states import LineState
-from ..memory.directory import DirState
-from ..network.message import Message, MessageType
+from ..cache.states import LINE_EXCLUSIVE, LINE_SHARED, LineState
+from ..memory.directory import DIR_EXCLUSIVE, DIR_SHARED, UNOWNED
+from ..network.message import (
+    DATA_BLOCK,
+    DATA_BLOCK_EXCL,
+    FETCH,
+    FETCH_INV,
+    FETCH_REPLY,
+    INV,
+    INV_ACK,
+    READ_MISS,
+    RMW_REPLY,
+    RMW_REQ,
+    UPGRADE,
+    UPGRADE_ACK,
+    WRITEBACK,
+    WRITEBACK_ACK,
+    WRITE_MISS,
+    Message,
+    MessageType,
+)
 from ..sim.core import Event, Process
 from .base import Controller, SourceAckCollector
 
@@ -64,14 +82,14 @@ class WBICacheController(Controller):
     #: Message types this controller consumes.
     IN_TYPES = frozenset(
         {
-            MessageType.DATA_BLOCK,
-            MessageType.DATA_BLOCK_EXCL,
-            MessageType.UPGRADE_ACK,
-            MessageType.WRITEBACK_ACK,
-            MessageType.RMW_REPLY,
-            MessageType.INV,
-            MessageType.FETCH,
-            MessageType.FETCH_INV,
+            DATA_BLOCK,
+            DATA_BLOCK_EXCL,
+            UPGRADE_ACK,
+            WRITEBACK_ACK,
+            RMW_REPLY,
+            INV,
+            FETCH,
+            FETCH_INV,
         }
     )
 
@@ -101,7 +119,7 @@ class WBICacheController(Controller):
         yield from self._evict_for(block)
         home = self.amap.home_of(block)
         self._mshr[block] = None
-        words = yield from self.request(("c:data", block), home, MessageType.READ_MISS, addr=block)
+        words = yield from self.request(("c:data", block), home, READ_MISS, addr=block)
         if self.obs is not None:
             # Miss lifecycle: issue -> directory transaction -> fill.
             self.obs.span(
@@ -119,16 +137,16 @@ class WBICacheController(Controller):
         yield self.cfg.cache_cycle
         line = self.node.cache.lookup(block, now=self.sim.now)
         counts = self.stats.counters.counts
-        if line is not None and line.state is LineState.EXCLUSIVE:
+        if line is not None and line.state is LINE_EXCLUSIVE:
             counts["wbi.write_hits"] = counts.get("wbi.write_hits", 0) + 1
             line.write_word(offset, value)
             return
         home = self.amap.home_of(block)
         t0 = self.sim.now
-        if line is not None and line.state is LineState.SHARED:
+        if line is not None and line.state is LINE_SHARED:
             counts["wbi.upgrades"] = counts.get("wbi.upgrades", 0) + 1
             self._mshr[block] = (offset, value)
-            yield from self.request(("c:excl", block), home, MessageType.UPGRADE, addr=block)
+            yield from self.request(("c:excl", block), home, UPGRADE, addr=block)
             if self.obs is not None:
                 self.obs.span(
                     "miss:wbi.upgrade", "coh", self.node.node_id, t0, args={"block": block}
@@ -137,7 +155,7 @@ class WBICacheController(Controller):
         counts["wbi.write_misses"] = counts.get("wbi.write_misses", 0) + 1
         yield from self._evict_for(block)
         self._mshr[block] = (offset, value)
-        yield from self.request(("c:excl", block), home, MessageType.WRITE_MISS, addr=block)
+        yield from self.request(("c:excl", block), home, WRITE_MISS, addr=block)
         if self.obs is not None:
             self.obs.span(
                 "miss:wbi.write", "coh", self.node.node_id, t0, args={"block": block}
@@ -152,7 +170,7 @@ class WBICacheController(Controller):
         yield self.cfg.cache_cycle
         t0 = self.sim.now
         old = yield from self.request(
-            ("c:rmw", word_addr), home, MessageType.RMW_REQ,
+            ("c:rmw", word_addr), home, RMW_REQ,
             addr=block, word=word_addr, op=op, operand=operand,
         )
         if self.obs is not None:
@@ -192,7 +210,7 @@ class WBICacheController(Controller):
         words = list(line.data)
         mask = line.dirty_mask
         yield from self.request(
-            ("c:wback", line.block), home, MessageType.WRITEBACK,
+            ("c:wback", line.block), home, WRITEBACK,
             addr=line.block, words=words, mask=mask,
         )
 
@@ -217,13 +235,13 @@ class WBICacheController(Controller):
             return
         resilient = self.node.resilience is not None
         mt = msg.mtype
-        if mt is MessageType.DATA_BLOCK:
+        if mt is DATA_BLOCK:
             if resilient and not self.has_pending(("c:data", msg.addr)):
                 return  # stale duplicate fill: nobody is waiting
             snapshot = list(msg.info["words"])
-            self._install_fill(msg.addr, msg.info["words"], LineState.SHARED)
+            self._install_fill(msg.addr, msg.info["words"], LINE_SHARED)
             self.resolve(("c:data", msg.addr), snapshot)
-        elif mt is MessageType.DATA_BLOCK_EXCL:
+        elif mt is DATA_BLOCK_EXCL:
             # May answer either a write miss or an upgrade-turned-miss; the
             # defensive fallback resolves a read that was granted exclusivity.
             if resilient and not (
@@ -231,10 +249,10 @@ class WBICacheController(Controller):
             ):
                 return
             snapshot = list(msg.info["words"])
-            self._install_fill(msg.addr, msg.info["words"], LineState.EXCLUSIVE)
+            self._install_fill(msg.addr, msg.info["words"], LINE_EXCLUSIVE)
             if not self.resolve(("c:excl", msg.addr)):
                 self.resolve(("c:data", msg.addr), snapshot)
-        elif mt is MessageType.UPGRADE_ACK:
+        elif mt is UPGRADE_ACK:
             if resilient and not self.has_pending(("c:excl", msg.addr)):
                 return
             # The home saw us registered, so no INV preceded this ack on the
@@ -245,20 +263,20 @@ class WBICacheController(Controller):
                     f"UPGRADE_ACK for block {msg.addr} but no valid line at "
                     f"node {self.node.node_id}"
                 )
-            line.state = LineState.EXCLUSIVE
+            line.state = LINE_EXCLUSIVE
             store = self._mshr.pop(msg.addr, None)
             if store is not None:
                 line.write_word(*store)
             self.resolve(("c:excl", msg.addr))
-        elif mt is MessageType.WRITEBACK_ACK:
+        elif mt is WRITEBACK_ACK:
             self.resolve(("c:wback", msg.addr))
-        elif mt is MessageType.RMW_REPLY:
+        elif mt is RMW_REPLY:
             self.resolve(("c:rmw", msg.info["word"]), msg.info["old"])
-        elif mt is MessageType.INV:
+        elif mt is INV:
             self._on_inv(msg)
-        elif mt is MessageType.FETCH:
+        elif mt is FETCH:
             self._on_fetch(msg, invalidate=False)
-        elif mt is MessageType.FETCH_INV:
+        elif mt is FETCH_INV:
             self._on_fetch(msg, invalidate=True)
         else:  # pragma: no cover - wiring error
             raise RuntimeError(f"WBI cache controller got {msg!r}")
@@ -279,23 +297,23 @@ class WBICacheController(Controller):
             counts["wbi.invalidations_received"] = counts.get("wbi.invalidations_received", 0) + 1
             line.invalidate()
             self._notify_invalidation(msg.addr)
-        self._reply_later(msg, MessageType.INV_ACK, msg.addr)
+        self._reply_later(msg, INV_ACK, msg.addr)
 
     def _on_fetch(self, msg: Message, invalidate: bool) -> None:
         line = self.node.cache.peek(msg.addr)
         if line is None:
             # Raced with our own eviction: the WRITEBACK is in flight and
             # carries the data; home will use it.  Tell home to use memory.
-            self._reply_later(msg, MessageType.FETCH_REPLY, msg.addr, words=None)
+            self._reply_later(msg, FETCH_REPLY, msg.addr, words=None)
             return
         words = list(line.data)
         if invalidate:
             line.invalidate()
             self._notify_invalidation(msg.addr)
         else:
-            line.state = LineState.SHARED
+            line.state = LINE_SHARED
             line.dirty_mask = 0
-        self._reply_later(msg, MessageType.FETCH_REPLY, msg.addr, words=words)
+        self._reply_later(msg, FETCH_REPLY, msg.addr, words=words)
 
 
 class WBIHomeController(Controller):
@@ -304,15 +322,15 @@ class WBIHomeController(Controller):
     #: Requests serialized by the per-block busy bit.
     REQUEST_TYPES = frozenset(
         {
-            MessageType.READ_MISS,
-            MessageType.WRITE_MISS,
-            MessageType.UPGRADE,
-            MessageType.WRITEBACK,
-            MessageType.RMW_REQ,
+            READ_MISS,
+            WRITE_MISS,
+            UPGRADE,
+            WRITEBACK,
+            RMW_REQ,
         }
     )
     #: In-transaction responses (never deferred).
-    RESPONSE_TYPES = frozenset({MessageType.INV_ACK, MessageType.FETCH_REPLY})
+    RESPONSE_TYPES = frozenset({INV_ACK, FETCH_REPLY})
     IN_TYPES = REQUEST_TYPES | RESPONSE_TYPES
 
     #: Replies that grant a cached copy; a probe revokes them, so the
@@ -320,9 +338,9 @@ class WBIHomeController(Controller):
     #: :meth:`Controller.void_stale_grants`).
     GRANT_TYPES = frozenset(
         {
-            MessageType.DATA_BLOCK,
-            MessageType.DATA_BLOCK_EXCL,
-            MessageType.UPGRADE_ACK,
+            DATA_BLOCK,
+            DATA_BLOCK_EXCL,
+            UPGRADE_ACK,
         }
     )
 
@@ -344,7 +362,7 @@ class WBIHomeController(Controller):
 
     def _admit(self, msg: Message) -> None:
         mt = msg.mtype
-        if mt is MessageType.INV_ACK:
+        if mt is INV_ACK:
             if self.node.resilience is None:
                 coll = self._ack_collectors[msg.addr]
             else:
@@ -352,7 +370,7 @@ class WBIHomeController(Controller):
             if coll is not None:
                 coll.ack(msg.src)
             return
-        if mt is MessageType.FETCH_REPLY:
+        if mt is FETCH_REPLY:
             self.resolve(("h:fetch", msg.addr), msg.info["words"])
             return
         entry = self.node.directory.entry(msg.addr)
@@ -377,37 +395,47 @@ class WBIHomeController(Controller):
         targets = [s for s in sorted(entry.sharers) if s != exclude]
         coll = SourceAckCollector(self.sim, targets)
         rseq = self.rseq_or_none() if targets else None
+        # Without resilience there are no dedup records to void: skip the
+        # bookkeeping calls (each would return at once).
+        resilient = self.node.resilience is not None
         voided = []
         if targets:
             self._ack_collectors[entry.block] = coll
             for t in targets:
-                voided += self.void_stale_grants(t, entry.block, self.GRANT_TYPES)
-                self.send(t, MessageType.INV, addr=entry.block, rseq=rseq)
+                if resilient:
+                    voided += self.void_stale_grants(t, entry.block, self.GRANT_TYPES)
+                self.send(t, INV, addr=entry.block, rseq=rseq)
             self.stats.counters.add("wbi.invalidations_sent", len(targets))
         yield from self.await_acks(
             coll,
             lambda waiting: [
-                self.send(t, MessageType.INV, addr=entry.block, rseq=rseq) for t in waiting
+                self.send(t, INV, addr=entry.block, rseq=rseq) for t in waiting
             ],
         )
-        self.forget_voided(voided)
+        if voided:
+            self.forget_voided(voided)
         self._ack_collectors.pop(entry.block, None)
         entry.sharers.clear()
 
     def _recall_from_owner(self, entry, invalidate: bool):
         """Fetch the dirty block back from its owner; returns fresh words."""
         mem = self.node.memory
-        mtype = MessageType.FETCH_INV if invalidate else MessageType.FETCH
+        mtype = FETCH_INV if invalidate else FETCH
         owner = entry.owner
-        voided = self.void_stale_grants(owner, entry.block, self.GRANT_TYPES)
+        voided = (
+            self.void_stale_grants(owner, entry.block, self.GRANT_TYPES)
+            if self.node.resilience is not None
+            else None
+        )
         words = yield from self.request(("h:fetch", entry.block), owner, mtype, addr=entry.block)
-        self.forget_voided(voided)
+        if voided:
+            self.forget_voided(voided)
         if words is None:
             # The owner had already started a writeback; it is deferred on
             # this entry and will be replayed.  Use memory's current content
             # merged with the deferred writeback if present.
             for d in entry.deferred:
-                if d.mtype is MessageType.WRITEBACK and d.src == entry.owner:
+                if d.mtype is WRITEBACK and d.src == entry.owner:
                     mem.write_dirty_words(entry.block, d.info["words"], d.info["mask"])
                     break
             words = mem.read_block(entry.block)
@@ -427,16 +455,21 @@ class WBIHomeController(Controller):
         coll = SourceAckCollector(self.sim, [victim])
         rseq = self.rseq_or_none()
         self._ack_collectors[entry.block] = coll
-        voided = self.void_stale_grants(victim, entry.block, self.GRANT_TYPES)
-        self.send(victim, MessageType.INV, addr=entry.block, rseq=rseq)
+        voided = (
+            self.void_stale_grants(victim, entry.block, self.GRANT_TYPES)
+            if self.node.resilience is not None
+            else None
+        )
+        self.send(victim, INV, addr=entry.block, rseq=rseq)
         self.stats.counters.add("wbi.dir_evictions")
         yield from self.await_acks(
             coll,
             lambda waiting: [
-                self.send(t, MessageType.INV, addr=entry.block, rseq=rseq) for t in waiting
+                self.send(t, INV, addr=entry.block, rseq=rseq) for t in waiting
             ],
         )
-        self.forget_voided(voided)
+        if voided:
+            self.forget_voided(voided)
         self._ack_collectors.pop(entry.block, None)
         entry.sharers.discard(victim)
 
@@ -444,104 +477,104 @@ class WBIHomeController(Controller):
         req = msg.src
         yield self.cfg.dir_cycle
         mem = self.node.memory
-        if entry.state is DirState.EXCLUSIVE and entry.owner != req:
+        if entry.state is DIR_EXCLUSIVE and entry.owner != req:
             words = yield from self._recall_from_owner(entry, invalidate=False)
-            entry.state = DirState.SHARED
+            entry.state = DIR_SHARED
             entry.sharers = {entry.owner, req}
             entry.owner = None
-            self.reply_to(msg, MessageType.DATA_BLOCK, addr=entry.block, words=words)
+            self.reply_to(msg, DATA_BLOCK, addr=entry.block, words=words)
         else:
-            if entry.state is DirState.SHARED:
+            if entry.state is DIR_SHARED:
                 yield from self._make_room_in_directory(entry, req)
             yield self.cfg.memory_cycle
             words = mem.read_block(entry.block)
-            if entry.state is DirState.UNOWNED:
-                entry.state = DirState.SHARED
+            if entry.state is UNOWNED:
+                entry.state = DIR_SHARED
                 entry.sharers = {req}
             else:
                 entry.sharers.add(req)
-            self.reply_to(msg, MessageType.DATA_BLOCK, addr=entry.block, words=words)
+            self.reply_to(msg, DATA_BLOCK, addr=entry.block, words=words)
         self._done(entry)
 
     def _h_write_miss(self, msg: Message, entry):
         req = msg.src
         yield self.cfg.dir_cycle
         mem = self.node.memory
-        if entry.state is DirState.EXCLUSIVE and entry.owner != req:
+        if entry.state is DIR_EXCLUSIVE and entry.owner != req:
             words = yield from self._recall_from_owner(entry, invalidate=True)
         else:
-            if entry.state is DirState.SHARED:
+            if entry.state is DIR_SHARED:
                 yield from self._invalidate_sharers(entry, exclude=req)
             yield self.cfg.memory_cycle
             words = mem.read_block(entry.block)
-        entry.state = DirState.EXCLUSIVE
+        entry.state = DIR_EXCLUSIVE
         entry.owner = req
         entry.sharers = set()
-        self.reply_to(msg, MessageType.DATA_BLOCK_EXCL, addr=entry.block, words=words)
+        self.reply_to(msg, DATA_BLOCK_EXCL, addr=entry.block, words=words)
         self._done(entry)
 
     def _h_upgrade(self, msg: Message, entry):
         req = msg.src
         yield self.cfg.dir_cycle
-        if entry.state is DirState.SHARED and req in entry.sharers:
+        if entry.state is DIR_SHARED and req in entry.sharers:
             yield from self._invalidate_sharers(entry, exclude=req)
-            entry.state = DirState.EXCLUSIVE
+            entry.state = DIR_EXCLUSIVE
             entry.owner = req
             entry.sharers = set()
-            self.reply_to(msg, MessageType.UPGRADE_ACK, addr=entry.block)
+            self.reply_to(msg, UPGRADE_ACK, addr=entry.block)
         else:
             # The requester's copy is gone (invalidated or recalled while the
             # upgrade was in flight): degrade to a full write miss.
-            if entry.state is DirState.EXCLUSIVE and entry.owner != req:
+            if entry.state is DIR_EXCLUSIVE and entry.owner != req:
                 words = yield from self._recall_from_owner(entry, invalidate=True)
             else:
-                if entry.state is DirState.SHARED:
+                if entry.state is DIR_SHARED:
                     yield from self._invalidate_sharers(entry, exclude=req)
                 yield self.cfg.memory_cycle
                 words = self.node.memory.read_block(entry.block)
-            entry.state = DirState.EXCLUSIVE
+            entry.state = DIR_EXCLUSIVE
             entry.owner = req
             entry.sharers = set()
-            self.reply_to(msg, MessageType.DATA_BLOCK_EXCL, addr=entry.block, words=words)
+            self.reply_to(msg, DATA_BLOCK_EXCL, addr=entry.block, words=words)
         self._done(entry)
 
     def _h_writeback(self, msg: Message, entry):
         req = msg.src
         yield self.cfg.dir_cycle
-        if entry.state is DirState.EXCLUSIVE and entry.owner == req:
+        if entry.state is DIR_EXCLUSIVE and entry.owner == req:
             self.node.memory.write_dirty_words(entry.block, msg.info["words"], msg.info["mask"])
             yield self.cfg.memory_cycle
-            entry.state = DirState.UNOWNED
+            entry.state = UNOWNED
             entry.owner = None
         else:
             # Stale writeback (raced with a fetch we already served).
             entry.sharers.discard(req)
-        self.reply_to(msg, MessageType.WRITEBACK_ACK, addr=entry.block)
+        self.reply_to(msg, WRITEBACK_ACK, addr=entry.block)
         self._done(entry)
 
     def _h_rmw(self, msg: Message, entry):
         req = msg.src
         yield self.cfg.dir_cycle
         mem = self.node.memory
-        if entry.state is DirState.EXCLUSIVE:
+        if entry.state is DIR_EXCLUSIVE:
             yield from self._recall_from_owner(entry, invalidate=True)
             entry.owner = None
-        elif entry.state is DirState.SHARED:
+        elif entry.state is DIR_SHARED:
             yield from self._invalidate_sharers(entry, exclude=-1)
-        entry.state = DirState.UNOWNED
+        entry.state = UNOWNED
         yield self.cfg.memory_cycle
         word = msg.info["word"]
         old = mem.read_word(word)
         mem.write_word(word, apply_rmw(msg.info["op"], old, msg.info["operand"]))
-        self.reply_to(msg, MessageType.RMW_REPLY, addr=entry.block, word=word, old=old)
+        self.reply_to(msg, RMW_REPLY, addr=entry.block, word=word, old=old)
         self._done(entry)
 
     #: Request type -> home transaction (a plain function: bound methods
     #: kept per instance would make every controller a reference cycle).
     _HANDLERS = {
-        MessageType.READ_MISS: _h_read_miss,
-        MessageType.WRITE_MISS: _h_write_miss,
-        MessageType.UPGRADE: _h_upgrade,
-        MessageType.WRITEBACK: _h_writeback,
-        MessageType.RMW_REQ: _h_rmw,
+        READ_MISS: _h_read_miss,
+        WRITE_MISS: _h_write_miss,
+        UPGRADE: _h_upgrade,
+        WRITEBACK: _h_writeback,
+        RMW_REQ: _h_rmw,
     }

@@ -36,8 +36,19 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List
 
-from ..cache.states import LineState
-from ..network.message import Message, MessageType
+from ..cache.states import LINE_SHARED
+from ..network.message import (
+    DATA_BLOCK,
+    READ_MISS,
+    RMW_REPLY,
+    RMW_REQ,
+    WU_ACK,
+    WU_EVICT,
+    WU_UPDATE,
+    WU_UPDATE_ACK,
+    WU_WRITE,
+    Message,
+)
 from ..sim.core import Event, Process
 from .base import Controller, SourceAckCollector
 from .wbi import apply_rmw
@@ -53,10 +64,10 @@ class WUCacheController(Controller):
 
     IN_TYPES = frozenset(
         {
-            MessageType.DATA_BLOCK,
-            MessageType.WU_UPDATE,
-            MessageType.WU_ACK,
-            MessageType.RMW_REPLY,
+            DATA_BLOCK,
+            WU_UPDATE,
+            WU_ACK,
+            RMW_REPLY,
         }
     )
 
@@ -88,7 +99,7 @@ class WUCacheController(Controller):
         # the home registered us as a sharer before replying, so an update it
         # pushes right after must find the copy already present (the channel
         # is FIFO) or the word would be stale forever.
-        words = yield from self.request(("c:data", block), home, MessageType.READ_MISS, addr=block)
+        words = yield from self.request(("c:data", block), home, READ_MISS, addr=block)
         if self.obs is not None:
             self.obs.span(
                 "miss:wu.read", "coh", self.node.node_id, t0, args={"block": block}
@@ -108,7 +119,7 @@ class WUCacheController(Controller):
         home = self.amap.home_of(block)
         t0 = self.sim.now
         yield from self.request(
-            ("c:wuack", word_addr), home, MessageType.WU_WRITE,
+            ("c:wuack", word_addr), home, WU_WRITE,
             addr=block, word=word_addr, value=value,
         )
         if self.obs is not None:
@@ -125,7 +136,7 @@ class WUCacheController(Controller):
         yield self.cfg.cache_cycle
         t0 = self.sim.now
         old = yield from self.request(
-            ("c:rmw", word_addr), home, MessageType.RMW_REQ,
+            ("c:rmw", word_addr), home, RMW_REQ,
             addr=block, word=word_addr, op=op, operand=operand,
         )
         if self.obs is not None:
@@ -154,7 +165,7 @@ class WUCacheController(Controller):
         # Copies are always clean (write-through); just deregister.
         self.stats.counters.add("wu.evictions")
         self.send(
-            self.amap.home_of(victim.block), MessageType.WU_EVICT, addr=victim.block
+            self.amap.home_of(victim.block), WU_EVICT, addr=victim.block
         )
         self._notify_change(victim.block)
         victim.invalidate()
@@ -173,12 +184,12 @@ class WUCacheController(Controller):
             return
         mt = msg.mtype
         resilient = self.node.resilience is not None
-        if mt is MessageType.DATA_BLOCK:
+        if mt is DATA_BLOCK:
             if resilient and not self.has_pending(("c:data", msg.addr)):
                 return  # stale duplicate of an already-answered read miss
             snapshot = list(msg.info["words"])
             self.node.cache.install(
-                msg.addr, list(msg.info["words"]), LineState.SHARED, now=self.sim.now
+                msg.addr, list(msg.info["words"]), LINE_SHARED, now=self.sim.now
             )
             if resilient and "vers" in msg.info:
                 # Seed the applied-version watermark from the home's version
@@ -188,11 +199,11 @@ class WUCacheController(Controller):
                     if ver > self._applied_ver.get(word, 0):
                         self._applied_ver[word] = ver
             self.resolve(("c:data", msg.addr), snapshot)
-        elif mt is MessageType.WU_UPDATE:
+        elif mt is WU_UPDATE:
             self._on_update(msg, resilient)
-        elif mt is MessageType.WU_ACK:
+        elif mt is WU_ACK:
             self.resolve(("c:wuack", msg.info["word"]))
-        elif mt is MessageType.RMW_REPLY:
+        elif mt is RMW_REPLY:
             self.resolve(("c:rmw", msg.info["word"]), msg.info["old"])
         else:  # pragma: no cover - wiring error
             raise RuntimeError(f"WU cache controller got {msg!r}")
@@ -215,7 +226,7 @@ class WUCacheController(Controller):
         if msg.info.get("ack"):
             # Always ack — even stale duplicates and pushes to an evicted
             # line — so the home's fan-in can complete.
-            self.send(msg.src, MessageType.WU_UPDATE_ACK, addr=msg.addr)
+            self.send(msg.src, WU_UPDATE_ACK, addr=msg.addr)
 
 
 class WUHomeController(Controller):
@@ -223,13 +234,13 @@ class WUHomeController(Controller):
 
     REQUEST_TYPES = frozenset(
         {
-            MessageType.READ_MISS,
-            MessageType.WU_WRITE,
-            MessageType.WU_EVICT,
-            MessageType.RMW_REQ,
+            READ_MISS,
+            WU_WRITE,
+            WU_EVICT,
+            RMW_REQ,
         }
     )
-    IN_TYPES = REQUEST_TYPES | {MessageType.WU_UPDATE_ACK}
+    IN_TYPES = REQUEST_TYPES | {WU_UPDATE_ACK}
 
     def __init__(self, node: "Node"):
         super().__init__(node)
@@ -239,7 +250,7 @@ class WUHomeController(Controller):
         self._upd_collectors: Dict[int, SourceAckCollector] = {}
 
     def handle(self, msg: Message) -> None:
-        if msg.mtype is MessageType.WU_UPDATE_ACK:
+        if msg.mtype is WU_UPDATE_ACK:
             # Fan-in response for the in-flight transaction: bypasses both
             # dedup (the collector absorbs duplicates) and the busy check.
             coll = self._upd_collectors.get(msg.addr)
@@ -272,7 +283,7 @@ class WUHomeController(Controller):
         node = self.node
         words = node.memory.read_block(entry.block)
         if node.resilience is None:
-            self.reply_to(msg, MessageType.DATA_BLOCK, addr=entry.block, words=words)
+            self.reply_to(msg, DATA_BLOCK, addr=entry.block, words=words)
         else:
             # Answered, never recorded for dedup replay: an update pushed
             # after this reply can land while the reply is lost, so a
@@ -281,7 +292,7 @@ class WUHomeController(Controller):
             # memory and versions; a late duplicate's reply finds no
             # pending read at the requester and is discarded there.
             vers = [self._word_ver.get(w, 0) for w in self.amap.words_of(entry.block)]
-            self.send(msg.src, MessageType.DATA_BLOCK, addr=entry.block, words=words, vers=vers)
+            self.send(msg.src, DATA_BLOCK, addr=entry.block, words=words, vers=vers)
             rseq = msg.info.get("rseq")
             if rseq is not None:
                 node.req_log.pop((msg.src, rseq), None)
@@ -300,14 +311,14 @@ class WUHomeController(Controller):
         self.stats.counters.add("wu.pushes", len(targets))
         if self.node.resilience is None:
             for t in targets:
-                self.send(t, MessageType.WU_UPDATE, addr=entry.block, word=word, value=value)
+                self.send(t, WU_UPDATE, addr=entry.block, word=word, value=value)
             return
         ver = self._word_ver[word]  # bumped by the caller before pushing
 
         def push(tgts):
             for t in sorted(tgts):
                 self.send(
-                    t, MessageType.WU_UPDATE, addr=entry.block,
+                    t, WU_UPDATE, addr=entry.block,
                     word=word, value=value, ver=ver, ack=True,
                 )
 
@@ -329,7 +340,7 @@ class WUHomeController(Controller):
         self.node.memory.write_word(word, value)
         self._bump_ver(word)
         yield from self._push_update(entry, word, value, exclude=msg.src)
-        self.reply_to(msg, MessageType.WU_ACK, addr=entry.block, word=word)
+        self.reply_to(msg, WU_ACK, addr=entry.block, word=word)
         self._done(entry)
 
     def _h_evict(self, msg: Message, entry):
@@ -346,14 +357,14 @@ class WUHomeController(Controller):
         mem.write_word(word, new)
         self._bump_ver(word)
         yield from self._push_update(entry, word, new, exclude=-1)
-        self.reply_to(msg, MessageType.RMW_REPLY, addr=entry.block, word=word, old=old)
+        self.reply_to(msg, RMW_REPLY, addr=entry.block, word=word, old=old)
         self._done(entry)
 
     #: Request type -> home transaction (a plain function: bound methods
     #: kept per instance would make every controller a reference cycle).
     _HANDLERS = {
-        MessageType.READ_MISS: _h_read_miss,
-        MessageType.WU_WRITE: _h_write,
-        MessageType.WU_EVICT: _h_evict,
-        MessageType.RMW_REQ: _h_rmw,
+        READ_MISS: _h_read_miss,
+        WU_WRITE: _h_write,
+        WU_EVICT: _h_evict,
+        RMW_REQ: _h_rmw,
     }

@@ -37,18 +37,30 @@ class DirState(Enum):
     EXCLUSIVE = auto()  # exactly one dirty cached copy
 
 
+# Every member bound once as a module global for function bodies to load
+# (see the note above ``repro.network.message.READ_MISS``).  ``NONE``,
+# ``SHARED`` and ``EXCLUSIVE`` recur in ``LockMode`` and ``LineState``, so
+# they carry a prefix here.
+USAGE_NONE = Usage.NONE
+READ_UPDATE = Usage.READ_UPDATE
+LOCK = Usage.LOCK
+UNOWNED = DirState.UNOWNED
+DIR_SHARED = DirState.SHARED
+DIR_EXCLUSIVE = DirState.EXCLUSIVE
+
+
 @dataclass(slots=True)
 class DirectoryEntry:
     """Directory state for one memory block."""
 
     block: int
     # -- Fig. 2b fields ----------------------------------------------------
-    usage: Usage = Usage.NONE
+    usage: Usage = USAGE_NONE
     #: Tail of the distributed linked list (lock queue) or head of the
     #: subscriber list (read-update); ``None`` when the list is empty.
     queue_pointer: Optional[int] = None
     # -- WBI bookkeeping ----------------------------------------------------
-    state: DirState = DirState.UNOWNED
+    state: DirState = UNOWNED
     sharers: Set[int] = field(default_factory=set)
     owner: Optional[int] = None
     # -- lock bookkeeping --------------------------------------------------

@@ -122,6 +122,66 @@ class MessageType(Enum):
     BARRIER_RELEASE = auto()  # barrier home -> processor
 
 
+# Every member bound once as a module global, for function bodies to load
+# instead of ``MessageType.X``.  On CPython 3.11 ``EnumType`` defines
+# ``__getattr__``, so each member load through the class takes the generic
+# attribute hook a metaclass ``__getattr__`` installs, which the interpreter
+# cannot specialize (about 150 ns against about 15 ns for a global), and
+# every handler branches on the message type at least once per message.
+# The same holds for the bindings in ``repro.cache.states`` and
+# ``repro.memory.directory``; ``tests/static/test_hot_path_enums.py`` keeps
+# member loads out of the simulator's function bodies.
+READ_MISS = MessageType.READ_MISS
+WRITE_MISS = MessageType.WRITE_MISS
+UPGRADE = MessageType.UPGRADE
+INV = MessageType.INV
+INV_ACK = MessageType.INV_ACK
+FETCH = MessageType.FETCH
+FETCH_INV = MessageType.FETCH_INV
+FETCH_REPLY = MessageType.FETCH_REPLY
+DATA_BLOCK = MessageType.DATA_BLOCK
+DATA_BLOCK_EXCL = MessageType.DATA_BLOCK_EXCL
+WRITEBACK = MessageType.WRITEBACK
+WRITEBACK_ACK = MessageType.WRITEBACK_ACK
+UPGRADE_ACK = MessageType.UPGRADE_ACK
+READ_GLOBAL = MessageType.READ_GLOBAL
+READ_GLOBAL_REPLY = MessageType.READ_GLOBAL_REPLY
+GLOBAL_WRITE = MessageType.GLOBAL_WRITE
+GLOBAL_WRITE_ACK = MessageType.GLOBAL_WRITE_ACK
+RU_REQ = MessageType.RU_REQ
+RU_DATA = MessageType.RU_DATA
+RU_UPDATE = MessageType.RU_UPDATE
+RU_UPDATE_FWD = MessageType.RU_UPDATE_FWD
+RESET_UPDATE = MessageType.RESET_UPDATE
+RESET_UPDATE_ACK = MessageType.RESET_UPDATE_ACK
+RU_UNLINK = MessageType.RU_UNLINK
+RU_ACK = MessageType.RU_ACK
+LOCK_REQ_READ = MessageType.LOCK_REQ_READ
+LOCK_REQ_WRITE = MessageType.LOCK_REQ_WRITE
+LOCK_FWD = MessageType.LOCK_FWD
+LOCK_GRANT = MessageType.LOCK_GRANT
+LOCK_WAIT = MessageType.LOCK_WAIT
+LOCK_RELEASE = MessageType.LOCK_RELEASE
+UNLOCK_RELEASE = MessageType.UNLOCK_RELEASE
+QUEUE_SPLICE = MessageType.QUEUE_SPLICE
+QUEUE_ACK = MessageType.QUEUE_ACK
+LOCK_WRITEBACK = MessageType.LOCK_WRITEBACK
+WU_WRITE = MessageType.WU_WRITE
+WU_UPDATE = MessageType.WU_UPDATE
+WU_ACK = MessageType.WU_ACK
+WU_UPDATE_ACK = MessageType.WU_UPDATE_ACK
+WU_EVICT = MessageType.WU_EVICT
+SEM_P = MessageType.SEM_P
+SEM_V = MessageType.SEM_V
+SEM_GRANT = MessageType.SEM_GRANT
+SEM_ACK = MessageType.SEM_ACK
+RMW_REQ = MessageType.RMW_REQ
+RMW_REPLY = MessageType.RMW_REPLY
+BARRIER_ARRIVE = MessageType.BARRIER_ARRIVE
+BARRIER_ACK = MessageType.BARRIER_ACK
+BARRIER_RELEASE = MessageType.BARRIER_RELEASE
+
+
 #: Default mapping from message type to wire-size class.
 _SIZE_CLASS: Dict[MessageType, SizeClass] = {
     MessageType.READ_MISS: SizeClass.CONTROL,
@@ -175,14 +235,17 @@ _SIZE_CLASS: Dict[MessageType, SizeClass] = {
     MessageType.BARRIER_RELEASE: SizeClass.CONTROL,
 }
 
+_BLOCK_CLASS = SizeClass.BLOCK
+_WORD_CLASS = SizeClass.WORD
+
 _msg_ids = itertools.count()
 
 
 def flit_size(size_class: SizeClass, words_per_block: int) -> int:
     """Message size in flits: one header flit plus the payload."""
-    if size_class is SizeClass.BLOCK:
+    if size_class is _BLOCK_CLASS:
         return 1 + words_per_block
-    if size_class is SizeClass.WORD:
+    if size_class is _WORD_CLASS:
         return 2
     return 1  # CONTROL and INVALIDATION
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Tuple
 
 from ..coherence.base import Controller
-from ..network.message import Message, MessageType
+from ..network.message import BARRIER_ACK, BARRIER_ARRIVE, BARRIER_RELEASE, Message
 from ..sim.core import Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,9 +34,9 @@ class HardwareBarrierEngine(Controller):
 
     IN_TYPES = frozenset(
         {
-            MessageType.BARRIER_ARRIVE,
-            MessageType.BARRIER_ACK,
-            MessageType.BARRIER_RELEASE,
+            BARRIER_ARRIVE,
+            BARRIER_ACK,
+            BARRIER_RELEASE,
         }
     )
 
@@ -60,12 +60,12 @@ class HardwareBarrierEngine(Controller):
             # One poll loop keyed on the release; the intermediate ack is
             # informational (a replay may deliver it redundantly).
             yield from self.request(
-                ("c:bar_rel", block), home, MessageType.BARRIER_ARRIVE, addr=block, n=n
+                ("c:bar_rel", block), home, BARRIER_ARRIVE, addr=block, n=n
             )
             return
         ack = self.expect(("c:bar_ack", block))
         rel = self.expect(("c:bar_rel", block))
-        self.send(home, MessageType.BARRIER_ARRIVE, addr=block, n=n)
+        self.send(home, BARRIER_ARRIVE, addr=block, n=n)
         yield ack  # arrival recorded in the barrier counter at home
         yield rel  # all arrived
 
@@ -74,11 +74,11 @@ class HardwareBarrierEngine(Controller):
         if self.node.resilience is not None and not self.dedup_admit(msg):
             return
         mt = msg.mtype
-        if mt is MessageType.BARRIER_ARRIVE:
+        if mt is BARRIER_ARRIVE:
             self._admit(msg)
-        elif mt is MessageType.BARRIER_ACK:
+        elif mt is BARRIER_ACK:
             self.resolve(("c:bar_ack", msg.addr))
-        elif mt is MessageType.BARRIER_RELEASE:
+        elif mt is BARRIER_RELEASE:
             self.resolve(("c:bar_rel", msg.addr))
         else:  # pragma: no cover - wiring error
             raise RuntimeError(f"barrier engine got {msg!r}")
@@ -101,7 +101,7 @@ class HardwareBarrierEngine(Controller):
         entry.barrier_waiting.append(msg.src)
         if self.node.resilience is not None:
             self._bar_req[(entry.block, msg.src)] = msg
-        self.reply_to(msg, MessageType.BARRIER_ACK, addr=entry.block)
+        self.reply_to(msg, BARRIER_ACK, addr=entry.block)
         if entry.barrier_count >= msg.info["n"]:
             waiting, entry.barrier_waiting = entry.barrier_waiting, []
             entry.barrier_count = 0
@@ -119,9 +119,9 @@ class HardwareBarrierEngine(Controller):
                     yield self.cfg.dir_cycle
                 req_msg = self._bar_req.pop((entry.block, node_id), None)
                 if req_msg is not None:
-                    self.reply_to(req_msg, MessageType.BARRIER_RELEASE, addr=entry.block)
+                    self.reply_to(req_msg, BARRIER_RELEASE, addr=entry.block)
                 else:
-                    self.send(node_id, MessageType.BARRIER_RELEASE, addr=entry.block)
+                    self.send(node_id, BARRIER_RELEASE, addr=entry.block)
         self._done(entry)
 
     def _done(self, entry) -> None:

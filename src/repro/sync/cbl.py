@@ -43,10 +43,19 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Tuple
 
-from ..cache.states import LockMode
+from ..cache.states import LOCK_NONE, READ, WAIT_READ, WAIT_WRITE, WRITE
 from ..coherence.base import Controller
-from ..memory.directory import Usage
-from ..network.message import Message, MessageType
+from ..memory.directory import LOCK, READ_UPDATE, USAGE_NONE
+from ..network.message import (
+    LOCK_FWD,
+    LOCK_GRANT,
+    LOCK_RELEASE,
+    LOCK_REQ_READ,
+    LOCK_REQ_WRITE,
+    LOCK_WAIT,
+    QUEUE_ACK,
+    Message,
+)
 from ..sim.core import Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,8 +63,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["CBLEngine"]
 
-_WAIT = {"read": LockMode.WAIT_READ, "write": LockMode.WAIT_WRITE}
-_HELD = {"read": LockMode.READ, "write": LockMode.WRITE}
+_WAIT = {"read": WAIT_READ, "write": WAIT_WRITE}
+_HELD = {"read": READ, "write": WRITE}
 
 
 class CBLEngine(Controller):
@@ -63,13 +72,13 @@ class CBLEngine(Controller):
 
     IN_TYPES = frozenset(
         {
-            MessageType.LOCK_REQ_READ,
-            MessageType.LOCK_REQ_WRITE,
-            MessageType.LOCK_RELEASE,
-            MessageType.LOCK_GRANT,
-            MessageType.LOCK_FWD,
-            MessageType.LOCK_WAIT,
-            MessageType.QUEUE_ACK,
+            LOCK_REQ_READ,
+            LOCK_REQ_WRITE,
+            LOCK_RELEASE,
+            LOCK_GRANT,
+            LOCK_FWD,
+            LOCK_WAIT,
+            QUEUE_ACK,
         }
     )
 
@@ -90,16 +99,14 @@ class CBLEngine(Controller):
             raise ValueError(f"lock mode must be 'read' or 'write', got {mode!r}")
         self.stats.counters.add(f"cbl.acquire_{mode}")
         line = self.node.lockcache.allocate(block)
-        if line.lock is not LockMode.NONE:
+        if line.lock is not LOCK_NONE:
             raise RuntimeError(
                 f"node {self.node.node_id} already holds/waits for lock {block}"
             )
         line.lock = _WAIT[mode]
         yield self.cfg.cache_cycle
         home = self.amap.home_of(block)
-        mtype = (
-            MessageType.LOCK_REQ_READ if mode == "read" else MessageType.LOCK_REQ_WRITE
-        )
+        mtype = LOCK_REQ_READ if mode == "read" else LOCK_REQ_WRITE
         # Local spin: no network traffic while waiting (resilient mode polls
         # with backoff, recovering a grant the fabric dropped).
         words = yield from self.request(("c:grant", block), home, mtype, addr=block)
@@ -121,19 +128,19 @@ class CBLEngine(Controller):
         yield self.cfg.cache_cycle
         home = self.amap.home_of(block)
         words, mask = list(line.data), line.dirty_mask
-        line.lock = LockMode.NONE
+        line.lock = LOCK_NONE
         self.node.lockcache.release(block)
         if self.node.resilience is not None:
             # A lost release strands the whole queue: always ack + retry.
             yield from self.request(
-                ("c:relack", block), home, MessageType.LOCK_RELEASE,
+                ("c:relack", block), home, LOCK_RELEASE,
                 addr=block, words=words, mask=mask, want_ack=True,
             )
             return
         ev = self.expect(("c:relack", block)) if want_ack else None
         self.send(
             home,
-            MessageType.LOCK_RELEASE,
+            LOCK_RELEASE,
             addr=block,
             words=words,
             mask=mask,
@@ -153,7 +160,7 @@ class CBLEngine(Controller):
     def write_locked(self, block: int, offset: int, value: int):
         """Write a word of the locked data (requires a write lock)."""
         line = self.node.lockcache.peek(block)
-        if line is None or line.lock is not LockMode.WRITE:
+        if line is None or line.lock is not WRITE:
             raise RuntimeError(
                 f"write lock {block} not held at node {self.node.node_id}"
             )
@@ -169,15 +176,15 @@ class CBLEngine(Controller):
         if self.node.resilience is not None and not self.dedup_admit(msg):
             return
         mt = msg.mtype
-        if mt in (MessageType.LOCK_REQ_READ, MessageType.LOCK_REQ_WRITE, MessageType.LOCK_RELEASE):
+        if mt in (LOCK_REQ_READ, LOCK_REQ_WRITE, LOCK_RELEASE):
             self._admit(msg)
-        elif mt is MessageType.LOCK_GRANT:
+        elif mt is LOCK_GRANT:
             self.resolve(("c:grant", msg.addr), msg.info["words"])
-        elif mt is MessageType.LOCK_FWD:
+        elif mt is LOCK_FWD:
             self._on_fwd(msg)
-        elif mt is MessageType.LOCK_WAIT:
+        elif mt is LOCK_WAIT:
             self._on_wait(msg)
-        elif mt is MessageType.QUEUE_ACK:
+        elif mt is QUEUE_ACK:
             self.resolve(("c:relack", msg.addr))
         else:  # pragma: no cover - wiring error
             raise RuntimeError(f"CBL engine got {msg!r}")
@@ -191,7 +198,7 @@ class CBLEngine(Controller):
         entry.busy = True
         # The names only surface in traces and reprs: build them only then.
         traced = self.obs is not None
-        if msg.mtype is MessageType.LOCK_RELEASE:
+        if msg.mtype is LOCK_RELEASE:
             Process(self.sim, self._h_release(msg, entry), f"cbl-rel-{msg.addr}" if traced else "")
         else:
             Process(self.sim, self._h_request(msg, entry), f"cbl-req-{msg.addr}" if traced else "")
@@ -205,9 +212,9 @@ class CBLEngine(Controller):
     # ================= home-side handlers ===================================
     def _h_request(self, msg: Message, entry):
         req = msg.src
-        mode = "read" if msg.mtype is MessageType.LOCK_REQ_READ else "write"
+        mode = "read" if msg.mtype is LOCK_REQ_READ else "write"
         yield self.cfg.dir_cycle
-        if entry.usage is Usage.READ_UPDATE:
+        if entry.usage is READ_UPDATE:
             raise RuntimeError(
                 f"block {entry.block} has READ-UPDATE subscribers; locks and "
                 "read-update are mutually exclusive per block"
@@ -215,13 +222,13 @@ class CBLEngine(Controller):
         queue = entry.lock_queue
         if not queue:
             # Uncontended: grant straight from memory.
-            entry.usage = Usage.LOCK
+            entry.usage = LOCK
             entry.lock_held = True
             queue.append([req, mode, True])
             entry.queue_pointer = req
             yield self.cfg.memory_cycle
             words = self.node.memory.read_block(entry.block)
-            self.reply_to(msg, MessageType.LOCK_GRANT, addr=entry.block, words=words)
+            self.reply_to(msg, LOCK_GRANT, addr=entry.block, words=words)
             self._obs_grant(entry, req)
         else:
             old_tail = queue[-1][0]
@@ -231,12 +238,12 @@ class CBLEngine(Controller):
             entry.queue_pointer = req
             # Thread the distributed queue: old tail learns its successor,
             # the newcomer learns its predecessor (and spins locally).
-            self.send(old_tail, MessageType.LOCK_FWD, addr=entry.block, req=req, share=share)
+            self.send(old_tail, LOCK_FWD, addr=entry.block, req=req, share=share)
             if share:
                 self.stats.counters.add("cbl.read_shares")
                 yield self.cfg.memory_cycle
                 words = self.node.memory.read_block(entry.block)
-                self.reply_to(msg, MessageType.LOCK_GRANT, addr=entry.block, words=words)
+                self.reply_to(msg, LOCK_GRANT, addr=entry.block, words=words)
                 self._obs_grant(entry, req)
             else:
                 obs = self.obs
@@ -284,12 +291,12 @@ class CBLEngine(Controller):
                     yield self.cfg.dir_cycle
         if not queue:
             entry.lock_held = False
-            entry.usage = Usage.NONE
+            entry.usage = USAGE_NONE
             entry.queue_pointer = None
         else:
             entry.queue_pointer = queue[-1][0]
         if msg.info.get("want_ack"):
-            self.reply_to(msg, MessageType.QUEUE_ACK, addr=entry.block)
+            self.reply_to(msg, QUEUE_ACK, addr=entry.block)
         self._done(entry)
 
     def _grant(self, entry, waiter: int, words) -> None:
@@ -297,9 +304,9 @@ class CBLEngine(Controller):
         waiter's queued request (resilient mode) so retries replay it."""
         req_msg = self._lock_req.pop((entry.block, waiter), None)
         if req_msg is not None:
-            self.reply_to(req_msg, MessageType.LOCK_GRANT, addr=entry.block, words=words)
+            self.reply_to(req_msg, LOCK_GRANT, addr=entry.block, words=words)
         else:
-            self.send(waiter, MessageType.LOCK_GRANT, addr=entry.block, words=words)
+            self.send(waiter, LOCK_GRANT, addr=entry.block, words=words)
         self._obs_grant(entry, waiter)
 
     def _obs_grant(self, entry, waiter: int) -> None:
@@ -317,23 +324,23 @@ class CBLEngine(Controller):
         prv = queue[idx - 1][0] if idx > 0 else None
         nxt = queue[idx][0] if idx < len(queue) else None
         if prv is not None:
-            self.send(prv, MessageType.LOCK_FWD, addr=entry.block, req=nxt, share=False, splice=True)
+            self.send(prv, LOCK_FWD, addr=entry.block, req=nxt, share=False, splice=True)
         if nxt is not None:
-            self.send(nxt, MessageType.LOCK_WAIT, addr=entry.block, prev=prv, splice=True)
+            self.send(nxt, LOCK_WAIT, addr=entry.block, prev=prv, splice=True)
 
     # ================= cache-side chaining handlers =========================
     def _on_fwd(self, msg: Message) -> None:
         """Home tells us our successor in the queue changed."""
         line = self.node.lockcache.peek(msg.addr)
-        if line is not None and line.lock is not LockMode.NONE:
+        if line is not None and line.lock is not LOCK_NONE:
             line.next = msg.info["req"]
         if not msg.info.get("splice") and not msg.info.get("share"):
             # Distributed-protocol fidelity: the old tail notifies the new
             # waiter that it is queued (the newcomer then spins locally).
-            self.send(msg.info["req"], MessageType.LOCK_WAIT, addr=msg.addr, prev=self.node.node_id)
+            self.send(msg.info["req"], LOCK_WAIT, addr=msg.addr, prev=self.node.node_id)
 
     def _on_wait(self, msg: Message) -> None:
         """Our predecessor in the queue changed (or we just got queued)."""
         line = self.node.lockcache.peek(msg.addr)
-        if line is not None and line.lock is not LockMode.NONE:
+        if line is not None and line.lock is not LOCK_NONE:
             line.prev = msg.info["prev"]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Tuple
 
 from ..coherence.base import Controller
-from ..network.message import Message, MessageType
+from ..network.message import SEM_ACK, SEM_GRANT, SEM_P, SEM_V, Message
 from ..sim.core import Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -30,10 +30,10 @@ class SemaphoreEngine(Controller):
 
     IN_TYPES = frozenset(
         {
-            MessageType.SEM_P,
-            MessageType.SEM_V,
-            MessageType.SEM_GRANT,
-            MessageType.SEM_ACK,
+            SEM_P,
+            SEM_V,
+            SEM_GRANT,
+            SEM_ACK,
         }
     )
 
@@ -52,7 +52,7 @@ class SemaphoreEngine(Controller):
         home = self.amap.home_of(block)
         # Waiters spin locally: no traffic until granted (resilient mode
         # polls with backoff; queued polls are absorbed by the home's dedup).
-        yield from self.request(("c:sem_grant", block), home, MessageType.SEM_P, addr=block)
+        yield from self.request(("c:sem_grant", block), home, SEM_P, addr=block)
         obs = self.obs
         if obs is not None:
             obs.span("sem.p", "sync", self.node.node_id, t0, args={"block": block})
@@ -68,11 +68,11 @@ class SemaphoreEngine(Controller):
         if self.node.resilience is not None:
             # A lost V loses a count forever: always ack + retry.
             yield from self.request(
-                ("c:sem_ack", block), home, MessageType.SEM_V, addr=block, want_ack=True
+                ("c:sem_ack", block), home, SEM_V, addr=block, want_ack=True
             )
             return
         ev = self.expect(("c:sem_ack", block)) if want_ack else None
-        self.send(home, MessageType.SEM_V, addr=block, want_ack=want_ack)
+        self.send(home, SEM_V, addr=block, want_ack=want_ack)
         if ev is not None:
             yield ev
 
@@ -81,11 +81,11 @@ class SemaphoreEngine(Controller):
         if self.node.resilience is not None and not self.dedup_admit(msg):
             return
         mt = msg.mtype
-        if mt in (MessageType.SEM_P, MessageType.SEM_V):
+        if mt in (SEM_P, SEM_V):
             self._admit(msg)
-        elif mt is MessageType.SEM_GRANT:
+        elif mt is SEM_GRANT:
             self.resolve(("c:sem_grant", msg.addr))
-        elif mt is MessageType.SEM_ACK:
+        elif mt is SEM_ACK:
             self.resolve(("c:sem_ack", msg.addr))
         else:  # pragma: no cover - wiring error
             raise RuntimeError(f"semaphore engine got {msg!r}")
@@ -97,7 +97,7 @@ class SemaphoreEngine(Controller):
             entry.defer(msg)
             return
         entry.busy = True
-        handler = self._h_p if msg.mtype is MessageType.SEM_P else self._h_v
+        handler = self._h_p if msg.mtype is SEM_P else self._h_v
         # The name only surfaces in traces and reprs: build it only then.
         name = f"sem-{msg.mtype.name}-{msg.addr}" if self.obs is not None else ""
         Process(self.sim, handler(msg, entry), name)
@@ -113,7 +113,7 @@ class SemaphoreEngine(Controller):
         yield self.cfg.dir_cycle + self.cfg.memory_cycle
         if entry.sem_count > 0:
             entry.sem_count -= 1
-            self.reply_to(msg, MessageType.SEM_GRANT, addr=entry.block)
+            self.reply_to(msg, SEM_GRANT, addr=entry.block)
         else:
             entry.sem_waiters.append(msg.src)
             if self.node.resilience is not None:
@@ -126,9 +126,9 @@ class SemaphoreEngine(Controller):
             waiter = entry.sem_waiters.pop(0)  # FIFO wake-up
             req_msg = self._sem_req.pop((entry.block, waiter), None)
             if req_msg is not None:
-                self.reply_to(req_msg, MessageType.SEM_GRANT, addr=entry.block)
+                self.reply_to(req_msg, SEM_GRANT, addr=entry.block)
             else:
-                self.send(waiter, MessageType.SEM_GRANT, addr=entry.block)
+                self.send(waiter, SEM_GRANT, addr=entry.block)
             obs = self.obs
             if obs is not None:
                 obs.instant(
@@ -138,7 +138,7 @@ class SemaphoreEngine(Controller):
         else:
             entry.sem_count += 1
         if msg.info.get("want_ack"):
-            self.reply_to(msg, MessageType.SEM_ACK, addr=entry.block)
+            self.reply_to(msg, SEM_ACK, addr=entry.block)
         self._done(entry)
 
 

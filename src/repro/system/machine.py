@@ -15,7 +15,7 @@ from ..memory.address import AddressMap
 from ..network.bus import BusNetwork
 from ..network.crossbar import CrossbarNetwork
 from ..network.mesh import MeshNetwork
-from ..network.message import Message, MessageType
+from ..network.message import GLOBAL_WRITE, Message
 from ..network.omega import BufferedOmegaNetwork, OmegaNetwork
 from ..network.topology import NetworkParams
 from ..node.node import Node
@@ -181,7 +181,7 @@ class Machine:
                 Message(
                     src=src,
                     dst=home,
-                    mtype=MessageType.GLOBAL_WRITE,
+                    mtype=GLOBAL_WRITE,
                     addr=block,
                     info=info,
                 )

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..cache.states import LineState
-from ..memory.directory import DirState, Usage
+from ..cache.states import LINE_EXCLUSIVE, LINE_SHARED
+from ..memory.directory import DIR_EXCLUSIVE, READ_UPDATE
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..system.machine import Machine
@@ -51,8 +51,8 @@ def check_wbi_coherence(machine: "Machine") -> int:
         n_checked += 1
         home = machine.nodes[machine.amap.home_of(block)]
         entry = home.directory.entry(block)
-        excl = [(nid, l) for nid, l in holders if l.state is LineState.EXCLUSIVE]
-        shared = [(nid, l) for nid, l in holders if l.state is LineState.SHARED]
+        excl = [(nid, l) for nid, l in holders if l.state is LINE_EXCLUSIVE]
+        shared = [(nid, l) for nid, l in holders if l.state is LINE_SHARED]
         if len(excl) > 1:
             _fail(f"block {block}: {len(excl)} EXCLUSIVE copies ({[n for n, _ in excl]})")
         if excl and shared and not entry.busy:
@@ -62,7 +62,7 @@ def check_wbi_coherence(machine: "Machine") -> int:
             )
         if excl and not entry.busy:
             nid, line = excl[0]
-            if entry.state is not DirState.EXCLUSIVE or entry.owner != nid:
+            if entry.state is not DIR_EXCLUSIVE or entry.owner != nid:
                 _fail(
                     f"block {block}: cache EXCLUSIVE at {nid} but directory says "
                     f"{entry.state.name} owner={entry.owner}"
@@ -132,7 +132,7 @@ def check_ru_lists(machine: "Machine") -> int:
             if entry.busy:
                 continue  # mid-transaction: pointers may be in flux
             n_checked += 1
-            if entry.usage is not Usage.READ_UPDATE:
+            if entry.usage is not READ_UPDATE:
                 _fail(f"block {block}: subscribers present but usage={entry.usage.name}")
             if entry.queue_pointer != subs[0]:
                 _fail(

@@ -38,6 +38,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node.processor import Processor
+    from ..sim.rng import ScalarReader
     from .syncmodel import SyncModelParams
     from .workqueue import WorkQueueParams
 
@@ -203,7 +204,7 @@ def build_queue_task_plan(
     params: "WorkQueueParams",
     shared_blocks: List[int],
     wpb: int,
-    rng: np.random.Generator,
+    rng: "ScalarReader",
     state: dict,
 ) -> TaskPlan:
     """Compile one work-queue task's reference stream.
@@ -213,7 +214,10 @@ def build_queue_task_plan(
     ones), so batching the draws would change every subsequent value.  The
     builder therefore replays the scalar draw sequence exactly and only
     compiles the result, trading the processor's generator nest per
-    reference for :func:`execute_plan`'s single lean loop.
+    reference for :func:`execute_plan`'s single lean loop.  ``rng`` is a
+    :class:`~repro.sim.rng.ScalarReader` over the task's stream: its draws
+    equal the wrapped generator's own ``random()``/``integers(low, high)``,
+    as Python numbers and without a numpy call each.
     """
     p = params
     random = rng.random
@@ -223,8 +227,8 @@ def build_queue_task_plan(
     tally = dict.fromkeys(_COUNTER_KEYS, 0)
     for _ in range(p.grain_size):
         if random() < p.shared_ratio_task:
-            blk = shared_blocks[int(integers(0, p.n_shared_blocks))]
-            addr = blk * wpb + int(integers(0, wpb))
+            blk = shared_blocks[integers(0, p.n_shared_blocks)]
+            addr = blk * wpb + integers(0, wpb)
             if random() < p.read_ratio:
                 kinds.append(KIND_SHARED_READ)
                 tally["shared_reads"] += 1

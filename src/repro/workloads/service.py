@@ -67,6 +67,14 @@ class _OpenLoopService:
     clients as integer sequences (the server passes memoryview slices of
     the schedule's columns) and ``coin``, a zero-argument callable
     returning the next double of the serving node's ``"traffic"`` stream.
+
+    ``serve_batch`` issues ``Processor.shared_read``/``shared_write``
+    inline, one generator frame fewer per op: the controller's ``read``
+    and the model's ``shared_write`` are driven directly, and the
+    processor's counter bumps (the op count, then its ``data_cycles``
+    term) are made in the same order, as
+    :func:`~repro.workloads.rounds.execute_plan` does.  Each op's word is
+    :meth:`_key_addr`'s arithmetic, inline too.
     """
 
     kind = "abstract"
@@ -135,13 +143,25 @@ class KVService(_OpenLoopService):
     def serve_batch(self, proc, coin, keys, clients):
         # One coin per served key, in key order.
         read_ratio = self.read_ratio
+        blocks, n_shards, wpb = self.shard_blocks, self.n_shards, self._words_per_block
+        sim = proc.sim
+        counts = proc.stats.counters.counts
+        data_read = proc.data.read
+        shared_write = proc.model.shared_write
+        node_id = proc.node_id
         for key in keys[: self.ops_cap]:
             if coin() < read_ratio:
-                yield from proc.shared_read(self._key_addr(key))
+                counts["shared_reads"] = counts.get("shared_reads", 0) + 1
+                t0 = sim.now
+                yield from data_read(blocks[key % n_shards] * wpb + key % wpb)
+                counts["data_cycles"] = counts.get("data_cycles", 0) + int(sim.now - t0)
             elif self.locked_writes:
-                yield from self._locked_write(proc, key, proc.node_id)
+                yield from self._locked_write(proc, key, node_id)
             else:
-                yield from proc.shared_write(self._key_addr(key), proc.node_id)
+                counts["shared_writes"] = counts.get("shared_writes", 0) + 1
+                t0 = sim.now
+                yield from shared_write(proc, blocks[key % n_shards] * wpb + key % wpb, node_id)
+                counts["data_cycles"] = counts.get("data_cycles", 0) + int(sim.now - t0)
 
 
 class QueueService(_OpenLoopService):
@@ -157,18 +177,30 @@ class QueueService(_OpenLoopService):
     kind = "queue"
 
     def serve_batch(self, proc, coin, keys, clients):
+        blocks, n_shards, wpb = self.shard_blocks, self.n_shards, self._words_per_block
+        sim = proc.sim
+        counts = proc.stats.counters.counts
+        data_read = proc.data.read
+        shared_write = proc.model.shared_write
+        node_id = proc.node_id
         held = None
         for key in keys[: self.ops_cap]:
-            shard = key % self.n_shards
+            shard = key % n_shards
             if held is not None and held is not self.locks[shard]:
                 yield from proc.release(held)
                 held = None
             if held is None:
                 held = self.locks[shard]
                 yield from proc.acquire(held)
-            addr = self._key_addr(key)
-            yield from proc.shared_write(addr, proc.node_id)
-            yield from proc.shared_read(addr)
+            addr = blocks[shard] * wpb + key % wpb
+            counts["shared_writes"] = counts.get("shared_writes", 0) + 1
+            t0 = sim.now
+            yield from shared_write(proc, addr, node_id)
+            counts["data_cycles"] = counts.get("data_cycles", 0) + int(sim.now - t0)
+            counts["shared_reads"] = counts.get("shared_reads", 0) + 1
+            t0 = sim.now
+            yield from data_read(addr)
+            counts["data_cycles"] = counts.get("data_cycles", 0) + int(sim.now - t0)
         if held is not None:
             yield from proc.release(held)
 
@@ -184,12 +216,25 @@ class SessionService(_OpenLoopService):
     kind = "session"
 
     def serve_batch(self, proc, coin, keys, clients):
+        blocks, n_shards, wpb = self.shard_blocks, self.n_shards, self._words_per_block
+        sim = proc.sim
+        counts = proc.stats.counters.counts
+        data_read = proc.data.read
+        shared_write = proc.model.shared_write
+        node_id = proc.node_id
         for client in clients[: self.ops_cap]:
-            yield from proc.shared_read(self._key_addr(client))
+            addr = blocks[client % n_shards] * wpb + client % wpb
+            counts["shared_reads"] = counts.get("shared_reads", 0) + 1
+            t0 = sim.now
+            yield from data_read(addr)
+            counts["data_cycles"] = counts.get("data_cycles", 0) + int(sim.now - t0)
             if self.locked_writes:
-                yield from self._locked_write(proc, client, proc.node_id)
+                yield from self._locked_write(proc, client, node_id)
             else:
-                yield from proc.shared_write(self._key_addr(client), proc.node_id)
+                counts["shared_writes"] = counts.get("shared_writes", 0) + 1
+                t0 = sim.now
+                yield from shared_write(proc, addr, node_id)
+                counts["data_cycles"] = counts.get("data_cycles", 0) + int(sim.now - t0)
 
 
 #: Open-loop service registry (mirrors ``LOCK_FACTORIES``).

@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Set
 
-import numpy as np
-
+from ..sim.rng import ScalarReader
 from ..sync.base import HWBarrier
 from ..sync.swlock import SWBarrier
 from .base import make_lock
@@ -74,9 +73,14 @@ class WorkQueueParams:
 
 
 class _TaskGraph:
-    """Dependency-aware task pool (the Python-side queue contents)."""
+    """Dependency-aware task pool (the Python-side queue contents).
 
-    def __init__(self, n_tasks: int, dep_prob: float, rng: np.random.Generator):
+    ``rng`` supplies the dependency coins through ``random()``: the
+    workload passes a :class:`~repro.sim.rng.ScalarReader`, and the numpy
+    generator it wraps would draw the same doubles.
+    """
+
+    def __init__(self, n_tasks: int, dep_prob: float, rng: ScalarReader):
         self.deps: List[Set[int]] = []
         self.completed: Set[int] = set()
         self.ready: List[int] = []
@@ -166,7 +170,9 @@ class WorkQueueWorkload(ClosedLoopService):
         else:
             self.barrier = None
         self._private_base = machine.alloc_block(64 * n)
-        self.graph = _TaskGraph(p.n_tasks, p.dep_prob, machine.rng.stream("workqueue:deps"))
+        self.graph = _TaskGraph(
+            p.n_tasks, p.dep_prob, ScalarReader(machine.rng.stream("workqueue:deps"))
+        )
         self._spawned = 0
         self.builder.add_sync(self.queue_lock, self.barrier)
         self.demand = ClosedLoopDemand(n_clients=n, until_drained=True)
@@ -179,8 +185,8 @@ class WorkQueueWorkload(ClosedLoopService):
         wpb = self.machine.cfg.words_per_block
         for _ in range(p.queue_ops_refs):
             if rng.random() < p.shared_ratio_queue:
-                blk = self.queue_state + int(rng.integers(0, 2))
-                addr = amap.word_addr(blk, int(rng.integers(0, wpb)))
+                blk = self.queue_state + rng.integers(0, 2)
+                addr = amap.word_addr(blk, rng.integers(0, wpb))
                 if rng.random() < p.read_ratio:
                     yield from proc.shared_read(addr)
                 else:
@@ -195,20 +201,22 @@ class WorkQueueWorkload(ClosedLoopService):
         The stream is keyed by *task id*, not by node: a task costs the same
         work no matter which processor dequeues it, so completion-time
         comparisons between consistency models are not confounded by
-        scheduling-induced work reassignment.
+        scheduling-induced work reassignment.  Each task's stream is
+        derived, not cached: a task runs once, and ``stream()`` would keep
+        its generator for the machine's life.
         """
         plan = build_queue_task_plan(
             self.params,
             self.shared_blocks,
             self.machine.cfg.words_per_block,
-            self.machine.rng.stream(f"task{tid}"),
+            ScalarReader(self.machine.rng.derive(f"task{tid}")),
             state,
         )
         yield from execute_plan(proc, plan)
 
     def _driver(self, proc: "Processor"):
         p = self.params
-        rng = self.machine.rng.node_stream(proc.node_id, "workqueue")
+        rng = ScalarReader(self.machine.rng.node_stream(proc.node_id, "workqueue"))
         base = self.machine.amap.word_addr(
             self._private_base + 64 * proc.node_id, 0
         )

@@ -255,5 +255,5 @@ def test_cli_at_scale_writes_artifact(tmp_path, capsys):
     data = json.load(open(out))
     assert data["budget_seconds"] == 30.0
     assert [r["ok"] for r in data["rows"]] == [True, True]
-    assert all(r["exhaustive_space"] > 1 for r in data["rows"])
+    assert all(r["naive_space"] > 1 for r in data["rows"])
     assert "at-scale sweep OK" in capsys.readouterr().out

@@ -12,6 +12,7 @@ must still raise ``register``'s error.
 import pytest
 
 import repro.system.machine as machine_mod
+from repro.network.message import MessageType
 from repro.node.node import dispatch_layout
 from repro.sync.cbl import CBLEngine
 from repro.system.config import MachineConfig
@@ -47,7 +48,7 @@ def test_interconnect_holds_each_nodes_table(protocol):
 class _GreedyCBL(CBLEngine):
     """A lock engine that also claims the data controller's replies."""
 
-    IN_TYPES = CBLEngine.IN_TYPES | {machine_mod.MessageType.DATA_BLOCK}
+    IN_TYPES = CBLEngine.IN_TYPES | {MessageType.DATA_BLOCK}
 
 
 def test_an_overlapping_controller_still_raises(monkeypatch):

@@ -7,11 +7,13 @@ loop and the all-heap referee (``tests/sim/heap_referee.py``).
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
 import repro.workloads.traffic as traffic_mod
 from repro.sim.core import Simulator
+from repro.sim.stats import StatSet
 from repro.system.machine import Machine, MachineConfig
 from repro.workloads.demand import DemandParams
 from repro.workloads.policy import POLICY_FACTORIES
@@ -127,8 +129,9 @@ def test_writeupdate_protocol_point_runs():
 
 
 def _metrics_doc(params):
-    """One kv traffic run's full ``RunMetrics`` JSON plus every processor's
-    counters (compute, data and sync cycles among them)."""
+    """One traffic run's full ``RunMetrics`` JSON plus every processor's
+    counters (compute, data and sync cycles among them); the service is
+    kv unless ``params`` names another."""
     cfg = MachineConfig(n_nodes=params["n_nodes"], cache_blocks=128, cache_assoc=2,
                         seed=params["seed"])
     machine = Machine(cfg, protocol=params["protocol"])
@@ -136,7 +139,7 @@ def _metrics_doc(params):
         demand=DemandParams(rate=params["rate"], horizon=params["horizon"],
                             n_clients=params["n_clients"], n_keys=params["n_keys"]),
         policy=params["policy"],
-        service="kv",
+        service=params.get("service", "kv"),
         lock_scheme=params["lock_scheme"],
         read_ratio=params["read_ratio"],
     ))
@@ -155,11 +158,40 @@ with open(os.path.join(HERE, "traffic_golden_metrics.json")) as _f:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_METRICS))
 def test_traffic_run_metrics_match_golden(name):
-    """The whole ``RunMetrics`` of a kv run and each processor's cycle
-    split, pinned to a recorded run: the server's compute accounting and
-    the service's batch arguments cannot drift without failing here."""
+    """The whole ``RunMetrics`` of a traffic run and each processor's
+    cycle split, pinned to a recorded run: the server's compute accounting,
+    the service's batch arguments and its per-op counter bumps cannot drift
+    without failing here.  Covered: kv on primitives+cbl and wbi+tts, kv
+    on writeupdate+ts (every write under its shard lock) and the queue
+    service on primitives+cbl."""
     point = GOLDEN_METRICS[name]
     assert _metrics_doc(point["params"]) == point["result"]
+
+
+class _RecordingProc:
+    """The part of a ``Processor`` a service batch uses; records the word
+    of every data read and shared write and takes no simulated time."""
+
+    def __init__(self):
+        self.sim = SimpleNamespace(now=0.0)
+        self.stats = StatSet()
+        self.node_id = 0
+        self.words = []
+        self.data = SimpleNamespace(read=self._op)
+        self.model = SimpleNamespace(shared_write=lambda proc, addr, value: self._op(addr))
+
+    def _op(self, addr):
+        self.words.append(addr)
+        return
+        yield  # pragma: no cover - makes this a generator
+
+    def acquire(self, lock):
+        return
+        yield  # pragma: no cover
+
+    def release(self, lock):
+        return
+        yield  # pragma: no cover
 
 
 @pytest.mark.parametrize("service", sorted(SERVICE_FACTORIES))
@@ -171,3 +203,22 @@ def test_key_addr_is_the_address_maps_word(service):
     for key in list(range(200)) + [4_000_000 - 1, 2**62 + 3]:
         expected = m.amap.word_addr(svc.shard_blocks[key % svc.n_shards], key % wpb)
         assert svc._key_addr(key) == expected
+
+
+@pytest.mark.parametrize("service", sorted(SERVICE_FACTORIES))
+def test_served_words_are_the_address_maps_words(service):
+    """The services' inline word arithmetic names the word
+    ``amap.word_addr`` names, for every op of a batch."""
+    m = Machine(MachineConfig(n_nodes=4, cache_blocks=64, cache_assoc=2, seed=1), protocol="wbi")
+    keys = list(range(200)) + [4_000_000 - 1, 2**62 + 3]
+    svc = make_service(service, m, lock_scheme="tts", ops_cap=len(keys))
+    wpb = m.amap.words_per_block
+    words = [m.amap.word_addr(svc.shard_blocks[k % svc.n_shards], k % wpb) for k in keys]
+    for coin in (0.0, 1.0):  # kv: every key a read, then every key a write
+        proc = _RecordingProc()
+        for _ in svc.serve_batch(proc, lambda: coin, keys, keys):
+            pass
+        per_key = 1 if service == "kv" else 2
+        assert proc.words == [w for w in words for _ in range(per_key)]
+        counts = proc.stats.counters.counts
+        assert counts.get("shared_reads", 0) + counts.get("shared_writes", 0) == per_key * len(keys)
