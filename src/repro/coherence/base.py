@@ -4,12 +4,12 @@ Controllers are attached to a :class:`~repro.node.node.Node`, which gives
 them the simulator, network, address map, directory, memory module, and
 caches.  Two conventions keep the protocols tractable:
 
-* **Per-block home serialization.**  Every *request* handled at a home
-  directory marks the block busy for the duration of its transaction;
+* **Per-block home serialization**, held by :class:`HomeController`, the
+  base of every engine that runs transactions at a home directory.  Every
+  *request* marks the block busy for the duration of its transaction;
   conflicting requests are deferred on the directory entry and replayed in
-  FIFO order when the transaction completes.  *Responses* that belong to
-  the in-flight transaction (invalidation acks, fetch replies) bypass the
-  busy check.
+  FIFO order when the transaction completes.  *Responses* (invalidation
+  acks, fetch replies, grants) bypass the busy check.
 
 * **Reply matching.**  A requester that expects a reply registers a pending
   event under a key (usually ``(kind, block)``); the handler for the reply
@@ -37,15 +37,15 @@ survive a lossy fabric:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional, Tuple
 
 from ..network.message import Message, MessageType
-from ..sim.core import AnyOf, Event
+from ..sim.core import AnyOf, Event, Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node.node import Node
 
-__all__ = ["Controller", "AckCollector", "SourceAckCollector"]
+__all__ = ["Controller", "HomeController", "AckCollector", "SourceAckCollector", "resolves"]
 
 #: Sentinel request-log state: admitted, transaction still in flight.
 _IN_FLIGHT = "in-flight"
@@ -288,6 +288,80 @@ class Controller:
             log[key] = [(dst, mtype, addr, info)]
         else:
             cur.append((dst, mtype, addr, info))
+
+
+def resolves(kind: str, field: Optional[str] = None) -> Callable:
+    """A response handler that resolves the pending reply ``(kind, addr)``,
+    with ``msg.info[field]`` as its value when ``field`` is given."""
+    if field is None:
+        return lambda self, msg: self.resolve((kind, msg.addr))
+    return lambda self, msg: self.resolve((kind, msg.addr), msg.info[field])
+
+
+class HomeController(Controller):
+    """Per-block home serialization, shared by every home-side engine.
+
+    An engine declares two class tables of plain functions (bound methods
+    kept per instance would make every controller a reference cycle):
+
+    * ``_HANDLERS``: request type -> home transaction, a generator
+      ``(self, msg, entry)`` spawned as a :class:`Process` with the block's
+      directory entry marked busy; it ends by calling :meth:`_done`;
+    * ``_RESPONSES``: response type -> ``(self, msg)``, run at delivery
+      with no busy check.
+
+    ``IN_TYPES`` is derived from the two, so each accepted type is named
+    once.  ``_PROCESS_NAME`` is formatted with ``mt`` (the type's name)
+    and ``addr`` into a transaction's process name, only while a trace bus
+    is installed.
+    """
+
+    _HANDLERS: Dict[MessageType, Callable] = {}
+    _RESPONSES: Dict[MessageType, Callable] = {}
+    _PROCESS_NAME = "{mt}-{addr}"
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.IN_TYPES = frozenset(cls._HANDLERS) | frozenset(cls._RESPONSES)
+        # Each engine's own ``handle`` attribute, so a per-class hook (the
+        # layer tracer's) wraps one engine's entry point, not all six.
+        if "handle" not in vars(cls):
+            cls.handle = HomeController.handle
+
+    def handle(self, msg: Message) -> None:
+        """Network entry point: dedup first, then admit.
+
+        Deferred requests replayed by :meth:`_done` re-enter via
+        :meth:`_admit` directly: they already passed dedup on arrival and
+        must not be mistaken for their own duplicates.
+        """
+        if self.node.resilience is not None and not self.dedup_admit(msg):
+            return
+        self._admit(msg)
+
+    def _admit(self, msg: Message) -> None:
+        mt = msg.mtype
+        respond = self._RESPONSES.get(mt)
+        if respond is not None:
+            respond(self, msg)
+            return
+        entry = self.node.directory.entry(msg.addr)
+        if entry.busy:
+            entry.defer(msg)
+            return
+        entry.busy = True
+        name = self._process_name(msg) if self.obs is not None else ""
+        Process(self.sim, self._HANDLERS[mt](self, msg, entry), name)
+
+    def _process_name(self, msg: Message) -> str:
+        return self._PROCESS_NAME.format(mt=msg.mtype.name, addr=msg.addr)
+
+    def _done(self, entry) -> None:
+        """Close a transaction and replay the next deferred request."""
+        entry.busy = False
+        nxt = entry.pop_deferred()
+        if nxt is not None:
+            self._admit(nxt)
 
 
 class AckCollector:

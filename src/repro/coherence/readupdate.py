@@ -47,8 +47,8 @@ from ..network.message import (
     WRITEBACK_ACK,
     Message,
 )
-from ..sim.core import Event, Process
-from .base import AckCollector, Controller
+from ..sim.core import Event
+from .base import AckCollector, Controller, HomeController
 from .wbi import apply_rmw
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -377,57 +377,23 @@ class PrimitivesCacheController(Controller):
             line.next = msg.info["set_next"]
 
 
-class PrimitivesHomeController(Controller):
+class PrimitivesHomeController(HomeController):
     """Home-side engine: block service, global writes, subscriber lists."""
 
-    REQUEST_TYPES = frozenset(
-        {
-            READ_MISS,
-            READ_GLOBAL,
-            GLOBAL_WRITE,
-            WRITEBACK,
-            RU_REQ,
-            RESET_UPDATE,
-            RMW_REQ,
-        }
-    )
-    RESPONSE_TYPES = frozenset({RU_ACK})
-    IN_TYPES = REQUEST_TYPES | RESPONSE_TYPES
+    _PROCESS_NAME = "prim-home-{mt}-{addr}"
 
     def __init__(self, node: "Node"):
         super().__init__(node)
         self._token = 0
         self._ack_collectors: dict = {}
 
-    # -- dispatch ----------------------------------------------------------
-    def handle(self, msg: Message) -> None:
-        if self.node.resilience is not None and not self.dedup_admit(msg):
-            return
-        self._admit(msg)
-
-    def _admit(self, msg: Message) -> None:
-        if msg.mtype is RU_ACK:
-            key = (msg.addr, msg.info["token"])
-            coll = self._ack_collectors.get(key)
-            if coll is not None:
-                coll.ack()
-            else:
-                self.resolve(("h:ruack", msg.addr, msg.info["token"]))
-            return
-        entry = self.node.directory.entry(msg.addr)
-        if entry.busy:
-            entry.defer(msg)
-            return
-        entry.busy = True
-        # The name only surfaces in traces and reprs: build it only then.
-        name = f"prim-home-{msg.mtype.name}-{msg.addr}" if self.obs is not None else ""
-        Process(self.sim, self._HANDLERS[msg.mtype](self, msg, entry), name)
-
-    def _done(self, entry) -> None:
-        entry.busy = False
-        nxt = entry.pop_deferred()
-        if nxt is not None:
-            self._admit(nxt)
+    def _on_ru_ack(self, msg: Message) -> None:
+        key = (msg.addr, msg.info["token"])
+        coll = self._ack_collectors.get(key)
+        if coll is not None:
+            coll.ack()
+        else:
+            self.resolve(("h:ruack", msg.addr, msg.info["token"]))
 
     # -- handlers ----------------------------------------------------------
     def _h_read_miss(self, msg: Message, entry):
@@ -609,8 +575,6 @@ class PrimitivesHomeController(Controller):
         self.reply_to(msg, RMW_REPLY, addr=entry.block, word=word, old=old)
         self._done(entry)
 
-    #: Request type -> home transaction (a plain function: bound methods
-    #: kept per instance would make every controller a reference cycle).
     _HANDLERS = {
         READ_MISS: _h_read_miss,
         READ_GLOBAL: _h_read_global,
@@ -620,3 +584,4 @@ class PrimitivesHomeController(Controller):
         RESET_UPDATE: _h_reset_update,
         RMW_REQ: _h_rmw,
     }
+    _RESPONSES = {RU_ACK: _on_ru_ack}

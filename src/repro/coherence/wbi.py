@@ -51,8 +51,8 @@ from ..network.message import (
     Message,
     MessageType,
 )
-from ..sim.core import Event, Process
-from .base import Controller, SourceAckCollector
+from ..sim.core import Event
+from .base import Controller, HomeController, SourceAckCollector, resolves
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node.node import Node
@@ -316,22 +316,10 @@ class WBICacheController(Controller):
         self._reply_later(msg, FETCH_REPLY, msg.addr, words=words)
 
 
-class WBIHomeController(Controller):
+class WBIHomeController(HomeController):
     """Directory/home-side WBI engine."""
 
-    #: Requests serialized by the per-block busy bit.
-    REQUEST_TYPES = frozenset(
-        {
-            READ_MISS,
-            WRITE_MISS,
-            UPGRADE,
-            WRITEBACK,
-            RMW_REQ,
-        }
-    )
-    #: In-transaction responses (never deferred).
-    RESPONSE_TYPES = frozenset({INV_ACK, FETCH_REPLY})
-    IN_TYPES = REQUEST_TYPES | RESPONSE_TYPES
+    _PROCESS_NAME = "wbi-home-{mt}-{addr}"
 
     #: Replies that grant a cached copy; a probe revokes them, so the
     #: home voids their dedup records before probing (see
@@ -348,46 +336,13 @@ class WBIHomeController(Controller):
         super().__init__(node)
         self._ack_collectors: Dict[int, SourceAckCollector] = {}
 
-    # -- dispatch ----------------------------------------------------------
-    def handle(self, msg: Message) -> None:
-        """Network entry point: dedup first, then admit.
-
-        Deferred requests replayed by :meth:`_done` re-enter via
-        :meth:`_admit` directly — they already passed dedup on arrival and
-        must not be mistaken for their own duplicates.
-        """
-        if self.node.resilience is not None and not self.dedup_admit(msg):
-            return
-        self._admit(msg)
-
-    def _admit(self, msg: Message) -> None:
-        mt = msg.mtype
-        if mt is INV_ACK:
-            if self.node.resilience is None:
-                coll = self._ack_collectors[msg.addr]
-            else:
-                coll = self._ack_collectors.get(msg.addr)
-            if coll is not None:
-                coll.ack(msg.src)
-            return
-        if mt is FETCH_REPLY:
-            self.resolve(("h:fetch", msg.addr), msg.info["words"])
-            return
-        entry = self.node.directory.entry(msg.addr)
-        if entry.busy:
-            entry.defer(msg)
-            return
-        entry.busy = True
-        # The name only surfaces in traces and reprs: build it only then.
-        name = f"wbi-home-{mt.name}-{msg.addr}" if self.obs is not None else ""
-        Process(self.sim, self._HANDLERS[mt](self, msg, entry), name)
-
-    def _done(self, entry) -> None:
-        """Close a transaction and replay the next deferred request."""
-        entry.busy = False
-        nxt = entry.pop_deferred()
-        if nxt is not None:
-            self._admit(nxt)
+    def _on_inv_ack(self, msg: Message) -> None:
+        if self.node.resilience is None:
+            coll = self._ack_collectors[msg.addr]
+        else:
+            coll = self._ack_collectors.get(msg.addr)
+        if coll is not None:
+            coll.ack(msg.src)
 
     # -- helpers ----------------------------------------------------------
     def _invalidate_sharers(self, entry, exclude: int):
@@ -569,8 +524,6 @@ class WBIHomeController(Controller):
         self.reply_to(msg, RMW_REPLY, addr=entry.block, word=word, old=old)
         self._done(entry)
 
-    #: Request type -> home transaction (a plain function: bound methods
-    #: kept per instance would make every controller a reference cycle).
     _HANDLERS = {
         READ_MISS: _h_read_miss,
         WRITE_MISS: _h_write_miss,
@@ -578,3 +531,4 @@ class WBIHomeController(Controller):
         WRITEBACK: _h_writeback,
         RMW_REQ: _h_rmw,
     }
+    _RESPONSES = {INV_ACK: _on_inv_ack, FETCH_REPLY: resolves("h:fetch", "words")}

@@ -49,8 +49,8 @@ from ..network.message import (
     WU_WRITE,
     Message,
 )
-from ..sim.core import Event, Process
-from .base import Controller, SourceAckCollector
+from ..sim.core import Event
+from .base import Controller, HomeController, SourceAckCollector
 from .wbi import apply_rmw
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,7 +93,7 @@ class WUCacheController(Controller):
             return line.data[offset]
         counts["wu.read_misses"] = counts.get("wu.read_misses", 0) + 1
         t0 = self.sim.now
-        yield from self._evict_for(block)
+        self._evict_for(block)
         home = self.amap.home_of(block)
         # The DATA_BLOCK handler installs the line synchronously at delivery:
         # the home registered us as a sharer before replying, so an update it
@@ -158,7 +158,7 @@ class WUCacheController(Controller):
         return ev
 
     # -- internals ----------------------------------------------------------
-    def _evict_for(self, block: int):
+    def _evict_for(self, block: int) -> None:
         victim = self.node.cache.victim_for(block)
         if victim is None or not victim.valid:
             return
@@ -169,8 +169,6 @@ class WUCacheController(Controller):
         )
         self._notify_change(victim.block)
         victim.invalidate()
-        return
-        yield  # pragma: no cover - generator form kept for symmetry
 
     def _notify_change(self, block: int) -> None:
         watchers = self._change_watchers.pop(block, None)
@@ -229,18 +227,10 @@ class WUCacheController(Controller):
             self.send(msg.src, WU_UPDATE_ACK, addr=msg.addr)
 
 
-class WUHomeController(Controller):
+class WUHomeController(HomeController):
     """Home-side write-update engine: sharer registry + update fan-out."""
 
-    REQUEST_TYPES = frozenset(
-        {
-            READ_MISS,
-            WU_WRITE,
-            WU_EVICT,
-            RMW_REQ,
-        }
-    )
-    IN_TYPES = REQUEST_TYPES | {WU_UPDATE_ACK}
+    _PROCESS_NAME = "wu-home-{mt}-{addr}"
 
     def __init__(self, node: "Node"):
         super().__init__(node)
@@ -249,33 +239,12 @@ class WUHomeController(Controller):
         #: block -> in-flight update fan-in (resilient mode only).
         self._upd_collectors: Dict[int, SourceAckCollector] = {}
 
-    def handle(self, msg: Message) -> None:
-        if msg.mtype is WU_UPDATE_ACK:
-            # Fan-in response for the in-flight transaction: bypasses both
-            # dedup (the collector absorbs duplicates) and the busy check.
-            coll = self._upd_collectors.get(msg.addr)
-            if coll is not None:
-                coll.ack(msg.src)
-            return
-        if self.node.resilience is not None and not self.dedup_admit(msg):
-            return
-        self._admit(msg)
-
-    def _admit(self, msg: Message) -> None:
-        entry = self.node.directory.entry(msg.addr)
-        if entry.busy:
-            entry.defer(msg)
-            return
-        entry.busy = True
-        # The name only surfaces in traces and reprs: build it only then.
-        name = f"wu-home-{msg.mtype.name}-{msg.addr}" if self.obs is not None else ""
-        Process(self.sim, self._HANDLERS[msg.mtype](self, msg, entry), name)
-
-    def _done(self, entry) -> None:
-        entry.busy = False
-        nxt = entry.pop_deferred()
-        if nxt is not None:
-            self._admit(nxt)
+    def _on_update_ack(self, msg: Message) -> None:
+        # Fan-in for the in-flight transaction: the collector absorbs
+        # duplicates, and the ack carries no rseq, so dedup passes it.
+        coll = self._upd_collectors.get(msg.addr)
+        if coll is not None:
+            coll.ack(msg.src)
 
     def _h_read_miss(self, msg: Message, entry):
         yield self.cfg.dir_cycle + self.cfg.memory_cycle
@@ -360,11 +329,10 @@ class WUHomeController(Controller):
         self.reply_to(msg, RMW_REPLY, addr=entry.block, word=word, old=old)
         self._done(entry)
 
-    #: Request type -> home transaction (a plain function: bound methods
-    #: kept per instance would make every controller a reference cycle).
     _HANDLERS = {
         READ_MISS: _h_read_miss,
         WU_WRITE: _h_write,
         WU_EVICT: _h_evict,
         RMW_REQ: _h_rmw,
     }
+    _RESPONSES = {WU_UPDATE_ACK: _on_update_ack}

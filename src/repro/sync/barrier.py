@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Tuple
 
-from ..coherence.base import Controller
+from ..coherence.base import HomeController, resolves
 from ..network.message import BARRIER_ACK, BARRIER_ARRIVE, BARRIER_RELEASE, Message
-from ..sim.core import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node.node import Node
@@ -20,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["HardwareBarrierEngine"]
 
 
-class HardwareBarrierEngine(Controller):
+class HardwareBarrierEngine(HomeController):
     """Hardware barrier support at both the arriving and home sides.
 
     Resilient mode (``node.resilience`` set): the participant polls the home
@@ -32,13 +31,7 @@ class HardwareBarrierEngine(Controller):
     can never double-count the barrier.
     """
 
-    IN_TYPES = frozenset(
-        {
-            BARRIER_ARRIVE,
-            BARRIER_ACK,
-            BARRIER_RELEASE,
-        }
-    )
+    _PROCESS_NAME = "barrier-{addr}"
 
     def __init__(self, node: "Node"):
         super().__init__(node)
@@ -68,30 +61,6 @@ class HardwareBarrierEngine(Controller):
         self.send(home, BARRIER_ARRIVE, addr=block, n=n)
         yield ack  # arrival recorded in the barrier counter at home
         yield rel  # all arrived
-
-    # -- dispatch ----------------------------------------------------------
-    def handle(self, msg: Message) -> None:
-        if self.node.resilience is not None and not self.dedup_admit(msg):
-            return
-        mt = msg.mtype
-        if mt is BARRIER_ARRIVE:
-            self._admit(msg)
-        elif mt is BARRIER_ACK:
-            self.resolve(("c:bar_ack", msg.addr))
-        elif mt is BARRIER_RELEASE:
-            self.resolve(("c:bar_rel", msg.addr))
-        else:  # pragma: no cover - wiring error
-            raise RuntimeError(f"barrier engine got {msg!r}")
-
-    def _admit(self, msg: Message) -> None:
-        entry = self.node.directory.entry(msg.addr)
-        if entry.busy:
-            entry.defer(msg)
-            return
-        entry.busy = True
-        # The name only surfaces in traces and reprs: build it only then.
-        name = f"barrier-{msg.addr}" if self.obs is not None else ""
-        Process(self.sim, self._h_arrive(msg, entry), name)
 
     # -- home side ----------------------------------------------------------
     def _h_arrive(self, msg: Message, entry):
@@ -124,8 +93,8 @@ class HardwareBarrierEngine(Controller):
                     self.send(node_id, BARRIER_RELEASE, addr=entry.block)
         self._done(entry)
 
-    def _done(self, entry) -> None:
-        entry.busy = False
-        nxt = entry.pop_deferred()
-        if nxt is not None:
-            self._admit(nxt)
+    _HANDLERS = {BARRIER_ARRIVE: _h_arrive}
+    _RESPONSES = {
+        BARRIER_ACK: resolves("c:bar_ack"),
+        BARRIER_RELEASE: resolves("c:bar_rel"),
+    }

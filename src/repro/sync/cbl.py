@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Tuple
 
 from ..cache.states import LOCK_NONE, READ, WAIT_READ, WAIT_WRITE, WRITE
-from ..coherence.base import Controller
+from ..coherence.base import HomeController, resolves
 from ..memory.directory import LOCK, READ_UPDATE, USAGE_NONE
 from ..network.message import (
     LOCK_FWD,
@@ -56,7 +56,6 @@ from ..network.message import (
     QUEUE_ACK,
     Message,
 )
-from ..sim.core import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node.node import Node
@@ -67,20 +66,8 @@ _WAIT = {"read": WAIT_READ, "write": WAIT_WRITE}
 _HELD = {"read": READ, "write": WRITE}
 
 
-class CBLEngine(Controller):
+class CBLEngine(HomeController):
     """Cache-based locking: requester-side ops + home-side queue management."""
-
-    IN_TYPES = frozenset(
-        {
-            LOCK_REQ_READ,
-            LOCK_REQ_WRITE,
-            LOCK_RELEASE,
-            LOCK_GRANT,
-            LOCK_FWD,
-            LOCK_WAIT,
-            QUEUE_ACK,
-        }
-    )
 
     def __init__(self, node: "Node"):
         super().__init__(node)
@@ -171,43 +158,9 @@ class CBLEngine(Controller):
         line = self.node.lockcache.peek(block)
         return line is not None and line.lock.is_held
 
-    # ================= message dispatch ====================================
-    def handle(self, msg: Message) -> None:
-        if self.node.resilience is not None and not self.dedup_admit(msg):
-            return
-        mt = msg.mtype
-        if mt in (LOCK_REQ_READ, LOCK_REQ_WRITE, LOCK_RELEASE):
-            self._admit(msg)
-        elif mt is LOCK_GRANT:
-            self.resolve(("c:grant", msg.addr), msg.info["words"])
-        elif mt is LOCK_FWD:
-            self._on_fwd(msg)
-        elif mt is LOCK_WAIT:
-            self._on_wait(msg)
-        elif mt is QUEUE_ACK:
-            self.resolve(("c:relack", msg.addr))
-        else:  # pragma: no cover - wiring error
-            raise RuntimeError(f"CBL engine got {msg!r}")
-
-    def _admit(self, msg: Message) -> None:
-        """Busy-check and launch a home transaction (post-dedup)."""
-        entry = self.node.directory.entry(msg.addr)
-        if entry.busy:
-            entry.defer(msg)
-            return
-        entry.busy = True
-        # The names only surface in traces and reprs: build them only then.
-        traced = self.obs is not None
-        if msg.mtype is LOCK_RELEASE:
-            Process(self.sim, self._h_release(msg, entry), f"cbl-rel-{msg.addr}" if traced else "")
-        else:
-            Process(self.sim, self._h_request(msg, entry), f"cbl-req-{msg.addr}" if traced else "")
-
-    def _done(self, entry) -> None:
-        entry.busy = False
-        nxt = entry.pop_deferred()
-        if nxt is not None:
-            self._admit(nxt)
+    def _process_name(self, msg: Message) -> str:
+        kind = "rel" if msg.mtype is LOCK_RELEASE else "req"
+        return f"cbl-{kind}-{msg.addr}"
 
     # ================= home-side handlers ===================================
     def _h_request(self, msg: Message, entry):
@@ -344,3 +297,15 @@ class CBLEngine(Controller):
         line = self.node.lockcache.peek(msg.addr)
         if line is not None and line.lock is not LOCK_NONE:
             line.prev = msg.info["prev"]
+
+    _HANDLERS = {
+        LOCK_REQ_READ: _h_request,
+        LOCK_REQ_WRITE: _h_request,
+        LOCK_RELEASE: _h_release,
+    }
+    _RESPONSES = {
+        LOCK_GRANT: resolves("c:grant", "words"),
+        LOCK_FWD: _on_fwd,
+        LOCK_WAIT: _on_wait,
+        QUEUE_ACK: resolves("c:relack"),
+    }

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Tuple
 
-from ..coherence.base import Controller
+from ..coherence.base import HomeController, resolves
 from ..network.message import SEM_ACK, SEM_GRANT, SEM_P, SEM_V, Message
-from ..sim.core import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node.node import Node
@@ -25,17 +24,10 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["SemaphoreEngine", "HWSemaphore"]
 
 
-class SemaphoreEngine(Controller):
+class SemaphoreEngine(HomeController):
     """P/V at the requester side plus home-side queue management."""
 
-    IN_TYPES = frozenset(
-        {
-            SEM_P,
-            SEM_V,
-            SEM_GRANT,
-            SEM_ACK,
-        }
-    )
+    _PROCESS_NAME = "sem-{mt}-{addr}"
 
     def __init__(self, node: "Node"):
         super().__init__(node)
@@ -76,38 +68,6 @@ class SemaphoreEngine(Controller):
         if ev is not None:
             yield ev
 
-    # -- dispatch ----------------------------------------------------------
-    def handle(self, msg: Message) -> None:
-        if self.node.resilience is not None and not self.dedup_admit(msg):
-            return
-        mt = msg.mtype
-        if mt in (SEM_P, SEM_V):
-            self._admit(msg)
-        elif mt is SEM_GRANT:
-            self.resolve(("c:sem_grant", msg.addr))
-        elif mt is SEM_ACK:
-            self.resolve(("c:sem_ack", msg.addr))
-        else:  # pragma: no cover - wiring error
-            raise RuntimeError(f"semaphore engine got {msg!r}")
-
-    def _admit(self, msg: Message) -> None:
-        """Busy-check and launch a home transaction (post-dedup)."""
-        entry = self.node.directory.entry(msg.addr)
-        if entry.busy:
-            entry.defer(msg)
-            return
-        entry.busy = True
-        handler = self._h_p if msg.mtype is SEM_P else self._h_v
-        # The name only surfaces in traces and reprs: build it only then.
-        name = f"sem-{msg.mtype.name}-{msg.addr}" if self.obs is not None else ""
-        Process(self.sim, handler(msg, entry), name)
-
-    def _done(self, entry) -> None:
-        entry.busy = False
-        nxt = entry.pop_deferred()
-        if nxt is not None:
-            self._admit(nxt)
-
     # -- home side ----------------------------------------------------------
     def _h_p(self, msg: Message, entry):
         yield self.cfg.dir_cycle + self.cfg.memory_cycle
@@ -140,6 +100,9 @@ class SemaphoreEngine(Controller):
         if msg.info.get("want_ack"):
             self.reply_to(msg, SEM_ACK, addr=entry.block)
         self._done(entry)
+
+    _HANDLERS = {SEM_P: _h_p, SEM_V: _h_v}
+    _RESPONSES = {SEM_GRANT: resolves("c:sem_grant"), SEM_ACK: resolves("c:sem_ack")}
 
 
 class HWSemaphore:

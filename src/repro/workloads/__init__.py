@@ -1,8 +1,9 @@
 """Workload models, layered as demand -> policy -> service.
 
-The demand layer (:mod:`.demand`) generates *who asks when* — seeded
-open-loop arrival processes multiplexing millions of logical clients, or
-closed-loop descriptors for the paper's Table-4 regime.  The policy layer
+The demand layer (:mod:`.demand`) generates *who asks when*: seeded
+open-loop arrival processes multiplexing millions of logical clients.
+The paper's closed-loop Table-4 regime needs no demand object; there each
+processor issues its next request when the previous one completes.  The policy layer
 (:mod:`.policy`) decides *where* each request runs.  The service layer
 (:mod:`.service`) is *what the machine does*: open-loop storage services
 (KV, queue, session) plus the closed-loop scaffold the paper's original
@@ -14,7 +15,6 @@ tail-latency frontend (``python -m repro.workloads.traffic``).
 from .base import GRAIN_SIZES, LOCK_FACTORIES, RunBuilder, WorkloadResult, make_lock
 from .demand import (
     ARRIVAL_FACTORIES,
-    ClosedLoopDemand,
     DemandParams,
     OpenLoopDemand,
     Schedule,
@@ -51,7 +51,6 @@ __all__ = [
     "SERVICE_FACTORIES",
     "DemandParams",
     "OpenLoopDemand",
-    "ClosedLoopDemand",
     "Schedule",
     "Placement",
     "make_policy",

@@ -26,7 +26,7 @@ machine does for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -36,7 +36,6 @@ __all__ = [
     "DemandParams",
     "Schedule",
     "OpenLoopDemand",
-    "ClosedLoopDemand",
     "zipf_weights",
     "make_arrivals",
 ]
@@ -237,29 +236,3 @@ class OpenLoopDemand:
         return Schedule(
             issue_t=issue_t, client=client, key=key, n_clients=p.n_clients, n_keys=p.n_keys
         )
-
-
-@dataclass(slots=True)
-class ClosedLoopDemand:
-    """Descriptor for the paper's closed-loop regime, in demand-layer terms.
-
-    The ported Table-4 workloads are *configurations* of this: exactly one
-    logical client per processor, each issuing its next request when the
-    previous completes — either a fixed number of requests per client
-    (syncmodel) or until a shared pool drains (workqueue).  No schedule is
-    materialized; the "arrival process" is the completion feedback loop
-    itself.
-    """
-
-    n_clients: int
-    requests_per_client: Optional[int] = None
-    until_drained: bool = False
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.n_clients <= 0:
-            raise ValueError("n_clients must be positive")
-        if (self.requests_per_client is None) == (not self.until_drained):
-            raise ValueError(
-                "exactly one of requests_per_client / until_drained must be set"
-            )

@@ -30,7 +30,6 @@ import numpy as np
 from ..sync.base import HWBarrier
 from ..sync.swlock import SWBarrier
 from .base import make_lock
-from .demand import ClosedLoopDemand
 from .rounds import RoundScratch, build_sync_task_plan, execute_plan
 from .service import ClosedLoopService
 
@@ -107,7 +106,6 @@ class SyncModelWorkload(ClosedLoopService):
         # Private address space: one region per node, far from shared data.
         self._private_base = machine.alloc_block(64 * n)
         self.builder.add_sync(*self.locks).add_sync(self.barrier)
-        self.demand = ClosedLoopDemand(n_clients=n, requests_per_client=p.tasks_per_node)
         # Whether the sync episode after task k is a barrier must be agreed
         # by all processors (a barrier only some join would deadlock), so it
         # is drawn once from a machine-level stream.

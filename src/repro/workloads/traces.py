@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Iterable, List, Optional
 
-from .demand import ClosedLoopDemand
 from .service import ClosedLoopService
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -175,9 +174,6 @@ class TraceReplayWorkload(ClosedLoopService):
             self._per_node.setdefault(e.node, []).append(e)
             n_entries += 1
         self.builder.count(n_entries)
-        self.demand = ClosedLoopDemand(
-            n_clients=max(1, len(self._per_node)), until_drained=True
-        )
 
     def _spawn_all(self) -> None:
         m = self.machine

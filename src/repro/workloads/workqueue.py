@@ -27,7 +27,6 @@ from ..sim.rng import ScalarReader
 from ..sync.base import HWBarrier
 from ..sync.swlock import SWBarrier
 from .base import make_lock
-from .demand import ClosedLoopDemand
 from .rounds import build_queue_task_plan, execute_plan
 from .service import ClosedLoopService
 
@@ -175,7 +174,6 @@ class WorkQueueWorkload(ClosedLoopService):
         )
         self._spawned = 0
         self.builder.add_sync(self.queue_lock, self.barrier)
-        self.demand = ClosedLoopDemand(n_clients=n, until_drained=True)
 
     # -- pieces of the driver --------------------------------------------------
     def _queue_refs(self, proc: "Processor", rng) -> "Generator":

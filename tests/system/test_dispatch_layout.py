@@ -46,9 +46,13 @@ def test_interconnect_holds_each_nodes_table(protocol):
 
 
 class _GreedyCBL(CBLEngine):
-    """A lock engine that also claims the data controller's replies."""
+    """A lock engine that also claims the data controller's replies (its
+    ``IN_TYPES`` are derived from the response table)."""
 
-    IN_TYPES = CBLEngine.IN_TYPES | {MessageType.DATA_BLOCK}
+    _RESPONSES = {
+        **CBLEngine._RESPONSES,
+        MessageType.DATA_BLOCK: CBLEngine._RESPONSES[MessageType.LOCK_GRANT],
+    }
 
 
 def test_an_overlapping_controller_still_raises(monkeypatch):

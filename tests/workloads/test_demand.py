@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.workloads.demand import (
     ARRIVAL_FACTORIES,
-    ClosedLoopDemand,
     DemandParams,
     OpenLoopDemand,
     Schedule,
@@ -111,20 +110,6 @@ def test_million_client_population_costs_one_word_per_request():
     # With ~1k requests over 5M clients, collisions are rare: nearly every
     # request comes from a distinct logical client.
     assert sched.distinct_clients() > 0.99 * sched.n_requests
-
-
-# ---------------------------------------------------------------- closed loop
-
-
-def test_closed_loop_demand_requires_exactly_one_regime():
-    ClosedLoopDemand(n_clients=4, requests_per_client=2)
-    ClosedLoopDemand(n_clients=4, until_drained=True)
-    with pytest.raises(ValueError, match="exactly one"):
-        ClosedLoopDemand(n_clients=4)
-    with pytest.raises(ValueError, match="exactly one"):
-        ClosedLoopDemand(n_clients=4, requests_per_client=2, until_drained=True)
-    with pytest.raises(ValueError, match="n_clients"):
-        ClosedLoopDemand(n_clients=0, until_drained=True)
 
 
 # ---------------------------------------------------------------- distinct clients
