@@ -1,11 +1,16 @@
-"""Interconnection networks: Omega (paper default), bus, crossbar."""
+"""Interconnection networks: Omega (paper default), buffered Omega, bus,
+crossbar and 2D mesh."""
 
-from .bus import BusNetwork
-from .crossbar import CrossbarNetwork
-from .mesh import MeshNetwork, mesh_dims, xy_route
 from .message import Message, MessageType, SizeClass, flit_size
-from .omega import BufferedOmegaNetwork, OmegaNetwork
-from .routing import is_power_of_two, num_stages, omega_path_switches, omega_route
+from .omega import (
+    BufferedOmegaNetwork,
+    BusNetwork,
+    CrossbarNetwork,
+    LinkNetwork,
+    MeshNetwork,
+    OmegaNetwork,
+)
+from .routing import is_power_of_two, mesh_dims, num_stages, omega_route, xy_route
 from .topology import Interconnect, NetworkParams
 
 __all__ = [
@@ -15,6 +20,7 @@ __all__ = [
     "flit_size",
     "Interconnect",
     "NetworkParams",
+    "LinkNetwork",
     "OmegaNetwork",
     "BufferedOmegaNetwork",
     "BusNetwork",
@@ -23,7 +29,6 @@ __all__ = [
     "mesh_dims",
     "xy_route",
     "omega_route",
-    "omega_path_switches",
     "num_stages",
     "is_power_of_two",
 ]

@@ -1,4 +1,5 @@
-"""Destination-tag routing for the multistage Omega network.
+"""Static routes: destination-tag routing for the multistage Omega network,
+and dimension-order (XY) routing for the 2D mesh.
 
 An N-node Omega network (N a power of two) has ``k = log2 N`` stages of
 ``N/2`` two-by-two switches with a perfect-shuffle interconnection between
@@ -14,13 +15,16 @@ shift-register recurrence::
 
 Two messages conflict at stage ``i`` exactly when they occupy the same wire
 label there, which is what the contention model keys on.
+
+A mesh of N nodes is a near-square ``rows x cols`` grid; an XY route moves
+along the row first, then along the column.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
-__all__ = ["is_power_of_two", "num_stages", "omega_route", "omega_path_switches"]
+__all__ = ["is_power_of_two", "num_stages", "omega_route", "mesh_dims", "xy_route"]
 
 
 def is_power_of_two(n: int) -> bool:
@@ -53,6 +57,28 @@ def omega_route(src: int, dst: int, n_nodes: int) -> List[int]:
     return wires
 
 
-def omega_path_switches(src: int, dst: int, n_nodes: int) -> List[int]:
-    """Switch indices visited per stage (wire label with the LSB dropped)."""
-    return [w >> 1 for w in omega_route(src, dst, n_nodes)]
+def mesh_dims(n_nodes: int) -> Tuple[int, int]:
+    """Near-square (rows, cols) factorization for a power-of-two size."""
+    if not is_power_of_two(n_nodes):
+        raise ValueError(f"mesh size must be a positive power of two, got {n_nodes}")
+    k = n_nodes.bit_length() - 1
+    rows = 1 << (k // 2)
+    return rows, n_nodes // rows
+
+
+def xy_route(src: int, dst: int, rows: int, cols: int) -> List[Tuple[int, int]]:
+    """Directed links (from_node, to_node) along the XY path src -> dst."""
+    if not 0 <= src < rows * cols or not 0 <= dst < rows * cols:
+        raise ValueError("src/dst out of range")
+    links = []
+    r, c = divmod(src, cols)
+    dr, dc = divmod(dst, cols)
+    while c != dc:  # X first
+        nc = c + (1 if dc > c else -1)
+        links.append((r * cols + c, r * cols + nc))
+        c = nc
+    while r != dr:  # then Y
+        nr = r + (1 if dr > r else -1)
+        links.append((r * cols + c, nr * cols + c))
+        r = nr
+    return links

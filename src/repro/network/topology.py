@@ -44,8 +44,8 @@ class _Channel:
     to deliver; ``held`` maps the sequence numbers of early arrivals to
     their messages.  ``held_since`` orders the channels that hold messages
     by when they last started holding (the hang diagnosis lists them so),
-    and ``route`` is topology-private: the Omega variants keep the
-    channel's static route there.
+    and ``route`` is topology-private: each topology keeps the channel's
+    static route there.
     """
 
     __slots__ = ("send_seq", "deliver_seq", "held", "held_since", "route")
@@ -72,13 +72,12 @@ class NetworkParams:
         Cycles to deliver a message whose source and destination coincide.
     ``buffer_capacity``
         Per-port buffer capacity in messages; ``None`` = infinite (the
-        paper's assumption).  **Known limitation:** only the buffered Omega
-        variant (``network="omega-buffered"``) honours this — the analytic
-        Omega, bus, crossbar, and mesh models assume infinite buffering and
-        silently ignore the setting.  Each topology class advertises its
-        behavior via the ``HONORS_BUFFER_CAPACITY`` class flag, and a
-        regression test pins the flag per topology so a future backpressure
-        implementation must flip it deliberately.
+        paper's assumption).  Only the buffered Omega variant
+        (``network="omega-buffered"``) has finite buffers: the analytic
+        Omega, bus, crossbar and mesh models are infinite-buffer FIFO
+        links, so a network built directly ignores the setting, and
+        :class:`~repro.system.config.MachineConfig` rejects a capacity on
+        any network but ``"omega-buffered"``.
     """
 
     switch_cycle: int = 1
@@ -97,11 +96,6 @@ class NetworkParams:
 
 class Interconnect(ABC):
     """Base interconnect: attach handlers, send messages, collect stats."""
-
-    #: Whether this topology enforces ``NetworkParams.buffer_capacity``
-    #: (finite port buffers with backpressure).  Only the buffered Omega
-    #: variant does; see the ``buffer_capacity`` docstring above.
-    HONORS_BUFFER_CAPACITY = False
 
     def __init__(self, sim: Simulator, n_nodes: int, params: Optional[NetworkParams] = None):
         if n_nodes <= 0:

@@ -73,6 +73,7 @@ class TSLock:
     def __init__(self, machine: "Machine", addr: int | None = None):
         self.machine = machine
         self.addr = machine.alloc_word() if addr is None else addr
+        self.block = machine.amap.block_of(self.addr)
 
     def acquire(self, proc: "Processor", mode: str = "write"):
         if mode != "write":
@@ -135,6 +136,7 @@ class TTSBackoffLock:
             raise ValueError("bad backoff parameters")
         self.machine = machine
         self.addr = machine.alloc_word() if addr is None else addr
+        self.block = machine.amap.block_of(self.addr)
         self.base_delay = base_delay
         self.max_delay = max_delay
 
@@ -167,6 +169,7 @@ class TicketLock:
         self.serving_addr = machine.alloc_word() if serving_addr is None else serving_addr
         if machine.amap.block_of(self.next_addr) == machine.amap.block_of(self.serving_addr):
             raise ValueError("ticket and serving words must be on distinct blocks")
+        self.block = machine.amap.block_of(self.next_addr)
         self.serving_block = machine.amap.block_of(self.serving_addr)
         self._my_ticket: Dict[int, int] = {}
 
@@ -201,6 +204,7 @@ class MCSLock:
     def __init__(self, machine: "Machine"):
         self.machine = machine
         self.tail_addr = machine.alloc_word()
+        self.block = machine.amap.block_of(self.tail_addr)
         n = machine.cfg.n_nodes
         # One block per node for (flag, next).
         base = machine.alloc_block(n)
@@ -260,6 +264,7 @@ class SWBarrier:
         self.sense_addr = machine.alloc_word()
         if machine.amap.block_of(self.count_addr) == machine.amap.block_of(self.sense_addr):
             raise ValueError("count and sense words must be on distinct blocks")
+        self.block = machine.amap.block_of(self.count_addr)
         self.sense_block = machine.amap.block_of(self.sense_addr)
         self._local_sense: Dict[int, int] = {}
 

@@ -75,6 +75,14 @@ class MachineConfig:
                 raise ValueError(f"{name} must be positive")
         if self.network not in ("omega", "omega-buffered", "bus", "crossbar", "mesh"):
             raise ValueError(f"unknown network {self.network!r}")
+        if self.buffer_capacity is not None:
+            # Every other network is an infinite-buffer model.
+            if self.network != "omega-buffered":
+                raise ValueError(
+                    f"buffer_capacity needs network='omega-buffered', got {self.network!r}"
+                )
+            if self.buffer_capacity <= 0:
+                raise ValueError("buffer_capacity must be positive or None")
         if self.ru_propagation not in ("multicast", "chain"):
             raise ValueError(f"ru_propagation must be 'multicast' or 'chain'")
         if self.directory_limit is not None and self.directory_limit <= 0:

@@ -12,11 +12,10 @@ from ..coherence.writeupdate import WUCacheController, WUHomeController
 from ..faults.diagnosis import diagnose_machine
 from ..faults.plan import DEFAULT_RESILIENCE, FaultPlan, FaultSpec
 from ..memory.address import AddressMap
-from ..network.bus import BusNetwork
-from ..network.crossbar import CrossbarNetwork
-from ..network.mesh import MeshNetwork
 from ..network.message import GLOBAL_WRITE, Message
-from ..network.omega import BufferedOmegaNetwork, OmegaNetwork
+from ..network.omega import (
+    BufferedOmegaNetwork, BusNetwork, CrossbarNetwork, MeshNetwork, OmegaNetwork,
+)
 from ..network.topology import NetworkParams
 from ..node.node import Node
 from ..node.processor import Processor

@@ -49,7 +49,7 @@ def test_omega_latency_matches_simulator_model():
 
     sim = Simulator()
     net = OmegaNetwork(sim, 16, NetworkParams(switch_cycle=2))
-    assert omega_uncontended_latency(16, 5, 2) == net.uncontended_latency(5)
+    assert omega_uncontended_latency(16, 5, 2) == net.uncontended_latency(0, 9, 5)
 
 
 def test_omega_latency_validation():

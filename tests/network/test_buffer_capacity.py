@@ -2,10 +2,9 @@
 
 Only the buffered Omega variant models finite per-port buffers with
 backpressure; every other topology assumes infinite buffering (the paper's
-own assumption) and silently ignores the parameter.  The
-``HONORS_BUFFER_CAPACITY`` class flag advertises the behavior; these tests
-pin the flag *and* the behavior per topology, so a future backpressure
-implementation must flip the flag (and these expectations) deliberately.
+own assumption) and ignores the parameter.  ``MachineConfig`` therefore
+rejects a capacity on any other network; these tests pin the behavior per
+topology when a network is built directly.
 """
 
 import pytest
@@ -14,26 +13,13 @@ from repro.network import (
     BufferedOmegaNetwork,
     BusNetwork,
     CrossbarNetwork,
+    MeshNetwork,
     Message,
     MessageType,
     NetworkParams,
     OmegaNetwork,
 )
-from repro.network.mesh import MeshNetwork
 from repro.sim import Simulator
-
-EXPECTED_FLAG = {
-    OmegaNetwork: False,
-    BufferedOmegaNetwork: True,
-    BusNetwork: False,
-    CrossbarNetwork: False,
-    MeshNetwork: False,
-}
-
-
-@pytest.mark.parametrize("cls,honors", sorted(EXPECTED_FLAG.items(), key=lambda kv: kv[0].__name__))
-def test_honors_buffer_capacity_flag(cls, honors):
-    assert cls.HONORS_BUFFER_CAPACITY is honors
 
 
 def _victim_delivery_times(cls, capacity):
@@ -70,7 +56,7 @@ def _victim_delivery_times(cls, capacity):
 )
 def test_unbuffered_topologies_ignore_capacity(cls):
     """Infinite-buffer models deliver identically whether or not a (tiny)
-    capacity is configured — the setting is documented as ignored."""
+    capacity is configured — the setting is ignored."""
     assert _victim_delivery_times(cls, capacity=1) == _victim_delivery_times(cls, capacity=None)
 
 

@@ -104,3 +104,20 @@ def test_mesh_works_in_machine():
         m.spawn(w(m.processor(i)))
     m.run()
     assert m.peek_memory(m.amap.word_addr(lock.block, 0)) == 8
+
+
+def test_mesh_links_are_the_directed_neighbour_links():
+    # A 4x4 mesh has 2 * (4*3 + 4*3) directed neighbour links; each gets
+    # one index, shared by every route that crosses it.
+    sim, net, inbox = make_mesh(n=16)
+    assert net.link_count(16) == 48
+    index = {}
+    for src in range(16):
+        for dst in range(16):
+            for link, i in zip(xy_route(src, dst, 4, 4), net.links(16, src, dst)):
+                assert index.setdefault(link, i) == i
+    assert sorted(index.values()) == list(range(48))
+    # One message over one link busies 1 of the 48 links for its service.
+    net.send(Message(0, 1, MessageType.READ_MISS))
+    sim.run()
+    assert net.wire_utilization() == 1 / 48

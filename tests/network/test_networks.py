@@ -1,4 +1,4 @@
-"""Unit tests for the Omega, bus, and crossbar interconnects."""
+"""Unit tests for the Omega, bus, crossbar and mesh interconnects."""
 
 import pytest
 
@@ -6,6 +6,7 @@ from repro.network import (
     BufferedOmegaNetwork,
     BusNetwork,
     CrossbarNetwork,
+    MeshNetwork,
     Message,
     MessageType,
     NetworkParams,
@@ -89,7 +90,7 @@ def test_omega_uncontended_latency_is_stages_times_service():
     sim.run()
     t, _ = inbox[9][0]
     assert t == 4 * 2 * 1
-    assert net.uncontended_latency(1) == 8
+    assert net.uncontended_latency(0, 9, 1) == 8
 
 
 def test_omega_block_message_slower_than_control():
@@ -168,6 +169,16 @@ def test_omega_wire_utilization_exact_all_pairs():
     assert sim.now == 12
     assert net.wire_utilization() == 0.5833333333333334
     assert net.wire_utilization(until=24) == 168 / (24 * 3 * 8)
+
+
+@pytest.mark.parametrize("cls", [OmegaNetwork, MeshNetwork])
+def test_wire_utilization_without_links(cls):
+    # A one-node Omega or mesh has no links; all its traffic is local.
+    sim, net, inbox = make_net(cls, n=1)
+    net.send(Message(0, 0, MessageType.READ_MISS))
+    sim.run()
+    assert len(inbox[0]) == 1
+    assert net.wire_utilization(until=10) == 0.0
 
 
 def test_omega_routes_are_shared_by_networks_of_one_size():
@@ -276,7 +287,7 @@ def test_bus_utilization():
     sim, net, inbox = make_net(BusNetwork, n=4)
     net.send(Message(0, 1, MessageType.DATA_BLOCK))
     sim.run()
-    assert net.utilization() == pytest.approx(1.0)
+    assert net.wire_utilization() == pytest.approx(1.0)
 
 
 # ------------------------------------------------------------------ crossbar

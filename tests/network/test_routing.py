@@ -5,7 +5,6 @@ import pytest
 from repro.network import (
     is_power_of_two,
     num_stages,
-    omega_path_switches,
     omega_route,
 )
 
@@ -61,11 +60,6 @@ def test_distinct_sources_distinct_first_wires_when_spread():
     # Sources differing only in the MSB collide at stage 0 — that is the
     # Omega network's blocking nature, not a bug.
     assert omega_route(0, 0, n)[0] == omega_route(4, 0, n)[0]
-
-
-def test_path_switches_is_wire_halved():
-    n = 8
-    assert omega_path_switches(3, 6, n) == [w >> 1 for w in omega_route(3, 6, n)]
 
 
 def test_route_out_of_range_rejected():

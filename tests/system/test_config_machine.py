@@ -45,6 +45,22 @@ def test_network_name_validated():
         MachineConfig(network="hypercube")
 
 
+@pytest.mark.parametrize("network", ["omega", "bus", "crossbar", "mesh"])
+def test_buffer_capacity_needs_buffered_omega(network):
+    # Only the buffered Omega has finite switch buffers; elsewhere the
+    # setting would be ignored, so it is refused.
+    with pytest.raises(ValueError, match="omega-buffered"):
+        MachineConfig(network=network, buffer_capacity=4)
+    assert MachineConfig(network=network).buffer_capacity is None
+
+
+def test_buffer_capacity_must_be_positive():
+    assert MachineConfig(network="omega-buffered", buffer_capacity=1).buffer_capacity == 1
+    for cap in (0, -2):
+        with pytest.raises(ValueError, match="positive"):
+            MachineConfig(network="omega-buffered", buffer_capacity=cap)
+
+
 def test_ru_propagation_validated():
     with pytest.raises(ValueError):
         MachineConfig(ru_propagation="telepathy")
