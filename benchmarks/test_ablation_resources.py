@@ -9,6 +9,8 @@
   a hot spot tracks the Pfister–Norton bound the paper cites [18].
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from conftest import fmt, print_table
@@ -97,8 +99,9 @@ def test_hotspot_saturation_tracks_pfister_norton(benchmark):
         sim = Simulator()
         net = OmegaNetwork(sim, n, NetworkParams())
         last = [0.0]
+        sink = SimpleNamespace(handle=lambda m: last.__setitem__(0, sim.now))
         for i in range(n):
-            net.attach(i, lambda m: last.__setitem__(0, sim.now))
+            net.attach(i, dict.fromkeys(MessageType, sink))
         rng = np.random.default_rng(seed)
         for src in range(n):
             for _k in range(msgs_per_node):

@@ -2,7 +2,15 @@
 
 Controllers are attached to a :class:`~repro.node.node.Node`, which gives
 them the simulator, network, address map, directory, memory module, and
-caches.  Two conventions keep the protocols tractable:
+caches.  Three conventions keep the protocols tractable:
+
+* **One intake table per engine.**  Every controller class declares its
+  message types in class tables of plain functions, and
+  :meth:`Controller.handle`, the one network entry point, runs dedup and
+  then one lookup in the table derived from them (``_INTAKE``).  A cache
+  controller's ``_RESPONSES`` map straight to delivery functions; so do a
+  home engine's, while its ``_HANDLERS`` request types lead to the
+  admission step of :class:`HomeController`.
 
 * **Per-block home serialization**, held by :class:`HomeController`, the
   base of every engine that runs transactions at a home directory.  Every
@@ -39,20 +47,50 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional, Tuple
 
-from ..network.message import Message, MessageType
+from ..network.message import RMW_REQ, WRITEBACK, Message, MessageType
 from ..sim.core import AnyOf, Event, Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node.node import Node
 
-__all__ = ["Controller", "HomeController", "AckCollector", "SourceAckCollector", "resolves"]
+__all__ = [
+    "Controller",
+    "CacheController",
+    "HomeController",
+    "AckCollector",
+    "SourceAckCollector",
+    "resolves",
+]
 
 #: Sentinel request-log state: admitted, transaction still in flight.
 _IN_FLIGHT = "in-flight"
 
 
 class Controller:
-    """Base for protocol engines living on a node."""
+    """Base for protocol engines living on a node.
+
+    A class declares ``_RESPONSES``: message type -> plain function
+    ``(self, msg)``, run at delivery (bound methods kept per instance
+    would make every controller a reference cycle).  Class creation
+    derives the intake table ``_INTAKE`` (:meth:`_intake`) and
+    ``IN_TYPES``, its keys, so each accepted type is named once.
+    """
+
+    _RESPONSES: Dict[MessageType, Callable] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._INTAKE = cls._intake()
+        cls.IN_TYPES = frozenset(cls._INTAKE)
+        # Each engine's own ``handle`` attribute, so a per-class hook (the
+        # layer tracer's) wraps one engine's entry point, not all nine.
+        if "handle" not in vars(cls):
+            cls.handle = Controller.handle
+
+    @classmethod
+    def _intake(cls) -> Dict[MessageType, Callable]:
+        """``mtype -> (self, msg)``: what :meth:`handle` runs per type."""
+        return dict(cls._RESPONSES)
 
     def __init__(self, node: "Node"):
         self.node = node
@@ -63,6 +101,17 @@ class Controller:
         #: Trace bus or ``None`` — the machine installs ``node.obs`` before
         #: constructing controllers, so caching here is safe.
         self.obs = node.obs
+
+    def handle(self, msg: Message) -> None:
+        """Network entry point: dedup (only with resilience), then intake.
+
+        Messages an engine held back and replays later go through
+        ``_INTAKE`` directly: they already passed dedup on arrival and
+        must not be mistaken for their own duplicates.
+        """
+        if self.node.resilience is not None and not self.dedup_admit(msg):
+            return
+        self._INTAKE[msg.mtype](self, msg)
 
     # -- messaging ----------------------------------------------------------
     def send(self, dst: int, mtype: MessageType, addr: int = -1, **info: Any) -> None:
@@ -298,11 +347,63 @@ def resolves(kind: str, field: Optional[str] = None) -> Callable:
     return lambda self, msg: self.resolve((kind, msg.addr), msg.info[field])
 
 
+class CacheController(Controller):
+    """Base of the processor-side engines: the requester operations that
+    every data protocol shares.
+
+    A subclass sets ``_PREFIX``, which names the protocol in these
+    operations' counters and miss spans (the keys are formatted once per
+    class), and lists :meth:`_on_rmw_reply` (and :meth:`_on_writeback_ack`
+    if it writes back) in its ``_RESPONSES``.
+    """
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._RMW_COUNTER = f"{cls._PREFIX}.rmw"
+        cls._RMW_SPAN = f"miss:{cls._PREFIX}.rmw"
+        cls._WRITEBACK_COUNTER = f"{cls._PREFIX}.writebacks"
+
+    def rmw(self, word_addr: int, op: str, operand=None):
+        """Atomic read-modify-write at the home memory; returns the old value."""
+        counts = self.stats.counters.counts
+        key = self._RMW_COUNTER
+        counts[key] = counts.get(key, 0) + 1
+        block = self.amap.block_of(word_addr)
+        home = self.amap.home_of(block)
+        yield self.cfg.cache_cycle
+        t0 = self.sim.now
+        old = yield from self.request(
+            ("c:rmw", word_addr), home, RMW_REQ,
+            addr=block, word=word_addr, op=op, operand=operand,
+        )
+        if self.obs is not None:
+            self.obs.span(
+                self._RMW_SPAN, "coh", self.node.node_id, t0, args={"word": word_addr, "op": op}
+            )
+        return old
+
+    def _writeback(self, line):
+        """Write the line back; the home merges only its dirty words."""
+        self.stats.counters.add(self._WRITEBACK_COUNTER)
+        home = self.amap.home_of(line.block)
+        words = list(line.data)
+        mask = line.dirty_mask
+        yield from self.request(
+            ("c:wback", line.block), home, WRITEBACK,
+            addr=line.block, words=words, mask=mask,
+        )
+        line.dirty_mask = 0
+
+    def _on_rmw_reply(self, msg: Message) -> None:
+        self.resolve(("c:rmw", msg.info["word"]), msg.info["old"])
+
+    _on_writeback_ack = resolves("c:wback")
+
+
 class HomeController(Controller):
     """Per-block home serialization, shared by every home-side engine.
 
-    An engine declares two class tables of plain functions (bound methods
-    kept per instance would make every controller a reference cycle):
+    An engine declares two class tables of plain functions:
 
     * ``_HANDLERS``: request type -> home transaction, a generator
       ``(self, msg, entry)`` spawned as a :class:`Process` with the block's
@@ -310,48 +411,28 @@ class HomeController(Controller):
     * ``_RESPONSES``: response type -> ``(self, msg)``, run at delivery
       with no busy check.
 
-    ``IN_TYPES`` is derived from the two, so each accepted type is named
-    once.  ``_PROCESS_NAME`` is formatted with ``mt`` (the type's name)
-    and ``addr`` into a transaction's process name, only while a trace bus
-    is installed.
+    The intake table sends each request type to :meth:`_admit` and each
+    response type to its function.  ``_PROCESS_NAME`` is formatted with
+    ``mt`` (the type's name) and ``addr`` into a transaction's process
+    name, only while a trace bus is installed.
     """
 
     _HANDLERS: Dict[MessageType, Callable] = {}
-    _RESPONSES: Dict[MessageType, Callable] = {}
     _PROCESS_NAME = "{mt}-{addr}"
 
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        cls.IN_TYPES = frozenset(cls._HANDLERS) | frozenset(cls._RESPONSES)
-        # Each engine's own ``handle`` attribute, so a per-class hook (the
-        # layer tracer's) wraps one engine's entry point, not all six.
-        if "handle" not in vars(cls):
-            cls.handle = HomeController.handle
-
-    def handle(self, msg: Message) -> None:
-        """Network entry point: dedup first, then admit.
-
-        Deferred requests replayed by :meth:`_done` re-enter via
-        :meth:`_admit` directly: they already passed dedup on arrival and
-        must not be mistaken for their own duplicates.
-        """
-        if self.node.resilience is not None and not self.dedup_admit(msg):
-            return
-        self._admit(msg)
+    @classmethod
+    def _intake(cls) -> Dict[MessageType, Callable]:
+        return {**dict.fromkeys(cls._HANDLERS, cls._admit), **cls._RESPONSES}
 
     def _admit(self, msg: Message) -> None:
-        mt = msg.mtype
-        respond = self._RESPONSES.get(mt)
-        if respond is not None:
-            respond(self, msg)
-            return
+        """Defer a request for a busy block, or start its transaction."""
         entry = self.node.directory.entry(msg.addr)
         if entry.busy:
             entry.defer(msg)
             return
         entry.busy = True
         name = self._process_name(msg) if self.obs is not None else ""
-        Process(self.sim, self._HANDLERS[mt](self, msg, entry), name)
+        Process(self.sim, self._HANDLERS[msg.mtype](self, msg, entry), name)
 
     def _process_name(self, msg: Message) -> str:
         return self._PROCESS_NAME.format(mt=msg.mtype.name, addr=msg.addr)

@@ -47,8 +47,7 @@ from ..network.message import (
     WRITEBACK_ACK,
     Message,
 )
-from ..sim.core import Event
-from .base import AckCollector, Controller, HomeController
+from .base import AckCollector, CacheController, HomeController, resolves
 from .wbi import apply_rmw
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,27 +56,26 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["PrimitivesCacheController", "PrimitivesHomeController"]
 
 
-class PrimitivesCacheController(Controller):
+def _after_fill(apply):
+    """Subscriber-list traffic for a block whose own RU_DATA is still due
+    waits in ``_ru_deferred``; otherwise ``apply`` runs at once."""
+
+    def intake(self, msg: Message) -> None:
+        if self.has_pending(("c:rudata", msg.addr)):
+            self._ru_deferred.setdefault(msg.addr, []).append(msg)
+        else:
+            apply(self, msg)
+
+    return intake
+
+
+class PrimitivesCacheController(CacheController):
     """Processor-side engine for the Table 1 read/write primitives."""
 
-    IN_TYPES = frozenset(
-        {
-            DATA_BLOCK,
-            READ_GLOBAL_REPLY,
-            WRITEBACK_ACK,
-            GLOBAL_WRITE_ACK,
-            RU_DATA,
-            RU_UPDATE,
-            RU_UPDATE_FWD,
-            RU_UNLINK,
-            RESET_UPDATE_ACK,
-            RMW_REPLY,
-        }
-    )
+    _PREFIX = "prim"
 
     def __init__(self, node: "Node"):
         super().__init__(node)
-        self._update_watchers: Dict[int, List[Event]] = {}
         #: Subscriber-list traffic (RU_UPDATE_FWD / RU_UNLINK from *other
         #: caches*) that arrived before our own RU_DATA: those messages
         #: target the subscription we are about to install (the home
@@ -194,33 +192,6 @@ class PrimitivesCacheController(Controller):
             return
         yield from self._unsubscribe(line)
 
-    def rmw(self, word_addr: int, op: str, operand=None):
-        """Atomic read-modify-write at home memory (for software sync)."""
-        counts = self.stats.counters.counts
-        counts["prim.rmw"] = counts.get("prim.rmw", 0) + 1
-        block = self.amap.block_of(word_addr)
-        home = self.amap.home_of(block)
-        yield self.cfg.cache_cycle
-        t0 = self.sim.now
-        old = yield from self.request(
-            ("c:rmw", word_addr), home, RMW_REQ,
-            addr=block, word=word_addr, op=op, operand=operand,
-        )
-        if self.obs is not None:
-            self.obs.span(
-                "miss:prim.rmw", "coh", self.node.node_id, t0, args={"word": word_addr, "op": op}
-            )
-        return old
-
-    def watch_update(self, block: int) -> Event:
-        """Event fired when the next RU update for ``block`` lands here.
-
-        Lets workloads wait for a producer's value without polling.
-        """
-        ev = Event(self.sim, name=f"upd-watch({block})")
-        self._update_watchers.setdefault(block, []).append(ev)
-        return ev
-
     # ================= internals ==========================================
     def _fetch_block(self, block: int):
         t0 = self.sim.now
@@ -258,18 +229,6 @@ class PrimitivesCacheController(Controller):
             yield from self._writeback(victim)
         victim.invalidate()
 
-    def _writeback(self, line):
-        """Write back only the dirty words (per-word dirty bits)."""
-        self.stats.counters.add("prim.writebacks")
-        home = self.amap.home_of(line.block)
-        words = list(line.data)
-        mask = line.dirty_mask
-        yield from self.request(
-            ("c:wback", line.block), home, WRITEBACK,
-            addr=line.block, words=words, mask=mask,
-        )
-        line.dirty_mask = 0
-
     def _unsubscribe(self, line):
         self.stats.counters.add("prim.ru_unsubscribes")
         home = self.amap.home_of(line.block)
@@ -281,42 +240,17 @@ class PrimitivesCacheController(Controller):
         line.next = None
 
     # ================= message handlers ====================================
-    def handle(self, msg: Message) -> None:
-        if self.node.resilience is not None and not self.dedup_admit(msg):
-            return
-        mt = msg.mtype
-        if mt is DATA_BLOCK:
-            self.resolve(("c:data", msg.addr), msg.info["words"])
-        elif mt is READ_GLOBAL_REPLY:
-            self.resolve(("c:rg", msg.info["word"]), msg.info["value"])
-        elif mt is WRITEBACK_ACK:
-            self.resolve(("c:wback", msg.addr))
-        elif mt is GLOBAL_WRITE_ACK:
-            self.node.write_buffer.retire(msg.info["entry_id"])
-        elif mt is RU_DATA:
-            if self.node.resilience is not None and not self.has_pending(("c:rudata", msg.addr)):
-                return  # stale duplicate subscription fill
-            self._on_ru_data(msg)
-        elif mt in (RU_UPDATE, RU_UPDATE_FWD):
-            if self.has_pending(("c:rudata", msg.addr)):
-                self._ru_deferred.setdefault(msg.addr, []).append(msg)
-            else:
-                self._on_ru_update(msg)
-        elif mt is RU_UNLINK:
-            if self.has_pending(("c:rudata", msg.addr)):
-                self._ru_deferred.setdefault(msg.addr, []).append(msg)
-            else:
-                self._on_ru_unlink(msg)
-        elif mt is RESET_UPDATE_ACK:
-            self.resolve(("c:ruack", msg.addr))
-        elif mt is RMW_REPLY:
-            self.resolve(("c:rmw", msg.info["word"]), msg.info["old"])
-        else:  # pragma: no cover - wiring error
-            raise RuntimeError(f"primitives cache controller got {msg!r}")
+    def _on_read_global_reply(self, msg: Message) -> None:
+        self.resolve(("c:rg", msg.info["word"]), msg.info["value"])
+
+    def _on_global_write_ack(self, msg: Message) -> None:
+        self.node.write_buffer.retire(msg.info["entry_id"])
 
     def _on_ru_data(self, msg: Message) -> None:
         """Install the subscription line atomically with the reply delivery,
         then replay any list traffic that raced ahead of it."""
+        if self.node.resilience is not None and not self.has_pending(("c:rudata", msg.addr)):
+            return  # stale duplicate subscription fill
         snapshot = list(msg.info["words"])
         old_head = msg.info["old_head"]
         line, _ = self.node.cache.install(
@@ -326,8 +260,9 @@ class PrimitivesCacheController(Controller):
         line.prev = None
         line.next = old_head
         self.resolve(("c:rudata", msg.addr), (snapshot, old_head))
+        intake = self._INTAKE
         for deferred in self._ru_deferred.pop(msg.addr, ()):
-            self.handle(deferred)
+            intake[deferred.mtype](self, deferred)
 
     def _on_ru_update(self, msg: Message) -> None:
         """An updated block propagating down the subscriber chain."""
@@ -339,10 +274,6 @@ class PrimitivesCacheController(Controller):
             for i, w in enumerate(msg.info["words"]):
                 if not (line.dirty_mask & (1 << i)):
                     line.data[i] = w
-            watchers = self._update_watchers.pop(msg.addr, None)
-            if watchers:
-                for ev in watchers:
-                    ev.succeed()
         chain = msg.info["chain"]
         home = self.amap.home_of(msg.addr)
         delay = self.sim.timeout(self.cfg.dir_cycle)
@@ -375,6 +306,19 @@ class PrimitivesCacheController(Controller):
             line.prev = msg.info["set_prev"]
         if "set_next" in msg.info:
             line.next = msg.info["set_next"]
+
+    _RESPONSES = {
+        DATA_BLOCK: resolves("c:data", "words"),
+        READ_GLOBAL_REPLY: _on_read_global_reply,
+        WRITEBACK_ACK: CacheController._on_writeback_ack,
+        GLOBAL_WRITE_ACK: _on_global_write_ack,
+        RU_DATA: _on_ru_data,
+        RU_UPDATE: _after_fill(_on_ru_update),
+        RU_UPDATE_FWD: _after_fill(_on_ru_update),
+        RU_UNLINK: _after_fill(_on_ru_unlink),
+        RESET_UPDATE_ACK: resolves("c:ruack"),
+        RMW_REPLY: CacheController._on_rmw_reply,
+    }
 
 
 class PrimitivesHomeController(HomeController):
@@ -501,7 +445,8 @@ class PrimitivesHomeController(HomeController):
 
     def _h_writeback(self, msg: Message, entry):
         yield self.cfg.dir_cycle + self.cfg.memory_cycle
-        self.node.memory.write_dirty_words(entry.block, msg.info["words"], msg.info["mask"])
+        mask = msg.info["mask"]
+        self.node.memory.write_dirty_words(entry.block, msg.info["words"], mask)
         if self.obs is not None:
             # Plain cached writes reach memory here, outside the global-
             # write order; the conformance checker excuses their words
@@ -511,9 +456,7 @@ class PrimitivesHomeController(HomeController):
                 args={
                     "block": entry.block,
                     "words": [
-                        self.amap.word_addr(entry.block, i)
-                        for i, dirty in enumerate(msg.info["mask"])
-                        if dirty
+                        w for i, w in enumerate(self.amap.words_of(entry.block)) if mask >> i & 1
                     ],
                     "src": msg.src,
                 },

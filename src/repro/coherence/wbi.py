@@ -52,7 +52,7 @@ from ..network.message import (
     MessageType,
 )
 from ..sim.core import Event
-from .base import Controller, HomeController, SourceAckCollector, resolves
+from .base import CacheController, HomeController, SourceAckCollector, resolves
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node.node import Node
@@ -76,22 +76,10 @@ def apply_rmw(op: str, old: int, operand) -> int:
     raise ValueError(f"unknown rmw op {op!r}")
 
 
-class WBICacheController(Controller):
+class WBICacheController(CacheController):
     """Processor-side WBI engine: blocking read/write/rmw plus remote handlers."""
 
-    #: Message types this controller consumes.
-    IN_TYPES = frozenset(
-        {
-            DATA_BLOCK,
-            DATA_BLOCK_EXCL,
-            UPGRADE_ACK,
-            WRITEBACK_ACK,
-            RMW_REPLY,
-            INV,
-            FETCH,
-            FETCH_INV,
-        }
-    )
+    _PREFIX = "wbi"
 
     def __init__(self, node: "Node"):
         super().__init__(node)
@@ -161,24 +149,6 @@ class WBICacheController(Controller):
                 "miss:wbi.write", "coh", self.node.node_id, t0, args={"block": block}
             )
 
-    def rmw(self, word_addr: int, op: str, operand=None):
-        """Atomic read-modify-write at the home memory; returns the old value."""
-        counts = self.stats.counters.counts
-        counts["wbi.rmw"] = counts.get("wbi.rmw", 0) + 1
-        block = self.amap.block_of(word_addr)
-        home = self.amap.home_of(block)
-        yield self.cfg.cache_cycle
-        t0 = self.sim.now
-        old = yield from self.request(
-            ("c:rmw", word_addr), home, RMW_REQ,
-            addr=block, word=word_addr, op=op, operand=operand,
-        )
-        if self.obs is not None:
-            self.obs.span(
-                "miss:wbi.rmw", "coh", self.node.node_id, t0, args={"word": word_addr, "op": op}
-            )
-        return old
-
     def watch_invalidation(self, block: int) -> Event:
         """Event fired the next time ``block`` is invalidated locally.
 
@@ -204,16 +174,6 @@ class WBICacheController(Controller):
         self._notify_invalidation(victim.block)
         victim.invalidate()
 
-    def _writeback(self, line):
-        self.stats.counters.add("wbi.writebacks")
-        home = self.amap.home_of(line.block)
-        words = list(line.data)
-        mask = line.dirty_mask
-        yield from self.request(
-            ("c:wback", line.block), home, WRITEBACK,
-            addr=line.block, words=words, mask=mask,
-        )
-
     def _notify_invalidation(self, block: int) -> None:
         watchers = self._inv_watchers.pop(block, None)
         if watchers:
@@ -230,56 +190,41 @@ class WBICacheController(Controller):
         return line
 
     # ================= message handlers ====================================
-    def handle(self, msg: Message) -> None:
-        if self.node.resilience is not None and not self.dedup_admit(msg):
+    def _on_data_block(self, msg: Message) -> None:
+        if self.node.resilience is not None and not self.has_pending(("c:data", msg.addr)):
+            return  # stale duplicate fill: nobody is waiting
+        snapshot = list(msg.info["words"])
+        self._install_fill(msg.addr, msg.info["words"], LINE_SHARED)
+        self.resolve(("c:data", msg.addr), snapshot)
+
+    def _on_data_block_excl(self, msg: Message) -> None:
+        # May answer either a write miss or an upgrade-turned-miss; the
+        # defensive fallback resolves a read that was granted exclusivity.
+        if self.node.resilience is not None and not (
+            self.has_pending(("c:excl", msg.addr)) or self.has_pending(("c:data", msg.addr))
+        ):
             return
-        resilient = self.node.resilience is not None
-        mt = msg.mtype
-        if mt is DATA_BLOCK:
-            if resilient and not self.has_pending(("c:data", msg.addr)):
-                return  # stale duplicate fill: nobody is waiting
-            snapshot = list(msg.info["words"])
-            self._install_fill(msg.addr, msg.info["words"], LINE_SHARED)
+        snapshot = list(msg.info["words"])
+        self._install_fill(msg.addr, msg.info["words"], LINE_EXCLUSIVE)
+        if not self.resolve(("c:excl", msg.addr)):
             self.resolve(("c:data", msg.addr), snapshot)
-        elif mt is DATA_BLOCK_EXCL:
-            # May answer either a write miss or an upgrade-turned-miss; the
-            # defensive fallback resolves a read that was granted exclusivity.
-            if resilient and not (
-                self.has_pending(("c:excl", msg.addr)) or self.has_pending(("c:data", msg.addr))
-            ):
-                return
-            snapshot = list(msg.info["words"])
-            self._install_fill(msg.addr, msg.info["words"], LINE_EXCLUSIVE)
-            if not self.resolve(("c:excl", msg.addr)):
-                self.resolve(("c:data", msg.addr), snapshot)
-        elif mt is UPGRADE_ACK:
-            if resilient and not self.has_pending(("c:excl", msg.addr)):
-                return
-            # The home saw us registered, so no INV preceded this ack on the
-            # (ordered) home->us channel: the line must still be present.
-            line = self.node.cache.peek(msg.addr)
-            if line is None or not line.valid:
-                raise RuntimeError(
-                    f"UPGRADE_ACK for block {msg.addr} but no valid line at "
-                    f"node {self.node.node_id}"
-                )
-            line.state = LINE_EXCLUSIVE
-            store = self._mshr.pop(msg.addr, None)
-            if store is not None:
-                line.write_word(*store)
-            self.resolve(("c:excl", msg.addr))
-        elif mt is WRITEBACK_ACK:
-            self.resolve(("c:wback", msg.addr))
-        elif mt is RMW_REPLY:
-            self.resolve(("c:rmw", msg.info["word"]), msg.info["old"])
-        elif mt is INV:
-            self._on_inv(msg)
-        elif mt is FETCH:
-            self._on_fetch(msg, invalidate=False)
-        elif mt is FETCH_INV:
-            self._on_fetch(msg, invalidate=True)
-        else:  # pragma: no cover - wiring error
-            raise RuntimeError(f"WBI cache controller got {msg!r}")
+
+    def _on_upgrade_ack(self, msg: Message) -> None:
+        if self.node.resilience is not None and not self.has_pending(("c:excl", msg.addr)):
+            return
+        # The home saw us registered, so no INV preceded this ack on the
+        # (ordered) home->us channel: the line must still be present.
+        line = self.node.cache.peek(msg.addr)
+        if line is None or not line.valid:
+            raise RuntimeError(
+                f"UPGRADE_ACK for block {msg.addr} but no valid line at "
+                f"node {self.node.node_id}"
+            )
+        line.state = LINE_EXCLUSIVE
+        store = self._mshr.pop(msg.addr, None)
+        if store is not None:
+            line.write_word(*store)
+        self.resolve(("c:excl", msg.addr))
 
     def _reply_later(self, req: Message, mtype: MessageType, addr: int, **info) -> None:
         """Send after the cache-directory check time; record for dedup replay
@@ -299,7 +244,8 @@ class WBICacheController(Controller):
             self._notify_invalidation(msg.addr)
         self._reply_later(msg, INV_ACK, msg.addr)
 
-    def _on_fetch(self, msg: Message, invalidate: bool) -> None:
+    def _on_fetch(self, msg: Message) -> None:
+        """FETCH downgrades the dirty line to SHARED; FETCH_INV drops it."""
         line = self.node.cache.peek(msg.addr)
         if line is None:
             # Raced with our own eviction: the WRITEBACK is in flight and
@@ -307,13 +253,24 @@ class WBICacheController(Controller):
             self._reply_later(msg, FETCH_REPLY, msg.addr, words=None)
             return
         words = list(line.data)
-        if invalidate:
+        if msg.mtype is FETCH_INV:
             line.invalidate()
             self._notify_invalidation(msg.addr)
         else:
             line.state = LINE_SHARED
             line.dirty_mask = 0
         self._reply_later(msg, FETCH_REPLY, msg.addr, words=words)
+
+    _RESPONSES = {
+        DATA_BLOCK: _on_data_block,
+        DATA_BLOCK_EXCL: _on_data_block_excl,
+        UPGRADE_ACK: _on_upgrade_ack,
+        WRITEBACK_ACK: CacheController._on_writeback_ack,
+        RMW_REPLY: CacheController._on_rmw_reply,
+        INV: _on_inv,
+        FETCH: _on_fetch,
+        FETCH_INV: _on_fetch,
+    }
 
 
 class WBIHomeController(HomeController):
@@ -345,9 +302,9 @@ class WBIHomeController(HomeController):
             coll.ack(msg.src)
 
     # -- helpers ----------------------------------------------------------
-    def _invalidate_sharers(self, entry, exclude: int):
-        """Send INVs to all sharers except ``exclude``; wait for the acks."""
-        targets = [s for s in sorted(entry.sharers) if s != exclude]
+    def _probe(self, entry, targets, counter: str):
+        """Send INVs to ``targets``, tallied under ``counter``; wait for
+        every ack, re-probing laggards with the same ``rseq``."""
         coll = SourceAckCollector(self.sim, targets)
         rseq = self.rseq_or_none() if targets else None
         # Without resilience there are no dedup records to void: skip the
@@ -360,7 +317,7 @@ class WBIHomeController(HomeController):
                 if resilient:
                     voided += self.void_stale_grants(t, entry.block, self.GRANT_TYPES)
                 self.send(t, INV, addr=entry.block, rseq=rseq)
-            self.stats.counters.add("wbi.invalidations_sent", len(targets))
+            self.stats.counters.add(counter, len(targets))
         yield from self.await_acks(
             coll,
             lambda waiting: [
@@ -370,6 +327,11 @@ class WBIHomeController(HomeController):
         if voided:
             self.forget_voided(voided)
         self._ack_collectors.pop(entry.block, None)
+
+    def _invalidate_sharers(self, entry, exclude: int):
+        """Invalidate all sharers except ``exclude``."""
+        targets = [s for s in sorted(entry.sharers) if s != exclude]
+        yield from self._probe(entry, targets, "wbi.invalidations_sent")
         entry.sharers.clear()
 
     def _recall_from_owner(self, entry, invalidate: bool):
@@ -407,25 +369,7 @@ class WBIHomeController(HomeController):
         if limit is None or req in entry.sharers or len(entry.sharers) < limit:
             return
         victim = next(iter(entry.sharers))
-        coll = SourceAckCollector(self.sim, [victim])
-        rseq = self.rseq_or_none()
-        self._ack_collectors[entry.block] = coll
-        voided = (
-            self.void_stale_grants(victim, entry.block, self.GRANT_TYPES)
-            if self.node.resilience is not None
-            else None
-        )
-        self.send(victim, INV, addr=entry.block, rseq=rseq)
-        self.stats.counters.add("wbi.dir_evictions")
-        yield from self.await_acks(
-            coll,
-            lambda waiting: [
-                self.send(t, INV, addr=entry.block, rseq=rseq) for t in waiting
-            ],
-        )
-        if voided:
-            self.forget_voided(voided)
-        self._ack_collectors.pop(entry.block, None)
+        yield from self._probe(entry, [victim], "wbi.dir_evictions")
         entry.sharers.discard(victim)
 
     def _h_read_miss(self, msg: Message, entry):
@@ -452,21 +396,24 @@ class WBIHomeController(HomeController):
         self._done(entry)
 
     def _h_write_miss(self, msg: Message, entry):
-        req = msg.src
         yield self.cfg.dir_cycle
-        mem = self.node.memory
+        yield from self._grant_exclusive(msg, entry)
+        self._done(entry)
+
+    def _grant_exclusive(self, msg: Message, entry):
+        """Revoke every other copy and reply with an exclusive one."""
+        req = msg.src
         if entry.state is DIR_EXCLUSIVE and entry.owner != req:
             words = yield from self._recall_from_owner(entry, invalidate=True)
         else:
             if entry.state is DIR_SHARED:
                 yield from self._invalidate_sharers(entry, exclude=req)
             yield self.cfg.memory_cycle
-            words = mem.read_block(entry.block)
+            words = self.node.memory.read_block(entry.block)
         entry.state = DIR_EXCLUSIVE
         entry.owner = req
         entry.sharers = set()
         self.reply_to(msg, DATA_BLOCK_EXCL, addr=entry.block, words=words)
-        self._done(entry)
 
     def _h_upgrade(self, msg: Message, entry):
         req = msg.src
@@ -480,17 +427,7 @@ class WBIHomeController(HomeController):
         else:
             # The requester's copy is gone (invalidated or recalled while the
             # upgrade was in flight): degrade to a full write miss.
-            if entry.state is DIR_EXCLUSIVE and entry.owner != req:
-                words = yield from self._recall_from_owner(entry, invalidate=True)
-            else:
-                if entry.state is DIR_SHARED:
-                    yield from self._invalidate_sharers(entry, exclude=req)
-                yield self.cfg.memory_cycle
-                words = self.node.memory.read_block(entry.block)
-            entry.state = DIR_EXCLUSIVE
-            entry.owner = req
-            entry.sharers = set()
-            self.reply_to(msg, DATA_BLOCK_EXCL, addr=entry.block, words=words)
+            yield from self._grant_exclusive(msg, entry)
         self._done(entry)
 
     def _h_writeback(self, msg: Message, entry):

@@ -50,7 +50,7 @@ from ..network.message import (
     Message,
 )
 from ..sim.core import Event
-from .base import Controller, HomeController, SourceAckCollector
+from .base import CacheController, HomeController, SourceAckCollector
 from .wbi import apply_rmw
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,17 +59,10 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["WUCacheController", "WUHomeController"]
 
 
-class WUCacheController(Controller):
+class WUCacheController(CacheController):
     """Processor-side write-update engine."""
 
-    IN_TYPES = frozenset(
-        {
-            DATA_BLOCK,
-            WU_UPDATE,
-            WU_ACK,
-            RMW_REPLY,
-        }
-    )
+    _PREFIX = "wu"
 
     def __init__(self, node: "Node"):
         super().__init__(node)
@@ -127,24 +120,6 @@ class WUCacheController(Controller):
                 "miss:wu.write", "coh", self.node.node_id, t0, args={"word": word_addr}
             )
 
-    def rmw(self, word_addr: int, op: str, operand=None):
-        """Atomic at home; the new value is pushed to sharers like a write."""
-        counts = self.stats.counters.counts
-        counts["wu.rmw"] = counts.get("wu.rmw", 0) + 1
-        block = self.amap.block_of(word_addr)
-        home = self.amap.home_of(block)
-        yield self.cfg.cache_cycle
-        t0 = self.sim.now
-        old = yield from self.request(
-            ("c:rmw", word_addr), home, RMW_REQ,
-            addr=block, word=word_addr, op=op, operand=operand,
-        )
-        if self.obs is not None:
-            self.obs.span(
-                "miss:wu.rmw", "coh", self.node.node_id, t0, args={"word": word_addr, "op": op}
-            )
-        return old
-
     def watch_invalidation(self, block: int) -> Event:
         """Event fired when ``block``'s local copy next *changes*.
 
@@ -177,39 +152,30 @@ class WUCacheController(Controller):
                 ev.succeed()
 
     # -- handlers ----------------------------------------------------------
-    def handle(self, msg: Message) -> None:
-        if self.node.resilience is not None and not self.dedup_admit(msg):
-            return
-        mt = msg.mtype
+    def _on_data_block(self, msg: Message) -> None:
         resilient = self.node.resilience is not None
-        if mt is DATA_BLOCK:
-            if resilient and not self.has_pending(("c:data", msg.addr)):
-                return  # stale duplicate of an already-answered read miss
-            snapshot = list(msg.info["words"])
-            self.node.cache.install(
-                msg.addr, list(msg.info["words"]), LINE_SHARED, now=self.sim.now
-            )
-            if resilient and "vers" in msg.info:
-                # Seed the applied-version watermark from the home's version
-                # vector: an in-flight older push must not undo this data.
-                for off, ver in enumerate(msg.info["vers"]):
-                    word = self.amap.word_addr(msg.addr, off)
-                    if ver > self._applied_ver.get(word, 0):
-                        self._applied_ver[word] = ver
-            self.resolve(("c:data", msg.addr), snapshot)
-        elif mt is WU_UPDATE:
-            self._on_update(msg, resilient)
-        elif mt is WU_ACK:
-            self.resolve(("c:wuack", msg.info["word"]))
-        elif mt is RMW_REPLY:
-            self.resolve(("c:rmw", msg.info["word"]), msg.info["old"])
-        else:  # pragma: no cover - wiring error
-            raise RuntimeError(f"WU cache controller got {msg!r}")
+        if resilient and not self.has_pending(("c:data", msg.addr)):
+            return  # stale duplicate of an already-answered read miss
+        snapshot = list(msg.info["words"])
+        self.node.cache.install(
+            msg.addr, list(msg.info["words"]), LINE_SHARED, now=self.sim.now
+        )
+        if resilient and "vers" in msg.info:
+            # Seed the applied-version watermark from the home's version
+            # vector: an in-flight older push must not undo this data.
+            for off, ver in enumerate(msg.info["vers"]):
+                word = self.amap.word_addr(msg.addr, off)
+                if ver > self._applied_ver.get(word, 0):
+                    self._applied_ver[word] = ver
+        self.resolve(("c:data", msg.addr), snapshot)
 
-    def _on_update(self, msg: Message, resilient: bool) -> None:
+    def _on_write_ack(self, msg: Message) -> None:
+        self.resolve(("c:wuack", msg.info["word"]))
+
+    def _on_update(self, msg: Message) -> None:
         word, value = msg.info["word"], msg.info["value"]
         stale = False
-        if resilient and "ver" in msg.info:
+        if self.node.resilience is not None and "ver" in msg.info:
             ver = msg.info["ver"]
             stale = ver <= self._applied_ver.get(word, 0)
             if not stale:
@@ -225,6 +191,13 @@ class WUCacheController(Controller):
             # Always ack — even stale duplicates and pushes to an evicted
             # line — so the home's fan-in can complete.
             self.send(msg.src, WU_UPDATE_ACK, addr=msg.addr)
+
+    _RESPONSES = {
+        DATA_BLOCK: _on_data_block,
+        WU_UPDATE: _on_update,
+        WU_ACK: _on_write_ack,
+        RMW_REPLY: CacheController._on_rmw_reply,
+    }
 
 
 class WUHomeController(HomeController):

@@ -1,7 +1,8 @@
 """Interconnect base class and shared delivery machinery.
 
 An interconnect accepts :class:`~repro.network.message.Message` objects and
-delivers them to per-node handlers after a modeled latency that accounts for
+delivers each to the controller that its destination node's table names for
+its type (``controller.handle(msg)``) after a modeled latency that accounts for
 topology and contention.  Local traffic (``src == dst``) bypasses the network
 entirely (the node's memory module sits on the node), costing only
 ``params.local_delivery`` cycles.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..sim.core import SimulationError, Simulator
 from ..sim.stats import StatSet
@@ -32,9 +33,7 @@ from .message import MSG_COUNTER_KEYS, Message, flit_table
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.plan import FaultPlan
 
-__all__ = ["NetworkParams", "Interconnect", "DeliveryHandler"]
-
-DeliveryHandler = Callable[[Message], None]
+__all__ = ["NetworkParams", "Interconnect"]
 
 
 class _Channel:
@@ -95,7 +94,7 @@ class NetworkParams:
 
 
 class Interconnect(ABC):
-    """Base interconnect: attach handlers, send messages, collect stats."""
+    """Base interconnect: attach node tables, send messages, collect stats."""
 
     def __init__(self, sim: Simulator, n_nodes: int, params: Optional[NetworkParams] = None):
         if n_nodes <= 0:
@@ -103,10 +102,9 @@ class Interconnect(ABC):
         self.sim = sim
         self.n_nodes = n_nodes
         self.params = params or NetworkParams()
-        self._handlers: Dict[int, DeliveryHandler] = {}
         #: node id -> the attached node's ``mtype -> controller`` table, or
-        #: ``None`` for a plain-function handler (see :meth:`attach`).
-        self._tables: List[Optional[dict]] = [None] * n_nodes
+        #: ``None`` before :meth:`attach`.
+        self._tables: List[Optional[Dict[Any, Any]]] = [None] * n_nodes
         #: ``_chans[src][dst]``: the pair's channel record, created on its
         #: first send; ``_channels`` holds the same records in that order.
         self._chans: List[List[Optional[_Channel]]] = [[None] * n_nodes for _ in range(n_nodes)]
@@ -118,7 +116,7 @@ class Interconnect(ABC):
         #: machine installs it after construction.
         self.obs = None
         #: msg_id of the message currently being handled on some node (set
-        #: by :meth:`repro.node.node.Node.deliver` while tracing): sends
+        #: by :meth:`_handle` while a trace bus is installed): sends
         #: triggered synchronously from a handler inherit it as their
         #: causal parent.
         self._cause: int = -1
@@ -148,23 +146,19 @@ class Interconnect(ABC):
         self.fault_plan = plan
 
     # -- wiring ---------------------------------------------------------
-    def attach(self, node_id: int, handler: DeliveryHandler) -> None:
-        """Register the delivery callback for ``node_id``."""
+    def attach(self, node_id: int, table: Dict[Any, Any]) -> None:
+        """Deliver ``node_id``'s arrivals through ``table``: a message goes
+        to ``table[msg.mtype].handle(msg)``.  The dict is read at each
+        arrival, so it may be filled after attaching."""
         if not 0 <= node_id < self.n_nodes:
             raise ValueError(f"node id {node_id} out of range")
-        if node_id in self._handlers:
+        if self._tables[node_id] is not None:
             raise ValueError(f"node {node_id} already attached")
-        self._handlers[node_id] = handler
-        # A node's ``deliver`` is one lookup in its dispatch table; keep the
-        # table so the untraced, fault-free arrival path makes that lookup
-        # itself instead of going through three more frames.
-        table = getattr(getattr(handler, "__self__", None), "dispatch", None)
-        self._tables[node_id] = table if isinstance(table, dict) else None
+        self._tables[node_id] = table
 
     def close(self) -> None:
-        """Detach every node: each handler and dispatch table holds a node,
-        which holds this interconnect.  Stats stay readable; idempotent."""
-        self._handlers = {}
+        """Detach every node: each table holds a node's controllers, which
+        hold this interconnect.  Stats stay readable; idempotent."""
         self._tables = [None] * self.n_nodes
 
     # -- sending ----------------------------------------------------------
@@ -254,9 +248,8 @@ class Interconnect(ABC):
         ch.deliver_seq = expected + 1
         table = self._tables[msg.dst]
         if self.fault_plan is None and self.obs is None and table is not None:
-            # Lean path: _dispatch -> _handle -> Node.deliver -> handle in
-            # one frame.  An unknown type takes the general path, which
-            # raises Node.deliver's error.
+            # Lean path: _dispatch -> _handle -> handle in one frame.  An
+            # unknown type takes the general path, which raises its error.
             ctl = table.get(msg.mtype)
             if ctl is None:
                 self._dispatch(msg)
@@ -323,10 +316,21 @@ class Interconnect(ABC):
                 id=msg.msg_id,
                 parent=msg.parent_id,
             )
-        handler = self._handlers.get(msg.dst)
-        if handler is None:
-            raise RuntimeError(f"no handler attached for node {msg.dst}")
-        handler(msg)
+        table = self._tables[msg.dst]
+        ctl = table.get(msg.mtype) if table is not None else None
+        if ctl is None:
+            raise RuntimeError(f"node {msg.dst} has no controller for {msg.mtype.name}")
+        if obs is None:
+            ctl.handle(msg)
+            return
+        # Tracing: messages sent while this handler runs record this
+        # message as their causal parent (network lineage).
+        prev = self._cause
+        self._cause = msg.msg_id
+        try:
+            ctl.handle(msg)
+        finally:
+            self._cause = prev
 
     # -- reporting ----------------------------------------------------------
     @property

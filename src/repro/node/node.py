@@ -17,7 +17,7 @@ from ..coherence.base import _IN_FLIGHT
 from ..memory.address import AddressMap
 from ..memory.directory import Directory
 from ..memory.module import MemoryModule
-from ..network.message import Message, MessageType
+from ..network.message import MessageType
 from ..network.topology import Interconnect
 from ..sim.core import Event, Simulator
 from ..sim.stats import StatSet
@@ -32,28 +32,22 @@ __all__ = ["Node", "dispatch_layout"]
 _LAYOUTS: Dict[tuple, Dict[MessageType, int]] = {}
 
 
-def _check_free(table, in_types, node_id: int) -> None:
-    """Raise if any of ``in_types`` already has a handler in ``table``."""
-    taken = table.keys() & in_types
-    if taken:
-        mtype = min(taken, key=lambda mt: mt.name)
-        raise ValueError(f"message type {mtype.name} already handled on node {node_id}")
-
-
 def dispatch_layout(classes: tuple, node_id: int = 0) -> Dict[MessageType, int]:
     """``mtype -> slot``, in table order: registering one controller of
     each of ``classes`` in order routes ``mtype`` to the one at ``slot``.
 
     Worked out once per class tuple and cached, so the mapping is shared
     and read-only.  A tuple whose ``IN_TYPES`` overlap raises
-    :meth:`Node.register`'s ``ValueError`` (naming ``node_id``) every
-    time and is never cached.
+    ``ValueError`` (naming ``node_id``) every time and is never cached.
     """
     layout = _LAYOUTS.get(classes)
     if layout is None:
         slot_of: Dict[MessageType, int] = {}
         for slot, cls in enumerate(classes):
-            _check_free(slot_of, cls.IN_TYPES, node_id)
+            taken = slot_of.keys() & cls.IN_TYPES
+            if taken:
+                mtype = min(taken, key=lambda mt: mt.name)
+                raise ValueError(f"message type {mtype.name} already handled on node {node_id}")
             slot_of.update(dict.fromkeys(cls.IN_TYPES, slot))
         layout = _LAYOUTS[classes] = slot_of
     return layout
@@ -90,8 +84,8 @@ class Node:
         self._req_order: Dict[int, list] = {}
         #: Pending request/reply rendezvous shared by all controllers.
         self._pending_replies: Dict[Tuple, Event] = {}
-        #: ``mtype -> controller``; the interconnect's untraced, fault-free
-        #: arrival path looks controllers up here directly.
+        #: ``mtype -> controller``; the interconnect delivers every arrival
+        #: through this table (see :meth:`Interconnect.attach`).
         self.dispatch: Dict[MessageType, "Controller"] = {}
         #: Write buffer; its issue path is wired by the data protocol
         #: controller (primitives machine) after construction.
@@ -99,7 +93,7 @@ class Node:
         #: Trace bus or ``None``; the machine installs it before the
         #: controllers are constructed so they can cache the reference.
         self.obs = None
-        net.attach(node_id, self.deliver)
+        net.attach(node_id, self.dispatch)
 
     def next_rseq(self) -> int:
         """Fresh per-node request sequence number (resilience tagging)."""
@@ -119,19 +113,14 @@ class Node:
         while len(order) > cap:
             self.req_log.pop(order.pop(0), None)
 
-    def register(self, controller: "Controller") -> None:
-        """Route the controller's message types to it."""
-        _check_free(self.dispatch, controller.IN_TYPES, self.node_id)
-        self.dispatch.update(dict.fromkeys(controller.IN_TYPES, controller))
-
     def register_all(self, controllers: Tuple["Controller", ...]) -> None:
-        """:meth:`register` each of ``controllers``, in order, on a node
-        that has none yet.
+        """Route each of ``controllers``' ``IN_TYPES`` to it, on a node that
+        has none yet; a type claimed twice raises ``ValueError``.
 
         The overlap check and the table's layout depend on the controller
         classes alone, so they are worked out once per class tuple
         (:func:`dispatch_layout`).  The table is filled in place: the
-        interconnect holds this dict object for its direct arrival path.
+        interconnect holds this dict object and delivers through it.
         """
         table = self.dispatch
         if table:
@@ -149,23 +138,3 @@ class Node:
         self.dispatch = {}
         self.data_ctl = self.home_ctl = self.cbl = None
         self.barrier_engine = self.sem_engine = None
-
-    def deliver(self, msg: Message) -> None:
-        """Network delivery callback."""
-        ctl = self.dispatch.get(msg.mtype)
-        if ctl is None:
-            raise RuntimeError(
-                f"node {self.node_id} has no controller for {msg.mtype.name}"
-            )
-        if self.obs is None:
-            ctl.handle(msg)
-            return
-        # Tracing: messages sent while this handler runs record this
-        # message as their causal parent (network lineage).
-        net = self.net
-        prev = net._cause
-        net._cause = msg.msg_id
-        try:
-            ctl.handle(msg)
-        finally:
-            net._cause = prev

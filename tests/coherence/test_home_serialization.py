@@ -1,22 +1,31 @@
-"""Per-block home serialization: one implementation for every home engine.
+"""Message intake and per-block home serialization: one implementation
+for all nine controllers.
 
-Each engine that runs transactions at a home directory inherits
-:class:`~repro.coherence.base.HomeController` and declares only its
-``_HANDLERS`` (request type -> transaction) and ``_RESPONSES`` (type ->
-delivery function) tables.  These tests drive the shared discipline
-through each engine with recording stand-ins for the tables' functions:
-a busy block defers requests and replays them in FIFO order, responses
-bypass the busy bit, and dedup runs once on arrival, never on replay.
+Every controller declares class tables of plain functions and inherits
+the one network entry point, ``Controller.handle``: dedup (only with
+resilience), then one lookup in the intake table derived from the
+tables.  A cache controller declares ``_RESPONSES`` (type -> delivery
+function); an engine that runs transactions at a home directory inherits
+:class:`~repro.coherence.base.HomeController` and adds ``_HANDLERS``
+(request type -> transaction).  These tests drive the shared discipline
+through each home engine with recording stand-ins for the tables'
+functions: a busy block defers requests and replays them in FIFO order,
+responses bypass the busy bit, and dedup runs once on arrival, never on
+replay.  The same holds for the subscriber-list traffic a primitives
+cache holds back until its own subscription fill lands.
 """
+
+import inspect
 
 import pytest
 
-from repro.coherence.base import HomeController
-from repro.coherence.readupdate import PrimitivesHomeController
-from repro.coherence.wbi import WBIHomeController
-from repro.coherence.writeupdate import WUHomeController
-from repro.faults.plan import DEFAULT_RESILIENCE
-from repro.network.message import Message
+from repro.coherence.base import CacheController, Controller, HomeController
+from repro.coherence.readupdate import PrimitivesCacheController, PrimitivesHomeController
+from repro.coherence.wbi import WBICacheController, WBIHomeController
+from repro.coherence.writeupdate import WUCacheController, WUHomeController
+from repro.faults.plan import DEFAULT_RESILIENCE, FaultPlan, FaultSpec
+from repro.network.message import Message, MessageType
+from repro.obs import ObsParams
 from repro.sync.barrier import HardwareBarrierEngine
 from repro.sync.cbl import CBLEngine
 from repro.sync.semaphore import SemaphoreEngine
@@ -85,9 +94,10 @@ def test_a_response_is_delivered_while_the_block_is_busy(cls, protocol, attr):
     m, engine, block = _home_engine(cls, protocol, attr)
     log, delivered = [], []
     _record_transactions(engine, log)
-    engine._RESPONSES = dict.fromkeys(
-        cls._RESPONSES, lambda self, msg: delivered.append(msg.mtype)
-    )
+    engine._INTAKE = {
+        **cls._INTAKE,
+        **dict.fromkeys(cls._RESPONSES, lambda self, msg: delivered.append(msg.mtype)),
+    }
     engine.handle(_request(engine, block, 0))
     entry = engine.node.directory.entry(block)
     for mtype in cls._RESPONSES:
@@ -123,3 +133,100 @@ def test_engines_declare_tables_and_inherit_the_discipline(cls, protocol, attr):
     assert not hasattr(cls, "REQUEST_TYPES") and not hasattr(cls, "RESPONSE_TYPES")
     assert not set(cls._HANDLERS) & set(cls._RESPONSES)
     assert cls.IN_TYPES == set(cls._HANDLERS) | set(cls._RESPONSES)
+
+
+#: (cache controller class, protocol that installs it)
+CACHES = [
+    (WBICacheController, "wbi"),
+    (PrimitivesCacheController, "primitives"),
+    (WUCacheController, "writeupdate"),
+]
+ALL_CLASSES = [cls for cls, _ in CACHES] + [cls for cls, _, _ in ENGINES]
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=[cls.__name__ for cls in ALL_CLASSES])
+def test_every_controller_takes_messages_through_its_tables(cls):
+    """``IN_TYPES`` is the key set of the class tables, each class owns
+    its ``handle`` attribute (the layer tracer wraps it per class), and
+    that attribute is the one ``Controller.handle``."""
+    tables = set(cls._RESPONSES)
+    if issubclass(cls, HomeController):
+        tables |= set(cls._HANDLERS)
+    assert cls.IN_TYPES == tables == cls._INTAKE.keys()
+    assert vars(cls)["handle"] is Controller.handle
+    # Plain functions, never bound methods: a table of bound methods
+    # would make every controller a reference cycle.
+    for fn in cls._INTAKE.values():
+        assert inspect.isfunction(fn)
+    for mtype, fn in cls._RESPONSES.items():
+        assert cls._INTAKE[mtype] is fn
+    for mtype in getattr(cls, "_HANDLERS", ()):
+        assert cls._INTAKE[mtype] is HomeController._admit
+
+
+@pytest.mark.parametrize("cls, protocol", CACHES, ids=[cls.__name__ for cls, _ in CACHES])
+def test_cache_controllers_share_the_requester_ops(cls, protocol):
+    assert issubclass(cls, CacheController)
+    for name in ("rmw", "_writeback", "_on_rmw_reply"):
+        assert getattr(cls, name) is CacheController.__dict__[name], name
+        assert name not in vars(cls), name
+    assert cls._RESPONSES[MessageType.RMW_REPLY] is CacheController._on_rmw_reply
+    assert cls._RMW_COUNTER == f"{cls._PREFIX}.rmw"
+
+
+def _undeliverable(machine):
+    """A message to node 1 of a type no controller of ``machine`` takes."""
+    mtype = next(mt for mt in MessageType if mt not in machine.nodes[1].dispatch)
+    return Message(0, 1, mtype, 0, {}), mtype
+
+
+@pytest.mark.parametrize("path", ["lean", "fault-plan", "trace-bus"])
+@pytest.mark.parametrize("protocol", Machine.PROTOCOLS)
+def test_an_unknown_message_type_has_no_controller(protocol, path):
+    obs = ObsParams() if path == "trace-bus" else None
+    m = Machine(MachineConfig(n_nodes=4, obs=obs), protocol=protocol)
+    if path == "fault-plan":
+        m.net.set_fault_plan(FaultPlan(FaultSpec()))
+    msg, mtype = _undeliverable(m)
+    m.net.send(msg)
+    with pytest.raises(RuntimeError, match=f"node 1 has no controller for {mtype.name}"):
+        m.sim.run()
+
+
+@pytest.mark.parametrize("mtype", [MessageType.RU_UPDATE_FWD, MessageType.RU_UNLINK])
+def test_held_list_traffic_is_replayed_without_a_second_dedup(mtype, monkeypatch):
+    """List traffic that overtakes the cache's own RU_DATA waits for it and
+    is then replayed through the intake table: it passed dedup on arrival,
+    and a second dedup would absorb it as its own duplicate."""
+    m = Machine(MachineConfig(n_nodes=4, resilience=DEFAULT_RESILIENCE), protocol="primitives")
+    block = m.alloc_block()
+    node = m.nodes[(m.amap.home_of(block) + 1) % 4]
+    ctl = node.data_ctl
+    seen = []
+    admit = type(ctl).dedup_admit
+
+    def counting(self, msg):
+        seen.append(msg.mtype)
+        return admit(self, msg)
+
+    monkeypatch.setattr(type(ctl), "dedup_admit", counting)
+    ctl.expect(("c:rudata", block))
+    if mtype is MessageType.RU_UNLINK:
+        info = {"set_prev": 3}
+    else:
+        info = {"words": [7, 7, 7, 7], "chain": (), "token": 1, "ack_home": False}
+    ctl.handle(Message(3, node.node_id, mtype, block, {**info, "rseq": 900}))
+    assert ctl._ru_deferred[block]
+    ctl.handle(
+        Message(
+            m.amap.home_of(block), node.node_id, MessageType.RU_DATA, block,
+            {"words": [0, 0, 0, 0], "old_head": 3},
+        )
+    )
+    assert seen == [mtype, MessageType.RU_DATA]
+    assert ctl.stats.counters["resilience.dup_requests"] == 0
+    line = node.cache.peek(block)
+    if mtype is MessageType.RU_UNLINK:
+        assert line.prev == 3
+    else:
+        assert line.data == [7, 7, 7, 7]

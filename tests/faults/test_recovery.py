@@ -113,7 +113,7 @@ def test_null_fault_spec_changes_nothing(protocol):
 
 def _count_general_deliveries(monkeypatch):
     """Count messages handed out by the interconnect's general delivery
-    path (``_dispatch`` -> ``_handle`` -> ``Node.deliver``)."""
+    path (``_dispatch`` -> ``_handle`` -> the node table's controller)."""
     from repro.network.topology import Interconnect
 
     seen = []

@@ -315,6 +315,28 @@ def test_per_word_dirty_bits_prevent_lost_update():
     assert m.peek_memory(a1) == 200
 
 
+def test_traced_writeback_names_its_dirty_words():
+    """With a trace bus, the home's ``mem.wb`` instant lists the word
+    addresses the writeback's dirty mask (an int bit mask) covers."""
+    from repro.obs import ObsParams
+
+    cfg = MachineConfig(n_nodes=2, cache_blocks=4, cache_assoc=1, obs=ObsParams())
+    m = Machine(cfg, protocol="primitives")
+    a1, a3 = m.amap.word_addr(0, 1), m.amap.word_addr(0, 3)
+    evict_addr = m.amap.word_addr(4, 0)  # same set as block 0
+
+    def writer(p):
+        yield from p.write(a1, 100)
+        yield from p.write(a3, 300)
+        yield from p.read(evict_addr)
+
+    m.spawn(writer(m.processor(1)))
+    m.run()
+    wbs = [ev.args for ev in m.obs.events if ev.name == "mem.wb"]
+    assert wbs == [{"block": 0, "words": [a1, a3], "src": 1}]
+    assert m.peek_memory(a1) == 100 and m.peek_memory(a3) == 300
+
+
 def test_writer_sees_own_global_write_locally():
     m = prim_machine()
     addr = m.alloc_word()

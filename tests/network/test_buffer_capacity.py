@@ -20,6 +20,7 @@ from repro.network import (
     OmegaNetwork,
 )
 from repro.sim import Simulator
+from tests.network.sink import sink_table
 
 
 def _victim_delivery_times(cls, capacity):
@@ -39,7 +40,7 @@ def _victim_delivery_times(cls, capacity):
             victim_times.append(sim.now)
 
     for i in range(8):
-        net.attach(i, lambda m: handler(m))
+        net.attach(i, sink_table(handler))
     for src in range(1, 8):
         for _ in range(8):
             net.send(Message(src, 0, MessageType.DATA_BLOCK))

@@ -11,6 +11,7 @@ from repro.network import (
     xy_route,
 )
 from repro.sim import Simulator
+from tests.network.sink import sink_table
 
 
 def test_mesh_dims_near_square():
@@ -53,7 +54,7 @@ def make_mesh(n=16, **kw):
     net = MeshNetwork(sim, n, NetworkParams(**kw))
     inbox = {i: [] for i in range(n)}
     for i in range(n):
-        net.attach(i, lambda m, i=i: inbox[i].append((sim.now, m)))
+        net.attach(i, sink_table(lambda m, i=i: inbox[i].append((sim.now, m))))
     return sim, net, inbox
 
 

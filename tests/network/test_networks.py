@@ -14,6 +14,7 @@ from repro.network import (
 )
 from repro.network.routing import omega_route
 from repro.sim import SimulationError, Simulator
+from tests.network.sink import sink_table
 
 
 def make_net(cls, n=8, **kw):
@@ -21,7 +22,7 @@ def make_net(cls, n=8, **kw):
     net = cls(sim, n, NetworkParams(**kw))
     inbox = {i: [] for i in range(n)}
     for i in range(n):
-        net.attach(i, lambda m, i=i: inbox[i].append((net.sim.now, m)))
+        net.attach(i, sink_table(lambda m, i=i: inbox[i].append((net.sim.now, m))))
     return sim, net, inbox
 
 
@@ -61,9 +62,9 @@ def test_stats_count_messages_and_flits(cls):
 def test_attach_twice_rejected():
     sim = Simulator()
     net = OmegaNetwork(sim, 4)
-    net.attach(0, lambda m: None)
+    net.attach(0, sink_table(lambda m: None))
     with pytest.raises(ValueError):
-        net.attach(0, lambda m: None)
+        net.attach(0, sink_table(lambda m: None))
 
 
 def test_send_out_of_range_rejected():

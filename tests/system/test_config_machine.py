@@ -156,14 +156,6 @@ def test_every_node_attached_and_dispatching():
         assert node.sem_engine is not None
 
 
-def test_node_rejects_duplicate_message_registration():
-    from repro.coherence.wbi import WBICacheController
-
-    m = Machine(MachineConfig(n_nodes=2), protocol="wbi")
-    with pytest.raises(ValueError, match="already handled"):
-        m.nodes[0].register(WBICacheController(m.nodes[0]))
-
-
 def test_determinism_across_identical_machines():
     def run():
         m = Machine(MachineConfig(n_nodes=4, seed=9), protocol="primitives")

@@ -2,11 +2,11 @@
 
 ``Node.register_all`` checks a controller-class tuple's ``IN_TYPES`` once
 (``dispatch_layout``) and fills the table from the cached
-``mtype -> slot`` map.  The referee is :meth:`Node.register` called once
-per controller: the table must hold the same keys, in the same order,
-mapped to the same controller objects.  The table must also be the very
-dict the interconnect keeps for its direct arrival path, and an overlap
-must still raise ``register``'s error.
+``mtype -> slot`` map.  The referee routes each controller's ``IN_TYPES``
+to it, one controller after the other: the table must hold the same
+keys, in the same order, mapped to the same controller objects.  The
+table must also be the very dict the interconnect delivers through, and
+an overlap must still raise.
 """
 
 import pytest
@@ -28,11 +28,10 @@ def _controllers(node):
 def test_layout_table_equals_per_controller_registration(protocol, n_nodes):
     m = Machine(MachineConfig(n_nodes=n_nodes), protocol=protocol)
     for node in m.nodes:
-        table = node.dispatch
-        node.dispatch = {}
+        table, referee = node.dispatch, {}
         for ctl in _controllers(node):
-            node.register(ctl)
-        referee, node.dispatch = node.dispatch, table
+            assert not referee.keys() & ctl.IN_TYPES
+            referee.update(dict.fromkeys(ctl.IN_TYPES, ctl))
         assert list(table) == list(referee)
         assert all(table[k] is referee[k] for k in referee)
 
@@ -56,8 +55,8 @@ class _GreedyCBL(CBLEngine):
 
 
 def test_an_overlapping_controller_still_raises(monkeypatch):
-    """``register``'s error, from the first node, on every build: a
-    failed check is never cached."""
+    """The overlap error, from the first node, on every build: a failed
+    check is never cached."""
     monkeypatch.setattr(machine_mod, "CBLEngine", _GreedyCBL)
     for _ in range(2):
         with pytest.raises(ValueError, match="message type DATA_BLOCK already handled on node 0"):
