@@ -182,7 +182,10 @@ class WUCacheController(CacheController):
                 self._applied_ver[word] = ver
         if not stale:
             line = self.node.cache.peek(msg.addr)
-            if line is not None:
+            # A push for a word whose own write is still unacked was ordered
+            # at the home *before* that write: FIFO delivers it ahead of our
+            # WU_ACK.  Applying it would overwrite the newer local value.
+            if line is not None and not self.has_pending(("c:wuack", word)):
                 counts = self.stats.counters.counts
                 counts["wu.updates_received"] = counts.get("wu.updates_received", 0) + 1
                 line.write_word(self.amap.offset_of(word), value, dirty=False)

@@ -10,7 +10,7 @@ from .core import (
     Simulator,
     Timeout,
 )
-from .resources import Gate, Resource, Semaphore, Store
+from .resources import Store
 from .rng import RngStreams
 from .stats import Counter, Histogram, StatSet, Tally, TimeWeighted
 
@@ -24,9 +24,6 @@ __all__ = [
     "Interrupt",
     "SimulationError",
     "Store",
-    "Gate",
-    "Resource",
-    "Semaphore",
     "RngStreams",
     "Counter",
     "Tally",

@@ -1,17 +1,14 @@
-"""Queueing abstractions on top of the kernel: stores, gates, and resources.
-
-These model the hardware queues in the simulated machine: switch input
-queues, directory request queues, write buffers, and so on.
-"""
+"""A FIFO store on top of the kernel: the switch input queues of the
+buffered Omega network."""
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Any, Deque, Optional
 
-from .core import Event, SimulationError, Simulator
+from .core import Event, Simulator
 
-__all__ = ["Store", "Gate", "Resource", "Semaphore"]
+__all__ = ["Store"]
 
 
 class Store:
@@ -94,114 +91,3 @@ class Store:
             ev, item = self._putters.popleft()
             self.items.append(item)
             ev.succeed()
-
-
-class Gate:
-    """A broadcast condition: processes wait until the gate opens.
-
-    Reusable: ``close()`` re-arms it.  Used for barrier-style rendezvous in
-    workload drivers (the *simulated* barriers live in :mod:`repro.sync`).
-    """
-
-    __slots__ = ("sim", "_open", "_waiters")
-
-    def __init__(self, sim: Simulator, open: bool = False):
-        self.sim = sim
-        self._open = open
-        self._waiters: list[Event] = []
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def wait(self) -> Event:
-        ev = Event(self.sim)
-        if self._open:
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def open(self, value: Any = None) -> None:
-        """Open the gate, releasing every waiter."""
-        self._open = True
-        waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            ev.succeed(value)
-
-    def close(self) -> None:
-        self._open = False
-
-
-class Resource:
-    """A counted resource with FIFO request/release semantics."""
-
-    __slots__ = ("sim", "capacity", "_in_use", "_waiters")
-
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-    def request(self) -> Event:
-        """The returned event fires when a unit is granted."""
-        ev = Event(self.sim)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimulationError("release() without matching request()")
-        if self._waiters:
-            # Hand the unit to the next waiter; in_use stays constant.
-            self._waiters.popleft().succeed()
-        else:
-            self._in_use -= 1
-
-
-class Semaphore:
-    """A counting semaphore (used by workload drivers for task accounting)."""
-
-    __slots__ = ("sim", "_count", "_waiters")
-
-    def __init__(self, sim: Simulator, initial: int = 0):
-        if initial < 0:
-            raise ValueError("initial count must be non-negative")
-        self.sim = sim
-        self._count = initial
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def acquire(self) -> Event:
-        ev = Event(self.sim)
-        if self._count > 0:
-            self._count -= 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self._waiters:
-                self._waiters.popleft().succeed()
-            else:
-                self._count += 1

@@ -29,12 +29,15 @@ increment, atomic fetch-add), so any stale value or lost update signals
 an ordering bug in the protocol or model — not a data race in the test
 program.
 
-On the ``writeupdate`` comparator, cross-thread *value* checks (consume,
-lock counter) are skipped: its home ack covers only the memory update,
-so sharer pushes are still in flight when synchronization completes and
-cached copies may be transiently stale.  That asynchrony is the paper's
-own argument (§4.1) for reader-initiated coherence; structural, private,
-and RMW oracles still apply.
+Programs run through :mod:`repro.verify.harness`, which walks every
+finished machine with :func:`~repro.verify.checkers.check_all` — on every
+run of both corpora, litmus and fuzz.  On the ``writeupdate`` comparator
+the cross-thread *value* checks (consume, lock counter) are still
+skipped: its home ack covers only the memory update, so sharer pushes
+can be in flight when synchronization completes, and runs with the
+checks on lose lock-protected increments.  The exemption stays until
+write-update acks its pushes before the write completes, or is removed;
+the structural, private and RMW oracles apply on every protocol.
 
 CLI
 ---
@@ -70,25 +73,23 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..consistency.faults import FAULT_MODELS, get_fault_model
-from ..consistency.models import ConsistencyModel, get_model
+from ..consistency.faults import FAULT_MODELS
+from ..consistency.models import ConsistencyModel
 from ..faults.diagnosis import HangDiagnosis
 from ..faults.plan import FaultSpec
-from ..obs import ObsParams
 from ..sim.rng import RngStreams, ScalarReader, py_random
-from ..static.drf import consume_oracle
-from ..sim.watchdog import HangError
-from ..sync.base import CBLLock, HWBarrier
-from ..system.config import MachineConfig
+from ..static.drf import ROUND_BARRIER, consume_oracle
 from ..system.machine import Machine
-from .checkers import InvariantViolation, check_all
-from .history import RmwHistory, check_rmw_linearizable
-from .litmus import MODELS, PROTOCOLS, final_value, make_jitter
+from . import harness
+from .harness import Lowered
+from .history import check_rmw_linearizable
+from .litmus import ACQ, BAR, COMPUTE, INC, MODELS, PROTOCOLS, REL, Op, R, W
 
 __all__ = [
     "Atom",
     "Program",
     "gen_program",
+    "lower_program",
     "run_program",
     "shrink",
     "shrink_faults",
@@ -257,20 +258,65 @@ def gen_program(
 # Execution + oracles
 # --------------------------------------------------------------------------
 
-def _resolve_model(model: Union[str, ConsistencyModel]) -> ConsistencyModel:
-    if isinstance(model, ConsistencyModel):
-        return model
-    try:
-        return get_model(model)
-    except ValueError:
-        return get_fault_model(model)
-
-
 def _next_pow2(n: int) -> int:
     p = 1
     while p < n:
         p *= 2
     return p
+
+
+_ROUND_BAR = BAR(ROUND_BARRIER)
+
+
+@functools.cache
+def _atom_ops(kind: str, arg: int, t: int) -> Tuple[Op, ...]:
+    """Thread ``t``'s ops for one atom, built once per atom."""
+    if kind == "compute":
+        return (COMPUTE(arg),)
+    if kind == "private":
+        return (Op("private", f"private:{t}"),) * arg
+    if kind == "publish":
+        return (W(f"slot:{t}", arg),)
+    if kind == "consume":
+        return (R(f"slot:{arg}", ""),)
+    if kind == "lock_inc":
+        return (ACQ(f"lock:{arg}"), INC(f"lockctr:{arg}", ""), REL(f"lock:{arg}"))
+    if kind == "rmw_inc":
+        return (Op("rmw", "rmw", 1),)
+    raise ValueError(f"unknown atom kind {kind!r}")
+
+
+def lower_program(program: Program, jitter_prob: float = 0.25) -> Lowered:
+    """``program`` in harness form: a thread's atoms round by round, a
+    round-barrier crossing between rounds.  Words are allocated slots
+    first, then privates, the RMW counter, locks, lock counters and the
+    barrier; the machine is the smallest power of two ≥ 4 with a node to
+    spare."""
+    n, last = program.n_threads, len(program.rounds) - 1
+    threads = []
+    for t in range(n):
+        ops: List[Op] = []
+        for ri, rnd in enumerate(program.rounds):
+            for atom in rnd[t]:
+                ops += _atom_ops(atom.kind, atom.arg, t)
+            if ri < last:
+                ops.append(_ROUND_BAR)
+        threads.append(tuple(ops))
+    locks = program.locks_used()
+    decls = (
+        [("shared", f"slot:{t}", None) for t in range(n)]
+        + [("private", f"private:{t}", None) for t in range(n)]
+        + [("shared", "rmw", None)]
+        + [("lock", f"lock:{lid}", None) for lid in locks]
+        + [("shared", f"lockctr:{lid}", None) for lid in locks]
+        + [("barrier", ROUND_BARRIER, n)] * (last > 0)
+    )
+    return Lowered(
+        tuple(threads), tuple(decls), max(4, _next_pow2(n + 1)),
+        spawn_names=tuple(f"fuzz.t{t}" for t in range(n)),
+        jitter_stream="fuzz.jitter", jitter_prob=jitter_prob, max_cycles=5_000_000,
+        finals=tuple(f"lockctr:{lid}" for lid in locks) + ("rmw",),
+    )
 
 
 def run_program(
@@ -280,175 +326,59 @@ def run_program(
     seed: int = 0,
     jitter: float = 0.0,
     jitter_prob: float = 0.25,
-    max_cycles: float = 5_000_000,
     faults: Optional[FaultSpec] = None,
     on_hang: Optional[Callable[[HangDiagnosis], None]] = None,
     trace_path: Optional[str] = None,
     on_machine: Optional[Callable[["Machine"], None]] = None,
 ) -> Optional[str]:
-    """Execute ``program`` once and run every oracle.
-
-    Returns ``None`` on success or a human-readable failure description.
-    Fully deterministic for a fixed argument tuple.  ``faults`` installs a
-    fault plan (the oracles then check the *recovered* run); a watchdog
-    hang is reported as a failure and its diagnosis passed to ``on_hang``.
-    ``trace_path`` enables the trace bus and dumps the run's trace (JSONL)
-    there, whatever the outcome — tracing does not perturb simulated time,
-    so a failure reproduces identically with it on.
-
-    ``on_machine`` receives the finished machine before any oracle runs,
-    so a caller can read its metrics, counters and simulator.
+    """Execute ``program`` once through :func:`repro.verify.harness.run`
+    (which see for the keywords) and run every oracle; returns ``None`` on
+    success or a human-readable failure description.
 
     Consume values are checked against the sets of one
-    :func:`~repro.static.drf.consume_oracle` lowering, derived per site;
-    its axiomatic twins in ``tests/axiom/referees.py`` are test-time
-    referees.
+    :func:`~repro.static.drf.consume_oracle` lowering, derived once per
+    ``(round, target)`` site; its axiomatic twins in
+    ``tests/axiom/referees.py`` are test-time referees.
     """
-    n_nodes = max(4, _next_pow2(program.n_threads + 1))
-    cfg = MachineConfig(
-        n_nodes=n_nodes, cache_blocks=64, cache_assoc=2, seed=seed,
-        obs=ObsParams() if trace_path is not None else None,
+    out = harness.run(
+        lower_program(program, jitter_prob), protocol, model,
+        seed=seed, jitter=jitter, faults=faults, on_hang=on_hang,
+        trace_path=trace_path, on_machine=on_machine,
     )
-    machine = Machine(cfg, protocol=protocol, faults=faults)
-    if jitter > 0:
-        machine.sim.set_jitter(
-            make_jitter(machine.rng.stream("fuzz.jitter"), 1.0 + jitter, prob=jitter_prob)
-        )
-    mdl = _resolve_model(model)
-
-    thread_nodes = frozenset(t % n_nodes for t in range(program.n_threads))
-
-    def shared_word() -> int:
-        for _ in range(4 * n_nodes):
-            block = machine.alloc_block()
-            if machine.amap.home_of(block) not in thread_nodes:
-                return machine.amap.word_addr(block, 0)
-        return machine.alloc_word()
-
-    slots = [shared_word() for _ in range(program.n_threads)]
-    privates = [machine.alloc_word() for _ in range(program.n_threads)]
-    rmw_ctr = shared_word()
-    locks: Dict[int, CBLLock] = {lid: CBLLock(machine) for lid in program.locks_used()}
-    lock_ctrs: Dict[int, int] = {lid: shared_word() for lid in program.locks_used()}
-    bar = HWBarrier(machine, n=program.n_threads) if len(program.rounds) > 1 else None
-
-    failures: List[str] = []
-    consumes: List[Tuple[int, int, int, int]] = []  # (round, reader, target, value)
-    histories: List[RmwHistory] = []
-
-    def shared_read(proc, addr):
-        if protocol == "primitives":
-            value = yield from proc.read_global(addr)
-        else:
-            value = yield from proc.shared_read(addr)
-        return value
-
-    def body(proc, hist, t: int):
-        private_value = 0
-        for ri, rnd in enumerate(program.rounds):
-            for atom in rnd[t]:
-                if atom.kind == "compute":
-                    yield from proc.compute(atom.arg)
-                elif atom.kind == "private":
-                    for _ in range(atom.arg):
-                        private_value += 1
-                        yield from proc.write(privates[t], private_value)
-                        got = yield from proc.read(privates[t])
-                        if got != private_value:
-                            failures.append(
-                                f"private self-check: thread {t} round {ri} wrote "
-                                f"{private_value}, read back {got}"
-                            )
-                elif atom.kind == "publish":
-                    yield from proc.shared_write(slots[t], atom.arg)
-                elif atom.kind == "consume":
-                    value = yield from shared_read(proc, slots[atom.arg])
-                    consumes.append((ri, t, atom.arg, value))
-                elif atom.kind == "lock_inc":
-                    lock = locks[atom.arg]
-                    ctr = lock_ctrs[atom.arg]
-                    yield from proc.acquire(lock)
-                    value = yield from shared_read(proc, ctr)
-                    yield from proc.shared_write(ctr, value + 1)
-                    yield from proc.release(lock)
-                elif atom.kind == "rmw_inc":
-                    yield from hist.rmw(rmw_ctr, "fetch_add", 1)
-                else:  # pragma: no cover - literal typo guard
-                    raise ValueError(f"unknown atom kind {atom.kind!r}")
-            if bar is not None and ri < len(program.rounds) - 1:
-                yield from proc.barrier(bar)
-
-    for t in range(program.n_threads):
-        proc = machine.processor(t % n_nodes, consistency=mdl)
-        hist = RmwHistory(proc)
-        histories.append(hist)
-        machine.spawn(body(proc, hist, t), name=f"fuzz.t{t}")
-
-    try:
-        try:
-            machine.run_all(max_cycles=max_cycles)
-        except HangError as exc:
-            diag = exc.diagnosis
-            if diag is not None and on_hang is not None:
-                on_hang(diag)
-            blame = "; ".join(sorted(diag.blame)) if diag is not None else "no diagnosis"
-            return f"hang diagnosed: {exc} [{blame}]"
-        except RuntimeError as exc:
-            return f"deadlock guard: {exc}"
-        finally:
-            if trace_path is not None:
-                machine.dump_trace(trace_path)
-            if on_machine is not None:
-                on_machine(machine)
-
-        try:
-            check_all(machine)
-        except InvariantViolation as exc:
-            failures.append(f"structural invariant: {exc}")
-
-        # Cross-thread value oracles; see module docstring for the writeupdate
-        # exemption.
-        if protocol != "writeupdate":
-            # The oracle's answer depends on (round, target) alone: lower the
-            # program once and derive each site once.
-            oracle = consume_oracle(program) if consumes else None
-            allowed_at: Dict[Tuple[int, int], set] = {}
-            for ri, reader, target, value in consumes:
-                allowed = allowed_at.get((ri, target))
-                if allowed is None:
-                    allowed = allowed_at[ri, target] = oracle(ri, target)
-                if value not in allowed:
-                    failures.append(
-                        f"stale consume: thread {reader} round {ri} read slot of "
-                        f"thread {target} = {value}, allowed {sorted(allowed)}"
-                    )
-            for lid, ctr in lock_ctrs.items():
-                want = program.count("lock_inc", lid)
-                got = final_value(machine, ctr)
-                if got != want:
-                    failures.append(
-                        f"lost update: lock {lid} counter is {got}, "
-                        f"expected {want} increments"
-                    )
-
-        events = [e for h in histories for e in h.events]
-        if events:
-            try:
-                check_rmw_linearizable(events)
-            except AssertionError as exc:
-                failures.append(f"rmw linearizability: {exc}")
-            want = program.count("rmw_inc")
-            got = final_value(machine, rmw_ctr)
+    if out.hang is not None:
+        return out.hang
+    failures = out.failures
+    # Cross-thread value oracles; see module docstring for the writeupdate
+    # exemption.
+    if protocol != "writeupdate":
+        consumes = [read for read in out.reads if read[2].kind == "r"]
+        oracle = consume_oracle(program) if consumes else None
+        allowed_at: Dict[Tuple[int, int], set] = {}
+        for reader, ri, op, value in consumes:
+            target = int(op.var[5:])  # "slot:<thread>"
+            allowed = allowed_at.get((ri, target))
+            if allowed is None:
+                allowed = allowed_at[ri, target] = oracle(ri, target)
+            if value not in allowed:
+                failures.append(
+                    f"stale consume: thread {reader} round {ri} read slot of "
+                    f"thread {target} = {value}, allowed {sorted(allowed)}"
+                )
+        for lid in program.locks_used():
+            want, got = program.count("lock_inc", lid), out.finals[f"lockctr:{lid}"]
             if got != want:
-                failures.append(f"rmw counter is {got}, expected {want}")
-
-        if failures:
-            return "; ".join(failures)
-        return None
-    finally:
-        # After on_machine and every oracle read: nothing reads the
-        # machine again, so let refcounting free it.
-        machine.close()
+                failures.append(
+                    f"lost update: lock {lid} counter is {got}, expected {want} increments"
+                )
+    if out.rmw:
+        try:
+            check_rmw_linearizable(out.rmw)
+        except AssertionError as exc:
+            failures.append(f"rmw linearizability: {exc}")
+        want, got = program.count("rmw_inc"), out.finals["rmw"]
+        if got != want:
+            failures.append(f"rmw counter is {got}, expected {want}")
+    return "; ".join(failures) if failures else None
 
 
 # --------------------------------------------------------------------------

@@ -21,29 +21,30 @@ Because one simulation run is deterministic, conformance is established
 by *sweeping*: each test runs across many seeds and latency-jitter
 configurations (see :meth:`~repro.sim.core.Simulator.set_jitter`), the
 set of observed outcomes is collected, and the engine asserts
-``observed ⊆ allowed``.  The schedule fuzzer in :mod:`repro.verify.fuzz`
-drives the same machinery with randomized programs.
+``observed ⊆ allowed``.
 
-Shared accesses map to the protocol's natural operations: writes go
-through :meth:`Processor.shared_write` (model-governed), reads use
-READ-GLOBAL on the primitives machine (plain READ maintains no coherence
-there) and the coherent read elsewhere.
+A test runs through :mod:`repro.verify.harness`, the machinery the
+schedule fuzzer in :mod:`repro.verify.fuzz` drives with randomized
+programs: :func:`lower_test` declares its words, locks and barriers in
+first use, and the harness walks every finished machine with
+:func:`~repro.verify.checkers.check_all`.  A run that fails the walk
+raises instead of yielding an outcome, so no gate row can read ``ok``
+over an incoherent machine.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
-from ..consistency.models import ConsistencyModel, get_model
-from ..sim.rng import block_reader
-from ..sync.base import CBLLock, HWBarrier
-from ..system.config import MachineConfig
+from ..consistency.models import ConsistencyModel
+from ..faults.plan import FaultSpec
 from ..system.machine import Machine
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
+from . import harness
+from .checkers import InvariantViolation
+from .harness import Lowered
 
 __all__ = [
     "Op",
@@ -66,10 +67,10 @@ __all__ = [
     "LITMUS_TESTS",
     "tests_for",
     "allowed_outcomes",
+    "lower_test",
     "run_litmus",
     "observe_outcomes",
     "check_litmus_conformance",
-    "make_jitter",
     "DEFAULT_SWEEP_JITTERS",
 ]
 
@@ -100,7 +101,14 @@ class Op:
     * ``"flush"`` — FLUSH-BUFFER (vacuous on machines without a buffer);
     * ``"acquire"`` / ``"release"`` — CBL lock named ``var``;
     * ``"barrier"`` — barrier named ``var`` (all threads that name it);
-    * ``"compute"`` — ``value`` cycles of local work.
+    * ``"compute"`` — ``value`` cycles of local work;
+    * ``"rmw"`` — atomic fetch-add of ``value`` to ``var``, recorded by an
+      :class:`~repro.verify.history.RmwHistory` (fuzz ``rmw_inc``);
+    * ``"private"`` — bump the thread's private counter, plain-write it to
+      the private word ``var``, read it back and check it (fuzz
+      ``private``).
+
+    :mod:`repro.verify.harness` interprets them.
     """
 
     kind: str
@@ -183,124 +191,38 @@ class LitmusTest:
     finals: Tuple[str, ...] = ()
     description: str = ""
 
-    def n_ops(self) -> int:
-        return sum(len(t) for t in self.threads)
-
 
 # --------------------------------------------------------------------------
 # Execution
 # --------------------------------------------------------------------------
 
-def make_jitter(rng: "np.random.Generator", max_factor: float, prob: float = 0.25):
-    """A deterministic latency-jitter hook for schedule fuzzing.
-
-    With probability ``prob``, a positive delay is scaled by an
-    independent uniform draw from ``[1, max_factor]``; otherwise it is
-    left alone.  Perturbing a random *subset* of delays (rather than
-    stretching every one) shifts the relative order of in-flight events —
-    a uniformly slowed system keeps its racy windows aligned, which hides
-    reorderings.  Zero-delay (same-instant) sequencing is never touched.
-    The doubles come from a :func:`~repro.sim.rng.block_reader` over
-    ``rng`` (a fuzz machine uses about half of one 256-double block), so
-    nothing else may draw from ``rng``: the hook reads it ahead.
-    """
-    if max_factor < 1.0:
-        raise ValueError("max_factor must be >= 1.0")
-    if not 0.0 < prob <= 1.0:
-        raise ValueError("prob must be in (0, 1]")
-    span = max_factor - 1.0
-    # Read in stream order, one double for the coin and one for the
-    # factor, the block reader's doubles are the ones ``rng.random()``
-    # then ``rng.uniform(1, max_factor)`` would consume; ``uniform``
-    # returns ``low + (high - low) * u`` of its double.  So every delay is
-    # bit-identical to the two scalar calls, at a fraction of their cost.
-    draw = block_reader(rng)
-
-    def jitter(delay: float) -> float:
-        if draw() < prob:
-            return delay * (1.0 + span * draw())
-        return delay
-
-    return jitter
-
-
-def _shared_read(proc, addr: int):
-    """Protocol-appropriate shared read (see module docstring)."""
-    if proc.machine.protocol == "primitives":
-        value = yield from proc.read_global(addr)
-    else:
-        value = yield from proc.shared_read(addr)
-    return value
-
-
-def _thread_body(proc, ops: Sequence[Op], env: dict, regs: Dict[str, int]):
-    for op in ops:
-        kind = op.kind
-        if kind == "w":
-            yield from proc.shared_write(env["vars"][op.var], op.value)
-        elif kind == "r":
-            regs[op.reg] = yield from _shared_read(proc, env["vars"][op.var])
-        elif kind == "ru":
-            regs[op.reg] = yield from proc.read_update(env["vars"][op.var])
-        elif kind == "cr":
-            regs[op.reg] = yield from proc.read(env["vars"][op.var])
-        elif kind == "inc":
-            value = yield from _shared_read(proc, env["vars"][op.var])
-            regs[op.reg] = value
-            yield from proc.shared_write(env["vars"][op.var], value + 1)
-        elif kind == "flush":
-            if proc.machine.protocol == "primitives":
-                yield from proc.flush()
-        elif kind == "acquire":
-            yield from proc.acquire(env["locks"][op.var])
-        elif kind == "release":
-            yield from proc.release(env["locks"][op.var])
-        elif kind == "barrier":
-            yield from proc.barrier(env["barriers"][op.var])
-        elif kind == "compute":
-            yield from proc.compute(op.value)
-        else:  # pragma: no cover - literal typo guard
-            raise ValueError(f"unknown litmus op kind {op.kind!r}")
-
-
-def _alloc_shared_word(machine: Machine, avoid: frozenset) -> int:
-    """A fresh word on a block homed away from ``avoid`` when possible.
-
-    Thread nodes deliver local traffic without crossing the network, which
-    would shield writes from latency jitter and hide reorderings; shared
-    litmus locations therefore live on third-party homes.
-    """
-    for _ in range(4 * machine.cfg.n_nodes):
-        block = machine.alloc_block()
-        if machine.amap.home_of(block) not in avoid:
-            return machine.amap.word_addr(block, 0)
-    return machine.alloc_word()
-
-
-def _build_env(machine: Machine, test: LitmusTest) -> dict:
-    env = {"vars": {}, "locks": {}, "barriers": {}}
+@functools.lru_cache(maxsize=None)
+def lower_test(test: LitmusTest) -> Lowered:
+    """``test`` in harness form.  Words, locks and barriers are declared
+    in first-use order across the threads, each shared word with its
+    ``init`` value; the machine has 4 nodes, doubled until every thread
+    has its own."""
+    n_nodes = 4
+    while n_nodes < len(test.threads):
+        n_nodes *= 2
     init = dict(test.init)
-    thread_nodes = frozenset(
-        i % machine.cfg.n_nodes for i in range(len(test.threads))
+    decls: Dict[Tuple[str, str], tuple] = {}
+    for op in itertools.chain(*test.threads):
+        if op.kind in ("w", "r", "ru", "cr", "inc"):
+            decl = ("shared", op.var, init.get(op.var, 0))
+        elif op.kind in ("acquire", "release"):
+            decl = ("lock", op.var, None)
+        elif op.kind == "barrier":
+            decl = ("barrier", op.var, sum(op in ops for ops in test.threads))
+        else:
+            continue
+        decls.setdefault(decl[:2], decl)
+    return Lowered(
+        test.threads, tuple(decls.values()), n_nodes,
+        spawn_names=tuple(f"litmus.{test.name}.t{i}" for i in range(len(test.threads))),
+        jitter_stream="litmus.jitter", jitter_prob=0.25, max_cycles=1_000_000,
+        finals=test.finals,
     )
-    participants: Dict[str, int] = {}
-    for ops in test.threads:
-        seen = set()
-        for op in ops:
-            if op.kind == "barrier" and op.var not in seen:
-                participants[op.var] = participants.get(op.var, 0) + 1
-                seen.add(op.var)
-    for ops in test.threads:
-        for op in ops:
-            if op.kind in ("w", "r", "ru", "cr", "inc") and op.var not in env["vars"]:
-                addr = _alloc_shared_word(machine, thread_nodes)
-                env["vars"][op.var] = addr
-                machine.poke(addr, init.get(op.var, 0))
-            elif op.kind in ("acquire", "release") and op.var not in env["locks"]:
-                env["locks"][op.var] = CBLLock(machine)
-            elif op.kind == "barrier" and op.var not in env["barriers"]:
-                env["barriers"][op.var] = HWBarrier(machine, n=participants[op.var])
-    return env
 
 
 def run_litmus(
@@ -309,50 +231,37 @@ def run_litmus(
     model: Union[str, ConsistencyModel],
     seed: int = 0,
     jitter: float = 0.0,
-    n_nodes: int = 4,
-    max_cycles: float = 1_000_000,
+    faults: Optional[FaultSpec] = None,
+    trace_path: Optional[str] = None,
+    on_machine: Optional[Callable[[Machine], None]] = None,
 ) -> Outcome:
     """Execute ``test`` once; returns the canonical observed outcome.
 
     ``jitter`` > 0 installs a seeded latency-jitter hook with max factor
     ``1 + jitter``; the run stays fully deterministic for a fixed
-    ``(seed, jitter)`` pair.
+    ``(seed, jitter)`` pair.  ``faults``, ``trace_path`` and
+    ``on_machine`` are :func:`repro.verify.harness.run`'s.  A run that
+    hangs, or fails the structural walk, raises — naming the test,
+    protocol, model, seed and jitter — instead of yielding an outcome.
     """
     if protocol not in test.protocols:
         raise ValueError(f"litmus test {test.name!r} does not run on {protocol!r}")
-    while n_nodes < len(test.threads):
-        n_nodes *= 2
-    cfg = MachineConfig(n_nodes=n_nodes, cache_blocks=64, cache_assoc=2, seed=seed)
-    with Machine(cfg, protocol=protocol) as machine:
-        if jitter > 0:
-            machine.sim.set_jitter(
-                make_jitter(machine.rng.stream("litmus.jitter"), 1.0 + jitter)
-            )
-        env = _build_env(machine, test)
-        regs: Dict[str, int] = {}
-        for i, ops in enumerate(test.threads):
-            proc = machine.processor(i % n_nodes, consistency=model)
-            machine.spawn(_thread_body(proc, ops, env, regs), name=f"litmus.{test.name}.t{i}")
-        machine.run_all(max_cycles=max_cycles)
-        out = dict(regs)
-        for var in test.finals:
-            out[f"{var}!"] = final_value(machine, env["vars"][var])
-        return tuple(sorted(out.items()))
-
-
-def final_value(machine: Machine, addr: int) -> int:
-    """The coherent value of ``addr`` after a run.
-
-    On a write-back machine (WBI) the latest value may live only in a
-    dirty cache line; otherwise main memory is current.
-    """
-    block = machine.amap.block_of(addr)
-    offset = machine.amap.offset_of(addr)
-    for node in machine.nodes:
-        line = node.cache.peek(block)
-        if line is not None and line.valid and (line.dirty_mask >> offset) & 1:
-            return line.read_word(offset)
-    return machine.peek_memory(addr)
+    out = harness.run(
+        lower_test(test), protocol, model, seed=seed, jitter=jitter,
+        faults=faults, trace_path=trace_path, on_machine=on_machine,
+    )
+    if out.hang is not None or out.failures:
+        where = (
+            f"litmus {test.name!r} on {protocol}×{harness.resolve_model(model).name}, "
+            f"seed {seed}, jitter {jitter}"
+        )
+        if out.hang is not None:
+            raise RuntimeError(f"{where}: {out.hang}")
+        raise InvariantViolation(f"{where}: {'; '.join(out.failures)}")
+    regs = {op.reg: value for _, _, op, value in out.reads}
+    for var in test.finals:
+        regs[f"{var}!"] = out.finals[var]
+    return tuple(sorted(regs.items()))
 
 
 def allowed_outcomes(
@@ -379,15 +288,13 @@ def allowed_outcomes(
     """
     from ..static.drf import check_labels  # lazy: drf imports this module
 
-    m = get_model(model) if isinstance(model, str) else model
-    allowed = set(test.sc_outcomes)
     if (
         protocol == "primitives"
-        and not m.stall_on_shared_write
+        and not harness.resolve_model(model).stall_on_shared_write
         and check_labels(test).relaxable
     ):
-        allowed |= set(test.relaxed_outcomes)
-    return frozenset(allowed)
+        return test.sc_outcomes | test.relaxed_outcomes
+    return frozenset(test.sc_outcomes)
 
 
 #: (seed-count, jitter) pairs giving a useful default ordering sweep.
@@ -420,9 +327,9 @@ def check_litmus_conformance(
     allowed = allowed_outcomes(test, protocol, model)
     illegal = observed - allowed
     if illegal:
-        model_name = model if isinstance(model, str) else model.name
+        name = harness.resolve_model(model).name
         raise LitmusViolation(
-            f"litmus {test.name!r} on {protocol}×{model_name}: illegal outcome(s) "
+            f"litmus {test.name!r} on {protocol}×{name}: illegal outcome(s) "
             f"{sorted(illegal)}; allowed {sorted(allowed)}"
         )
     return observed
@@ -691,12 +598,9 @@ LOCK_INC = LitmusTest(
         (ACQ("L"), INC("c", "r1"), REL("L")),
     ),
     sc_outcomes=frozenset({
-        tuple(sorted({"r0": 0, "r1": 1, "c!": 2}.items())),
-        tuple(sorted({"r0": 1, "r1": 0, "c!": 2}.items())),
+        outcome_map({"r0": 0, "r1": 1, "c!": 2}), outcome_map({"r0": 1, "r1": 0, "c!": 2}),
     }),
-    relaxed_outcomes=frozenset({
-        tuple(sorted({"r0": 0, "r1": 0, "c!": 1}.items())),
-    }),
+    relaxed_outcomes=frozenset({outcome_map({"r0": 0, "r1": 0, "c!": 1})}),
     synchronized=True,
     finals=("c",),
 )

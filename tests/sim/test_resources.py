@@ -1,8 +1,8 @@
-"""Unit tests for stores, gates, resources, and semaphores."""
+"""Unit tests for the FIFO store."""
 
 import pytest
 
-from repro.sim import Simulator, Store, Gate, Resource, Semaphore, SimulationError
+from repro.sim import Simulator, Store
 
 
 # ---------------------------------------------------------------- Store
@@ -127,176 +127,3 @@ def test_store_len_tracks_items():
     store.try_put("a")
     store.try_put("b")
     assert len(store) == 2
-
-
-# ---------------------------------------------------------------- Gate
-
-
-def test_gate_releases_all_waiters():
-    sim = Simulator()
-    gate = Gate(sim)
-    woke = []
-
-    def waiter(sim, tag):
-        yield gate.wait()
-        woke.append((tag, sim.now))
-
-    def opener(sim):
-        yield sim.timeout(5)
-        gate.open()
-
-    for tag in "abc":
-        sim.process(waiter(sim, tag))
-    sim.process(opener(sim))
-    sim.run()
-    assert sorted(woke) == [("a", 5), ("b", 5), ("c", 5)]
-
-
-def test_open_gate_passes_through():
-    sim = Simulator()
-    gate = Gate(sim, open=True)
-    woke = []
-
-    def waiter(sim):
-        yield gate.wait()
-        woke.append(sim.now)
-
-    sim.process(waiter(sim))
-    sim.run()
-    assert woke == [0]
-
-
-def test_gate_close_rearms():
-    sim = Simulator()
-    gate = Gate(sim, open=True)
-    gate.close()
-    woke = []
-
-    def waiter(sim):
-        yield gate.wait()
-        woke.append(sim.now)
-
-    def opener(sim):
-        yield sim.timeout(3)
-        gate.open()
-
-    sim.process(waiter(sim))
-    sim.process(opener(sim))
-    sim.run()
-    assert woke == [3]
-
-
-# ---------------------------------------------------------------- Resource
-
-
-def test_resource_mutual_exclusion_and_fifo():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def user(sim, tag, hold):
-        yield res.request()
-        order.append((tag, "in", sim.now))
-        yield sim.timeout(hold)
-        order.append((tag, "out", sim.now))
-        res.release()
-
-    sim.process(user(sim, "a", 10))
-    sim.process(user(sim, "b", 5))
-    sim.run()
-    assert order == [
-        ("a", "in", 0),
-        ("a", "out", 10),
-        ("b", "in", 10),
-        ("b", "out", 15),
-    ]
-
-
-def test_resource_capacity_two_overlaps():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    entered = []
-
-    def user(sim, tag):
-        yield res.request()
-        entered.append((tag, sim.now))
-        yield sim.timeout(10)
-        res.release()
-
-    for tag in "abc":
-        sim.process(user(sim, tag))
-    sim.run()
-    assert entered == [("a", 0), ("b", 0), ("c", 10)]
-
-
-def test_resource_release_without_request_raises():
-    sim = Simulator()
-    res = Resource(sim)
-    with pytest.raises(SimulationError):
-        res.release()
-
-
-def test_resource_queue_length():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def holder(sim):
-        yield res.request()
-        yield sim.timeout(100)
-        res.release()
-
-    def waiter(sim):
-        yield res.request()
-        res.release()
-
-    sim.process(holder(sim))
-    sim.process(waiter(sim))
-    sim.process(waiter(sim))
-    sim.run(until=1)
-    assert res.queue_length == 2
-
-
-# ---------------------------------------------------------------- Semaphore
-
-
-def test_semaphore_initial_count_consumed():
-    sim = Simulator()
-    sem = Semaphore(sim, initial=2)
-    got = []
-
-    def p(sim, tag):
-        yield sem.acquire()
-        got.append((tag, sim.now))
-
-    for tag in "abc":
-        sim.process(p(sim, tag))
-
-    def releaser(sim):
-        yield sim.timeout(5)
-        sem.release()
-
-    sim.process(releaser(sim))
-    sim.run()
-    assert got == [("a", 0), ("b", 0), ("c", 5)]
-
-
-def test_semaphore_release_multiple():
-    sim = Simulator()
-    sem = Semaphore(sim)
-    got = []
-
-    def p(sim, tag):
-        yield sem.acquire()
-        got.append(tag)
-
-    for tag in "ab":
-        sim.process(p(sim, tag))
-    sem.release(2)
-    sim.run()
-    assert got == ["a", "b"]
-
-
-def test_semaphore_negative_initial_rejected():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Semaphore(sim, initial=-1)

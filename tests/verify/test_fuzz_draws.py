@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.scenarios import scenario_names
 from repro.scenarios.fuzzbias import bias_for
 from repro.verify.fuzz import _ATOM_WEIGHTS, Atom, Program, _kind_cdf, gen_program
-from repro.verify.litmus import make_jitter
+from repro.verify.harness import make_jitter
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
