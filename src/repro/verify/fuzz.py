@@ -129,6 +129,11 @@ class Program:
     n_threads: int
     rounds: Tuple[Tuple[Tuple[Atom, ...], ...], ...]
 
+    def n_nodes(self) -> int:
+        """The machine the program runs on: the smallest power of two
+        ≥ 4 with a node to spare beyond the threads."""
+        return max(4, 1 << self.n_threads.bit_length())
+
     def size(self) -> int:
         """Total atom count (the 'operations' unit reported by the shrinker)."""
         return sum(len(atoms) for rnd in self.rounds for atoms in rnd)
@@ -258,13 +263,6 @@ def gen_program(
 # Execution + oracles
 # --------------------------------------------------------------------------
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 _ROUND_BAR = BAR(ROUND_BARRIER)
 
 
@@ -290,8 +288,7 @@ def lower_program(program: Program, jitter_prob: float = 0.25) -> Lowered:
     """``program`` in harness form: a thread's atoms round by round, a
     round-barrier crossing between rounds.  Words are allocated slots
     first, then privates, the RMW counter, locks, lock counters and the
-    barrier; the machine is the smallest power of two ≥ 4 with a node to
-    spare."""
+    barrier; the machine is ``program.n_nodes()``."""
     n, last = program.n_threads, len(program.rounds) - 1
     threads = []
     for t in range(n):
@@ -312,7 +309,7 @@ def lower_program(program: Program, jitter_prob: float = 0.25) -> Lowered:
         + [("barrier", ROUND_BARRIER, n)] * (last > 0)
     )
     return Lowered(
-        tuple(threads), tuple(decls), max(4, _next_pow2(n + 1)),
+        tuple(threads), tuple(decls), program.n_nodes(),
         spawn_names=tuple(f"fuzz.t{t}" for t in range(n)),
         jitter_stream="fuzz.jitter", jitter_prob=jitter_prob, max_cycles=5_000_000,
         finals=tuple(f"lockctr:{lid}" for lid in locks) + ("rmw",),
@@ -693,10 +690,9 @@ def fuzz(
         jitter = float(rng.uniform(0.0, max_jitter))
         fspec: Optional[FaultSpec] = None
         if faults:
-            n_nodes = max(4, _next_pow2(program.n_threads + 1))
             frng = py_random(int(rng.integers(0, 2**31 - 1)))
             fspec = FaultSpec.draw(
-                frng, seed=int(rng.integers(0, 2**31 - 1)), n_nodes=n_nodes
+                frng, seed=int(rng.integers(0, 2**31 - 1)), n_nodes=program.n_nodes()
             )
         if bias is not None and bias.targeted:
             # Graft the scenario's targeted drops onto the schedule; with

@@ -93,7 +93,14 @@ class DemandParams:
 
 
 def _poisson_times(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
-    """Homogeneous Poisson arrival times on [0, horizon)."""
+    """Homogeneous Poisson arrival times on [0, horizon).
+
+    The result is usually a prefix view of the one chunk of gaps drawn:
+    each chunk is turned into times in place (a running sum, then the
+    chunk's start added), and the times are cut at the horizon by a
+    binary search, which is exact because they are nondecreasing.  So the
+    draw holds no array beside its chunks.
+    """
     times = []
     t = 0.0
     # Draw gaps in chunks sized so one chunk almost always covers the
@@ -101,12 +108,13 @@ def _poisson_times(rng: np.random.Generator, rate: float, horizon: float) -> np.
     # draw sequence depends only on the generator state) in the tail case.
     chunk = max(16, int(rate * horizon * 1.25) + 16)
     while t < horizon:
-        gaps = rng.exponential(1.0 / rate, size=chunk)
-        ts = t + np.cumsum(gaps)
+        ts = rng.exponential(1.0 / rate, size=chunk)
+        np.cumsum(ts, out=ts)
+        ts += t
         times.append(ts)
         t = float(ts[-1])
-    all_t = np.concatenate(times)
-    return all_t[all_t < horizon]
+    all_t = times[0] if len(times) == 1 else np.concatenate(times)
+    return all_t[: np.searchsorted(all_t, horizon)]
 
 
 def _arrivals_poisson(rng: np.random.Generator, p: DemandParams) -> np.ndarray:
@@ -183,6 +191,11 @@ class Schedule:
     request ``i`` to one of ``n_clients`` logical clients; no per-client
     process or state exists anywhere, so the client population can be
     millions wide at the cost of one int64 per request.
+
+    A Poisson ``issue_t`` is usually a prefix view of the chunk its gaps
+    were drawn into (``1.25 * rate * horizon + 16`` doubles), so its base
+    holds about a quarter more than ``issue_t.nbytes``.  Bursty and
+    diurnal ``issue_t`` are fresh arrays.
     """
 
     issue_t: np.ndarray  # float64, nondecreasing
@@ -230,7 +243,7 @@ class OpenLoopDemand:
         n = int(issue_t.size)
         client = rng.integers(0, p.n_clients, size=n, dtype=np.int64)
         cum = np.cumsum(zipf_weights(p.n_keys, p.zipf_s))
-        key = np.searchsorted(cum, rng.random(n), side="right").astype(np.int64)
+        key = np.searchsorted(cum, rng.random(n), side="right").astype(np.int64, copy=False)
         # Guard the top edge: cum[-1] may round to slightly below 1.0.
         np.clip(key, 0, p.n_keys - 1, out=key)
         return Schedule(

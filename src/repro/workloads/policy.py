@@ -7,6 +7,13 @@ serving node, and every key onto a data shard, as two pure vectorized
 functions — no stateful router process, so placement adds nothing to the
 simulation and cannot perturb determinism.
 
+A placement is a *row selector* per node, not a node per request: a
+Python slice or an int64 index array, either of which indexes the
+schedule's columns.  Round-robin's selectors are slices, so each server's
+columns are strided views of the schedule and placement stores nothing
+per request.  The other two policies keep one sorted index array per
+node (8 bytes per request in total) and no full-length node array.
+
 Three policies, mirroring the ``LOCK_FACTORIES`` registry pattern:
 
 ``static-shard``
@@ -29,7 +36,7 @@ Three policies, mirroring the ``LOCK_FACTORIES`` registry pattern:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Union
 
 import numpy as np
 
@@ -45,19 +52,38 @@ __all__ = [
 ]
 
 
+#: A node's rows of the schedule: a slice or a sorted int64 index array.
+RowSelector = Union[slice, np.ndarray]
+
+
 @dataclass(slots=True)
 class Placement:
     """The policy's decision for one schedule on one machine size."""
 
-    #: Serving node per request (int64, aligned with the schedule rows).
-    node: np.ndarray
+    #: Row selector per serving node; together they partition the rows.
+    rows: List[RowSelector]
     #: Data shard per key (int64, length ``n_keys``); shard ``s`` lives on
     #: the s-th shared block the service allocates.
     shard_of_key: np.ndarray
 
-    def requests_of(self, node_id: int) -> np.ndarray:
-        """Row indices of the requests served by ``node_id`` (sorted)."""
-        return np.flatnonzero(self.node == node_id)
+    def requests_of(self, node_id: int) -> RowSelector:
+        """The row selector of the requests served by ``node_id``.
+
+        Index a schedule column with it to get that node's requests in
+        issue order.  It is a slice or a sorted index array, not
+        necessarily an index array: ``np.arange(n)[sel]`` spells the rows
+        out.  A slice selects a view, an index array a copy.
+        """
+        return self.rows[node_id]
+
+
+def _rows_by_node(node: np.ndarray, n_nodes: int) -> List[np.ndarray]:
+    """Sorted row indices per node of a node-per-request array."""
+    return [np.flatnonzero(node == i) for i in range(n_nodes)]
+
+
+def _shards(schedule: Schedule, n_nodes: int) -> np.ndarray:
+    return np.arange(schedule.n_keys, dtype=np.int64) % n_nodes
 
 
 class StaticShardPolicy:
@@ -66,8 +92,8 @@ class StaticShardPolicy:
     name = "static-shard"
 
     def place(self, schedule: Schedule, n_nodes: int) -> Placement:
-        shard = np.arange(schedule.n_keys, dtype=np.int64) % n_nodes
-        return Placement(node=schedule.key % n_nodes, shard_of_key=shard)
+        rows = _rows_by_node(schedule.key % n_nodes, n_nodes)
+        return Placement(rows=rows, shard_of_key=_shards(schedule, n_nodes))
 
 
 class RoundRobinPolicy:
@@ -76,9 +102,10 @@ class RoundRobinPolicy:
     name = "round-robin"
 
     def place(self, schedule: Schedule, n_nodes: int) -> Placement:
-        idx = np.arange(schedule.n_requests, dtype=np.int64)
-        shard = np.arange(schedule.n_keys, dtype=np.int64) % n_nodes
-        return Placement(node=idx % n_nodes, shard_of_key=shard)
+        # Row r goes to node r mod n_nodes: node i's rows are the stride
+        # starting at i, so no per-request array is made at all.
+        rows = [slice(i, None, n_nodes) for i in range(n_nodes)]
+        return Placement(rows=rows, shard_of_key=_shards(schedule, n_nodes))
 
 
 class HotKeyPolicy:
@@ -104,11 +131,12 @@ class HotKeyPolicy:
         order = np.argsort(-counts, kind="stable")
         hot = set(int(k) for k in order[: self.hot_k])
         node = schedule.key % n_nodes
-        shard = np.arange(schedule.n_keys, dtype=np.int64) % n_nodes
         for k in sorted(hot):
             rows = np.flatnonzero(schedule.key == k)
             node[rows] = np.arange(rows.size, dtype=np.int64) % n_nodes
-        return Placement(node=node, shard_of_key=shard)
+        return Placement(
+            rows=_rows_by_node(node, n_nodes), shard_of_key=_shards(schedule, n_nodes)
+        )
 
 
 #: Placement-policy registry: name -> zero/default-arg factory.

@@ -16,6 +16,24 @@ machine's deterministic histogram
 columns of the rate sweep are bit-identical across repeats and simulator
 kernels — the acceptance gate this module is named in.
 
+Memory scales with requests, not clients.  The per-request arrays of
+each phase, for ``n`` requests:
+
+* *build* (:class:`~repro.workloads.demand.OpenLoopDemand`): the Poisson
+  draw chunk of about ``1.25 n`` doubles, turned into issue times in
+  place, then ``client``, the key uniforms (freed once the keys are
+  found) and ``key``: about 34 bytes per request at the peak;
+* *place*: round-robin makes nothing per request (each node's selector is
+  a slice); static-shard and hot-key make one temporary node-per-request
+  array and keep one index array per node, 8 bytes per request in all;
+* *run*: the schedule's three columns, 24 bytes per request (plus the
+  chunk's spare quarter under Poisson).  Round-robin servers read strided
+  views of them, so that is all; under static-shard and hot-key each
+  server copies its rows of the three columns, 24 bytes more, for 56
+  bytes per request with the index arrays;
+* *end*: :meth:`~repro.workloads.demand.Schedule.distinct_clients` sorts
+  a copy of ``client``, 8 bytes per request for a moment.
+
 Run it directly::
 
     python -m repro.workloads.traffic --rate-sweep
@@ -101,19 +119,19 @@ class TrafficWorkload:
         )
 
     # -- the per-node server process ----------------------------------------
-    def _server(self, proc, rows: np.ndarray):
+    def _server(self, proc, issue_t: np.ndarray, key: np.ndarray, client: np.ndarray):
         p = self.params
         m = self.machine
         sim = m.sim
-        sched = self.schedule
-        # The schedule stays one numpy array per column.  Memoryviews read
-        # single issue times as Python floats and slice keys and clients
-        # as Python-int sequences, so a batch makes no numpy call and no
+        # The columns stay numpy arrays (views of the schedule where the
+        # selector is a slice).  Memoryviews, strided or not, read single
+        # issue times as Python floats and slice keys and clients as
+        # Python-int sequences, so a batch makes no numpy call and no
         # Python object per request is built up front (that would cost
         # peak RSS).
-        issue_at = memoryview(sched.issue_t[rows])
-        keys = memoryview(sched.key[rows])
-        clients = memoryview(sched.client[rows])
+        issue_at = memoryview(issue_t)
+        keys = memoryview(key)
+        clients = memoryview(client)
         coin = block_reader(m.rng.node_stream(proc.node_id, "traffic"))
         hist = m.latency_hist()
         serve_batch = self.service.serve_batch
@@ -160,12 +178,17 @@ class TrafficWorkload:
     def run(self, max_cycles: Optional[float] = 100_000_000) -> WorkloadResult:
         m = self.machine
         p = self.params
+        sched = self.schedule
         for i in range(m.cfg.n_nodes):
             rows = self.placement.requests_of(i)
-            if rows.size == 0:
+            # A slice selector (round-robin) takes views of the schedule's
+            # columns, an index array per-node copies.
+            issue_t = sched.issue_t[rows]
+            if issue_t.size == 0:
                 continue
             proc = m.processor(i, consistency=p.consistency)
-            m.spawn(self._server(proc, rows), name=f"traffic-{i}")
+            server = self._server(proc, issue_t, sched.key[rows], sched.client[rows])
+            m.spawn(server, name=f"traffic-{i}")
         m.run_all(max_cycles)
         self.builder.add_sync(*self.service.sync_objects())
         self.builder.note(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.faults.plan import FaultSpec
-from repro.verify.fuzz import _next_pow2, gen_program, run_program
+from repro.verify.fuzz import gen_program, run_program
 
 SEEDS_PER_PROTOCOL = 50
 
@@ -28,7 +28,7 @@ def _campaign_case(seed):
     spec = FaultSpec.draw(
         random.Random(seed * 1000003 + 17),
         seed=seed + 1,
-        n_nodes=max(4, _next_pow2(program.n_threads + 1)),
+        n_nodes=program.n_nodes(),
     )
     return program, spec
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.workloads.demand as demand_mod
 from repro.workloads.demand import (
     ARRIVAL_FACTORIES,
     DemandParams,
@@ -140,3 +141,65 @@ def test_distinct_clients_edge_cases(clients, expected):
 def test_distinct_clients_of_a_built_schedule_matches_unique():
     sched = OpenLoopDemand(_params(rate=4.0, n_clients=5_000)).build(np.random.default_rng(11))
     assert sched.distinct_clients() == np.unique(sched.client).size
+
+
+# ---------------------------------------------------------------- in-place build referee
+
+
+def _referee_poisson_times(rng, rate, horizon, n_chunks):
+    """The copy-based draw the in-place one replaced: cumsum into a new
+    array, shift into another, concatenate, then cut with a boolean mask.
+    Appends the number of chunks drawn to ``n_chunks``."""
+    times = []
+    t = 0.0
+    chunk = max(16, int(rate * horizon * 1.25) + 16)
+    while t < horizon:
+        gaps = rng.exponential(1.0 / rate, size=chunk)
+        ts = t + np.cumsum(gaps)
+        times.append(ts)
+        t = float(ts[-1])
+    n_chunks.append(len(times))
+    all_t = np.concatenate(times)
+    return all_t[all_t < horizon]
+
+
+def _referee_build(p, rng, monkeypatch):
+    """``OpenLoopDemand.build`` over the copy-based draws; returns the three
+    columns and the chunk count of every Poisson draw made."""
+    n_chunks = []
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            demand_mod,
+            "_poisson_times",
+            lambda rng, rate, horizon: _referee_poisson_times(rng, rate, horizon, n_chunks),
+        )
+        issue_t = make_arrivals(rng, p)
+    n = int(issue_t.size)
+    client = rng.integers(0, p.n_clients, size=n, dtype=np.int64)
+    cum = np.cumsum(zipf_weights(p.n_keys, p.zipf_s))
+    key = np.searchsorted(cum, rng.random(n), side="right").astype(np.int64)
+    np.clip(key, 0, p.n_keys - 1, out=key)
+    return issue_t, client, key, n_chunks
+
+
+#: (rate, horizon, seed).  At seed 5963 a Poisson draw of mean 100
+#: arrivals needs more than its 141-gap chunk, so a second chunk is drawn.
+REFEREE_CASES = [(0.5, 2_000.0, 3), (4.0, 5_000.0, 11), (0.05, 2_000.0, 5963), (1.0, 40_000.0, 1)]
+SECOND_CHUNK_CASE = ("poisson", 0.05, 2_000.0, 5963)
+
+
+@pytest.mark.parametrize("process", sorted(ARRIVAL_FACTORIES))
+@pytest.mark.parametrize("rate, horizon, seed", REFEREE_CASES)
+def test_in_place_build_matches_copy_referee(process, rate, horizon, seed, monkeypatch):
+    p = _params(process=process, rate=rate, horizon=horizon)
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    issue_t, client, key, n_chunks = _referee_build(p, ref_rng, monkeypatch)
+    sched = OpenLoopDemand(p).build(rng)
+    assert np.array_equal(sched.issue_t, issue_t)
+    assert np.array_equal(sched.client, client)
+    assert np.array_equal(sched.key, key)
+    assert sched.key.dtype == np.int64
+    # Both builds consumed the generator alike.
+    assert rng.random() == ref_rng.random()
+    if (process, rate, horizon, seed) == SECOND_CHUNK_CASE:
+        assert max(n_chunks) >= 2
